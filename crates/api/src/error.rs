@@ -11,9 +11,9 @@ use stream::ServeError;
 /// [`crate::prelude::Runner::build`], distributed local-stage errors
 /// (e.g. a rank's GridDBSCAN exceeding its memory budget) surfaced as
 /// [`DistError`], and serving-layer failures surfaced as
-/// [`ServeError`] — a dimension mismatch at ingest/query time, a
-/// handle used after its writer thread shut down, or a postmortem
-/// artifact that could not be written
+/// [`ServeError`] — a dimension mismatch or a NaN/±∞ coordinate at
+/// ingest/query time, a handle used after its writer thread shut down,
+/// or a postmortem artifact that could not be written
 /// ([`stream::ServeError::Postmortem`], an I/O failure that leaves the
 /// engine itself serving), and on-disk dataset failures surfaced as
 /// [`StoreError`] — a truncated or corrupt chunk store, a dimension

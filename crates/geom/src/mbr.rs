@@ -9,10 +9,27 @@
 
 /// An axis-aligned box `[lo, hi]` (inclusive on both ends) in `dim()`
 /// dimensions.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Mbr {
     lo: Box<[f64]>,
     hi: Box<[f64]>,
+}
+
+impl Clone for Mbr {
+    fn clone(&self) -> Self {
+        Self { lo: self.lo.clone(), hi: self.hi.clone() }
+    }
+
+    /// Copies into the existing corner storage when the dimensions match,
+    /// so refitting a box in place does not allocate.
+    fn clone_from(&mut self, source: &Self) {
+        if self.dim() == source.dim() {
+            self.lo.copy_from_slice(&source.lo);
+            self.hi.copy_from_slice(&source.hi);
+        } else {
+            *self = source.clone();
+        }
+    }
 }
 
 impl Mbr {
@@ -88,8 +105,15 @@ impl Mbr {
 
     /// `true` iff `other` is entirely inside `self`.
     pub fn contains(&self, other: &Mbr) -> bool {
+        self.contains_corners(&other.lo, &other.hi)
+    }
+
+    /// `true` iff the box `[lo, hi]` is entirely inside `self` —
+    /// [`Mbr::contains`] on borrowed corners.
+    pub fn contains_corners(&self, lo: &[f64], hi: &[f64]) -> bool {
+        debug_assert!(lo.len() == self.dim() && hi.len() == self.dim());
         for k in 0..self.dim() {
-            if other.lo[k] < self.lo[k] || other.hi[k] > self.hi[k] {
+            if lo[k] < self.lo[k] || hi[k] > self.hi[k] {
                 return false;
             }
         }
@@ -129,28 +153,17 @@ impl Mbr {
 
     /// Grow the box in place so it also covers `other`.
     pub fn merge(&mut self, other: &Mbr) {
-        debug_assert_eq!(self.dim(), other.dim());
-        for k in 0..self.dim() {
-            if other.lo[k] < self.lo[k] {
-                self.lo[k] = other.lo[k];
-            }
-            if other.hi[k] > self.hi[k] {
-                self.hi[k] = other.hi[k];
-            }
-        }
+        self.merge_corners(&other.lo, &other.hi);
     }
 
     /// Grow the box in place so it also covers `p`.
     pub fn merge_point(&mut self, p: &[f64]) {
-        debug_assert_eq!(p.len(), self.dim());
-        for k in 0..self.dim() {
-            if p[k] < self.lo[k] {
-                self.lo[k] = p[k];
-            }
-            if p[k] > self.hi[k] {
-                self.hi[k] = p[k];
-            }
-        }
+        self.merge_corners(p, p);
+    }
+
+    /// Grow the box in place so it also covers the box `[lo, hi]`.
+    pub fn merge_corners(&mut self, lo: &[f64], hi: &[f64]) {
+        corners::merge(&mut self.lo, &mut self.hi, lo, hi);
     }
 
     /// The smallest box covering both inputs.
@@ -163,19 +176,31 @@ impl Mbr {
     /// Hyper-volume of the box. Degenerate boxes have volume 0; for R-tree
     /// split heuristics prefer [`Mbr::margin`] when volumes collapse.
     pub fn volume(&self) -> f64 {
-        self.lo.iter().zip(self.hi.iter()).map(|(l, h)| h - l).product()
+        corners::volume(&self.lo, &self.hi)
     }
 
     /// Sum of edge lengths (the "margin"); a robust tie-breaker when
     /// volumes are zero (collinear points).
     pub fn margin(&self) -> f64 {
-        self.lo.iter().zip(self.hi.iter()).map(|(l, h)| h - l).sum()
+        corners::margin(&self.lo, &self.hi)
+    }
+
+    /// Volume of the smallest box covering `self` and `[lo, hi]`, without
+    /// building it: bit-identical to `merged(..).volume()`.
+    pub fn merged_volume(&self, lo: &[f64], hi: &[f64]) -> f64 {
+        corners::merged_volume(&self.lo, &self.hi, lo, hi)
+    }
+
+    /// Margin of the smallest box covering `self` and `[lo, hi]`, without
+    /// building it: bit-identical to `merged(..).margin()`.
+    pub fn merged_margin(&self, lo: &[f64], hi: &[f64]) -> f64 {
+        corners::merged_margin(&self.lo, &self.hi, lo, hi)
     }
 
     /// Volume increase needed for the box to cover `other` — the Guttman
     /// ChooseLeaf criterion.
     pub fn enlargement(&self, other: &Mbr) -> f64 {
-        self.merged(other).volume() - self.volume()
+        self.merged_volume(&other.lo, &other.hi) - self.volume()
     }
 
     /// Center of the box along axis `k`.
@@ -194,6 +219,78 @@ impl Mbr {
     /// Estimated heap footprint in bytes (two boxed slices).
     pub fn heap_bytes(&self) -> usize {
         2 * self.lo.len() * std::mem::size_of::<f64>()
+    }
+
+    /// Both corners, mutably, for in-place refits inside this crate. The
+    /// caller must leave `lo <= hi` component-wise.
+    pub(crate) fn corners_mut(&mut self) -> (&mut [f64], &mut [f64]) {
+        (&mut self.lo, &mut self.hi)
+    }
+}
+
+/// Box arithmetic on borrowed corner slices `(lo, hi)`.
+///
+/// [`Mbr`]'s own volume, margin and merge are these functions on its
+/// corners, so a caller that holds a box as plain slices (a point is the
+/// box `(p, p)`; a node split keeps its two growing groups in one scratch
+/// buffer) gets bit-identical values without allocating an `Mbr`. The
+/// merged forms use exactly [`Mbr::merge`]'s strict `<`/`>` comparisons
+/// and the same `product`/`sum` folds as `merged(..).volume()` and
+/// `merged(..).margin()`.
+pub mod corners {
+    /// Edge lengths of the smallest box covering `a` and `b`, computed
+    /// with [`merge`]'s comparisons (`a` plays the merged-into box).
+    #[inline]
+    fn merged_edges<'a>(
+        alo: &'a [f64],
+        ahi: &'a [f64],
+        blo: &'a [f64],
+        bhi: &'a [f64],
+    ) -> impl Iterator<Item = f64> + 'a {
+        debug_assert!(alo.len() == blo.len() && ahi.len() == bhi.len());
+        (0..alo.len()).map(move |k| {
+            let lo = if blo[k] < alo[k] { blo[k] } else { alo[k] };
+            let hi = if bhi[k] > ahi[k] { bhi[k] } else { ahi[k] };
+            hi - lo
+        })
+    }
+
+    /// Hyper-volume of the box `[lo, hi]`.
+    #[inline]
+    pub fn volume(lo: &[f64], hi: &[f64]) -> f64 {
+        lo.iter().zip(hi).map(|(l, h)| h - l).product()
+    }
+
+    /// Sum of the edge lengths of the box `[lo, hi]`.
+    #[inline]
+    pub fn margin(lo: &[f64], hi: &[f64]) -> f64 {
+        lo.iter().zip(hi).map(|(l, h)| h - l).sum()
+    }
+
+    /// Volume of the smallest box covering `[alo, ahi]` and `[blo, bhi]`.
+    #[inline]
+    pub fn merged_volume(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
+        merged_edges(alo, ahi, blo, bhi).product()
+    }
+
+    /// Margin of the smallest box covering `[alo, ahi]` and `[blo, bhi]`.
+    #[inline]
+    pub fn merged_margin(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
+        merged_edges(alo, ahi, blo, bhi).sum()
+    }
+
+    /// Grow the box `[lo, hi]` in place so it also covers `[olo, ohi]`.
+    #[inline]
+    pub fn merge(lo: &mut [f64], hi: &mut [f64], olo: &[f64], ohi: &[f64]) {
+        debug_assert!(lo.len() == olo.len() && hi.len() == ohi.len());
+        for k in 0..lo.len() {
+            if olo[k] < lo[k] {
+                lo[k] = olo[k];
+            }
+            if ohi[k] > hi[k] {
+                hi[k] = ohi[k];
+            }
+        }
     }
 }
 
@@ -280,6 +377,36 @@ mod tests {
         assert_eq!(m.hi(), &[3.0, 3.0]);
         assert_eq!(m.volume(), 9.0);
         assert_eq!(m.margin(), 6.0);
+    }
+
+    #[test]
+    fn merged_forms_are_bit_identical_to_building_the_box() {
+        let boxes = [
+            Mbr::new(vec![0.0, -1.5, 2.0], vec![0.25, 3.0, 2.0]),
+            Mbr::new(vec![-0.0, 0.1, 1.0], vec![0.3, 0.2, 7.5]),
+            Mbr::point(&[0.1, -2.0, 2.0]),
+            Mbr::point(&[1e-300, 1e300, -3.0]),
+        ];
+        for a in &boxes {
+            for b in &boxes {
+                let m = a.merged(b);
+                assert_eq!(a.merged_volume(b.lo(), b.hi()).to_bits(), m.volume().to_bits());
+                assert_eq!(a.merged_margin(b.lo(), b.hi()).to_bits(), m.margin().to_bits());
+                assert_eq!(a.enlargement(b).to_bits(), (m.volume() - a.volume()).to_bits());
+                assert_eq!(a.contains(b), a.contains_corners(b.lo(), b.hi()));
+            }
+        }
+    }
+
+    #[test]
+    fn clone_from_reuses_matching_storage() {
+        let mut m = unit();
+        let src = Mbr::new(vec![-1.0, 2.0], vec![3.0, 4.0]);
+        m.clone_from(&src);
+        assert_eq!(m, src);
+        let mut other_dim = Mbr::point(&[0.0]);
+        other_dim.clone_from(&src);
+        assert_eq!(other_dim, src);
     }
 
     #[test]

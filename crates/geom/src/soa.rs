@@ -152,24 +152,60 @@ impl PointBlock {
         kernels::dist_sq_scalar(&self.cols, self.cap, self.len(), self.dim, q, out);
     }
 
+    /// Keep only the rows for which `keep(row)` is true, preserving
+    /// their order (row indices refer to the block before the call).
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let n = self.len();
+        let mut w = 0;
+        for i in 0..n {
+            if keep(i) {
+                if w != i {
+                    for k in 0..self.dim {
+                        self.cols[k * self.cap + w] = self.cols[k * self.cap + i];
+                    }
+                    self.items[w] = self.items[i];
+                }
+                w += 1;
+            }
+        }
+        self.items.truncate(w);
+    }
+
     /// Tight bounding box of the stored points (`None` when empty).
     pub fn mbr(&self) -> Option<Mbr> {
         if self.is_empty() {
             return None;
         }
-        let mut lo = vec![f64::INFINITY; self.dim];
-        let mut hi = vec![f64::NEG_INFINITY; self.dim];
+        let mut lo = vec![0.0; self.dim];
+        let mut hi = vec![0.0; self.dim];
+        self.write_bounds(&mut lo, &mut hi);
+        Some(Mbr::new(lo, hi))
+    }
+
+    /// Overwrite `mbr` with the tight bounding box of the stored points,
+    /// reusing its storage. Panics when the block is empty or the
+    /// dimensions differ.
+    pub fn bound_into(&self, mbr: &mut Mbr) {
+        assert!(!self.is_empty(), "an empty PointBlock has no bounding box");
+        assert_eq!(mbr.dim(), self.dim, "box dimensionality mismatch");
+        let (lo, hi) = mbr.corners_mut();
+        self.write_bounds(lo, hi);
+    }
+
+    fn write_bounds(&self, lo: &mut [f64], hi: &mut [f64]) {
         for k in 0..self.dim {
+            let (mut l, mut h) = (f64::INFINITY, f64::NEG_INFINITY);
             for &x in self.col(k) {
-                if x < lo[k] {
-                    lo[k] = x;
+                if x < l {
+                    l = x;
                 }
-                if x > hi[k] {
-                    hi[k] = x;
+                if x > h {
+                    h = x;
                 }
             }
+            lo[k] = l;
+            hi[k] = h;
         }
-        Some(Mbr::new(lo, hi))
     }
 
     /// Owned heap bytes (id vector plus the shared column block).
@@ -303,6 +339,23 @@ mod tests {
         b.push(9, &[9.0, 19.0]);
         assert_eq!(b.items(), &[2, 3, 9]);
         assert_eq!(b.coord(2, 1), 19.0);
+    }
+
+    #[test]
+    fn point_block_retain_and_bound_into() {
+        let mut b = PointBlock::with_capacity(2, 8);
+        for i in 0..6u32 {
+            b.push(i, &[i as f64, -(i as f64)]);
+        }
+        b.retain(|i| i % 2 == 1);
+        assert_eq!(b.items(), &[1, 3, 5]);
+        assert_eq!(b.col(0), &[1.0, 3.0, 5.0]);
+        assert_eq!(b.col(1), &[-1.0, -3.0, -5.0]);
+        let mut m = Mbr::point(&[100.0, 100.0]);
+        b.bound_into(&mut m);
+        assert_eq!(m, b.mbr().unwrap());
+        assert_eq!(m.lo(), &[1.0, -5.0]);
+        assert_eq!(m.hi(), &[5.0, -1.0]);
     }
 
     #[test]

@@ -6,15 +6,14 @@
 //! neighbour) and pick ε at its knee (Ester et al. 1996 §4.2). See
 //! [`RTree::kth_neighbor_dist`].
 //!
-//! Runs on the same MINDIST heap (`traversal::Candidate`) as the
-//! best-first ε-range query; point-layout leaves compute exact point
-//! distances straight from the column block instead of materialising a
-//! degenerate MBR per entry.
+//! Runs on the same MINDIST heap (`traversal::Candidate`, the same
+//! per-thread scratch buffer) as the best-first ε-range query;
+//! point-layout leaves compute exact point distances straight from the
+//! column block instead of materialising a degenerate MBR per entry.
 
 use crate::node::{LeafData, Node};
-use crate::traversal::Candidate;
+use crate::traversal::{with_scratch, Candidate, HEAP};
 use crate::tree::RTree;
-use std::collections::BinaryHeap;
 
 impl RTree {
     /// The `k` items nearest to `query` (ties broken arbitrarily),
@@ -27,42 +26,48 @@ impl RTree {
         if k == 0 {
             return out;
         }
-        let mut heap = BinaryHeap::new();
-        heap.push(Candidate::node(self.nodes[root as usize].mbr().min_dist_sq(query), root));
-        while let Some(c) = heap.pop() {
-            match c.item {
-                Some(item) => {
-                    out.push((item, c.dist_sq.sqrt()));
-                    if out.len() == k {
-                        break;
+        with_scratch(&HEAP, |heap| {
+            heap.clear();
+            heap.push(Candidate::node(self.nodes[root as usize].mbr().min_dist_sq(query), root));
+            while let Some(c) = heap.pop() {
+                match c.item {
+                    Some(item) => {
+                        out.push((item, c.dist_sq.sqrt()));
+                        if out.len() == k {
+                            break;
+                        }
                     }
+                    None => match &self.nodes[c.node as usize] {
+                        Node::Internal { children, .. } => {
+                            for &ch in children {
+                                heap.push(Candidate::node(
+                                    self.nodes[ch as usize].mbr().min_dist_sq(query),
+                                    ch,
+                                ));
+                            }
+                        }
+                        Node::Leaf { data: LeafData::Boxes(entries), .. } => {
+                            for e in entries {
+                                heap.push(Candidate::item(
+                                    e.mbr.min_dist_sq(query),
+                                    c.node,
+                                    e.item,
+                                ));
+                            }
+                        }
+                        Node::Leaf { data: LeafData::Points(block), .. } => {
+                            for i in 0..block.len() {
+                                heap.push(Candidate::item(
+                                    block.dist_sq_to(i, query),
+                                    c.node,
+                                    block.item(i),
+                                ));
+                            }
+                        }
+                    },
                 }
-                None => match &self.nodes[c.node as usize] {
-                    Node::Internal { children, .. } => {
-                        for &ch in children {
-                            heap.push(Candidate::node(
-                                self.nodes[ch as usize].mbr().min_dist_sq(query),
-                                ch,
-                            ));
-                        }
-                    }
-                    Node::Leaf { data: LeafData::Boxes(entries), .. } => {
-                        for e in entries {
-                            heap.push(Candidate::item(e.mbr.min_dist_sq(query), c.node, e.item));
-                        }
-                    }
-                    Node::Leaf { data: LeafData::Points(block), .. } => {
-                        for i in 0..block.len() {
-                            heap.push(Candidate::item(
-                                block.dist_sq_to(i, query),
-                                c.node,
-                                block.item(i),
-                            ));
-                        }
-                    }
-                },
             }
-        }
+        });
         out
     }
 

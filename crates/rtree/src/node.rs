@@ -97,6 +97,47 @@ impl LeafData {
         }
     }
 
+    /// Append a point entry without building its degenerate box: a point
+    /// leaf with room takes the coordinates directly, anything else goes
+    /// through [`Self::push`].
+    pub(crate) fn push_point(&mut self, item: u32, coords: &[f64], dim: usize) {
+        match self {
+            LeafData::Points(block) if block.len() < block.capacity() => block.push(item, coords),
+            _ => self.push(Entry::point(item, coords), dim),
+        }
+    }
+
+    /// True when the entry at position `i` is `item` stored with exactly
+    /// the box `[lo, hi]` — compared in place, without materialising it.
+    pub(crate) fn holds(&self, i: usize, item: u32, lo: &[f64], hi: &[f64]) -> bool {
+        match self {
+            LeafData::Boxes(entries) => {
+                let e = &entries[i];
+                e.item == item && e.mbr.lo() == lo && e.mbr.hi() == hi
+            }
+            LeafData::Points(block) => {
+                block.item(i) == item
+                    && (0..block.dim()).all(|k| block.coord(i, k) == lo[k])
+                    && (0..block.dim()).all(|k| block.coord(i, k) == hi[k])
+            }
+        }
+    }
+
+    /// Overwrite `mbr` with the exact bounding box of the (non-empty)
+    /// contents, reusing its storage.
+    pub(crate) fn bound_into(&self, mbr: &mut Mbr) {
+        match self {
+            LeafData::Boxes(entries) => {
+                let (first, rest) = entries.split_first().expect("leaf cannot be empty here");
+                mbr.clone_from(&first.mbr);
+                for e in rest {
+                    mbr.merge(&e.mbr);
+                }
+            }
+            LeafData::Points(block) => block.bound_into(mbr),
+        }
+    }
+
     /// Remove the entry at position `i`, preserving the order of the
     /// remaining entries in both layouts. Returns the removed item id.
     pub fn remove(&mut self, i: usize) -> u32 {
@@ -171,6 +212,13 @@ pub enum Node {
 impl Node {
     /// The node's cached bounding box.
     pub fn mbr(&self) -> &Mbr {
+        match self {
+            Node::Internal { mbr, .. } | Node::Leaf { mbr, .. } => mbr,
+        }
+    }
+
+    /// The node's cached bounding box, mutably.
+    pub(crate) fn mbr_mut(&mut self) -> &mut Mbr {
         match self {
             Node::Internal { mbr, .. } | Node::Leaf { mbr, .. } => mbr,
         }
@@ -255,6 +303,23 @@ mod tests {
         ];
         let data = LeafData::from_entries(2, 8, entries);
         assert!(matches!(data, LeafData::Boxes(_)));
+    }
+
+    #[test]
+    fn holds_and_bound_into_match_the_materialised_boxes() {
+        let entries = vec![Entry::point(3, &[0.0, 1.0]), Entry::point(4, &[2.0, -3.0])];
+        let mut data = LeafData::from_entries(2, 8, entries);
+        data.push_point(5, &[1.0, 1.0], 2);
+        assert!(matches!(data, LeafData::Points(_)));
+        for i in 0..data.len() {
+            let m = data.entry_mbr(i);
+            assert!(data.holds(i, data.item(i), m.lo(), m.hi()));
+            assert!(!data.holds(i, data.item(i) + 1, m.lo(), m.hi()));
+        }
+        assert!(!data.holds(1, 4, &[2.0, -3.0], &[2.0, -2.0]));
+        let mut m = Mbr::point(&[9.0, 9.0]);
+        data.bound_into(&mut m);
+        assert_eq!(m, Mbr::new(vec![0.0, -3.0], vec![2.0, 1.0]));
     }
 
     #[test]

@@ -16,10 +16,9 @@
 //! the short-circuit accounting charges exactly the entries examined.
 
 use crate::node::{LeafData, Node};
-use crate::traversal::{scalar_leaf_eval_forced, Candidate};
+use crate::traversal::{scalar_leaf_eval_forced, with_scratch, Candidate, DISTS, HEAP, STACK};
 use crate::tree::RTree;
 use geom::Mbr;
-use std::collections::BinaryHeap;
 
 /// Work performed by one query — feeds the paper's query-cost accounting.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -52,47 +51,51 @@ impl RTree {
     pub fn search_box(&self, query: &Mbr, mut visit: impl FnMut(u32)) -> QueryCost {
         let mut cost = QueryCost::default();
         let Some(root) = self.root else { return cost };
-        let mut stack = vec![root];
-        while let Some(n) = stack.pop() {
-            cost.nodes_visited += 1;
-            match &self.nodes[n as usize] {
-                Node::Internal { children, .. } => {
-                    for &c in children {
-                        cost.mbr_tests += 1;
-                        if self.nodes[c as usize].mbr().intersects(query) {
-                            stack.push(c);
+        with_scratch(&STACK, |stack| {
+            stack.clear();
+            stack.push(root);
+            while let Some(n) = stack.pop() {
+                cost.nodes_visited += 1;
+                match &self.nodes[n as usize] {
+                    Node::Internal { children, .. } => {
+                        for &c in children {
+                            cost.mbr_tests += 1;
+                            if self.nodes[c as usize].mbr().intersects(query) {
+                                stack.push(c);
+                            }
                         }
                     }
-                }
-                Node::Leaf { data: LeafData::Boxes(entries), .. } => {
-                    for e in entries {
-                        cost.mbr_tests += 1;
-                        cost.candidates += 1;
-                        if e.mbr.intersects(query) {
-                            cost.matches += 1;
-                            visit(e.item);
+                    Node::Leaf { data: LeafData::Boxes(entries), .. } => {
+                        for e in entries {
+                            cost.mbr_tests += 1;
+                            cost.candidates += 1;
+                            if e.mbr.intersects(query) {
+                                cost.matches += 1;
+                                visit(e.item);
+                            }
                         }
                     }
-                }
-                Node::Leaf { data: LeafData::Points(block), .. } => {
-                    // A degenerate box intersects `query` iff the point is
-                    // inside it (closed bounds) — test coordinates directly.
-                    let (lo, hi) = (query.lo(), query.hi());
-                    for i in 0..block.len() {
-                        cost.mbr_tests += 1;
-                        cost.candidates += 1;
-                        let inside = (0..block.dim()).all(|k| {
-                            let x = block.coord(i, k);
-                            lo[k] <= x && x <= hi[k]
-                        });
-                        if inside {
-                            cost.matches += 1;
-                            visit(block.item(i));
+                    Node::Leaf { data: LeafData::Points(block), .. } => {
+                        // A degenerate box intersects `query` iff the point
+                        // is inside it (closed bounds) — test coordinates
+                        // directly.
+                        let (lo, hi) = (query.lo(), query.hi());
+                        for i in 0..block.len() {
+                            cost.mbr_tests += 1;
+                            cost.candidates += 1;
+                            let inside = (0..block.dim()).all(|k| {
+                                let x = block.coord(i, k);
+                                lo[k] <= x && x <= hi[k]
+                            });
+                            if inside {
+                                cost.matches += 1;
+                                visit(block.item(i));
+                            }
                         }
                     }
                 }
             }
-        }
+        });
         cost
     }
 
@@ -104,29 +107,19 @@ impl RTree {
     /// leaves are evaluated with one batched kernel call over the leaf's
     /// column block. Matches arrive roughly near-to-far, but the visited
     /// node set — and therefore every [`QueryCost`] counter — is identical
-    /// to a depth-first scan with the same strict pruning.
+    /// to a depth-first scan with the same strict pruning. A tree that is
+    /// a single leaf (most μR-tree auxiliary trees) is scanned directly,
+    /// with the same one-node charge, and the heap and distance buffer are
+    /// per-thread scratch, so a warm query allocates nothing.
     pub fn search_sphere(&self, center: &[f64], r: f64, mut visit: impl FnMut(u32)) -> QueryCost {
         debug_assert_eq!(center.len(), self.dim());
         let r_sq = r * r;
         let mut cost = QueryCost::default();
         let Some(root) = self.root else { return cost };
         let scalar = scalar_leaf_eval_forced();
-        let mut heap = BinaryHeap::new();
-        heap.push(Candidate::node(0.0, root));
-        let mut dists: Vec<f64> = Vec::new();
-        while let Some(c) = heap.pop() {
-            cost.nodes_visited += 1;
-            match &self.nodes[c.node as usize] {
-                Node::Internal { children, .. } => {
-                    for &ch in children {
-                        cost.mbr_tests += 1;
-                        let d = self.nodes[ch as usize].mbr().min_dist_sq(center);
-                        if d < r_sq {
-                            heap.push(Candidate::node(d, ch));
-                        }
-                    }
-                }
-                Node::Leaf { data: LeafData::Boxes(entries), .. } => {
+        with_scratch(&DISTS, |dists| {
+            let mut scan_leaf = |data: &LeafData, cost: &mut QueryCost| match data {
+                LeafData::Boxes(entries) => {
                     for e in entries {
                         cost.mbr_tests += 1;
                         cost.candidates += 1;
@@ -136,13 +129,13 @@ impl RTree {
                         }
                     }
                 }
-                Node::Leaf { data: LeafData::Points(block), .. } => {
+                LeafData::Points(block) => {
                     let len = block.len();
                     dists.resize(len, 0.0);
                     if scalar {
-                        block.dist_sq_scalar(center, &mut dists);
+                        block.dist_sq_scalar(center, dists);
                     } else {
-                        block.dist_sq_batch(center, &mut dists);
+                        block.dist_sq_batch(center, dists);
                     }
                     cost.mbr_tests += len as u64;
                     cost.candidates += len as u64;
@@ -153,8 +146,32 @@ impl RTree {
                         }
                     }
                 }
+            };
+            if let Node::Leaf { data, .. } = &self.nodes[root as usize] {
+                cost.nodes_visited += 1;
+                scan_leaf(data, &mut cost);
+                return;
             }
-        }
+            with_scratch(&HEAP, |heap| {
+                heap.clear();
+                heap.push(Candidate::node(0.0, root));
+                while let Some(c) = heap.pop() {
+                    cost.nodes_visited += 1;
+                    match &self.nodes[c.node as usize] {
+                        Node::Internal { children, .. } => {
+                            for &ch in children {
+                                cost.mbr_tests += 1;
+                                let d = self.nodes[ch as usize].mbr().min_dist_sq(center);
+                                if d < r_sq {
+                                    heap.push(Candidate::node(d, ch));
+                                }
+                            }
+                        }
+                        Node::Leaf { data, .. } => scan_leaf(data, &mut cost),
+                    }
+                }
+            });
+        });
         cost
     }
 
@@ -172,46 +189,67 @@ impl RTree {
     /// Deliberately depth-first with per-entry evaluation: the identity of
     /// the hit seeds micro-cluster construction, and per-entry early exit
     /// charges exactly the entries examined (a batched leaf would either
-    /// over-charge past the hit or mis-report the scan cost).
+    /// over-charge past the hit or mis-report the scan cost). A single-leaf
+    /// tree is scanned without a stack; otherwise the stack is per-thread
+    /// scratch.
     pub fn first_in_sphere(&self, center: &[f64], r: f64) -> (Option<u32>, QueryCost) {
         let r_sq = r * r;
         let mut cost = QueryCost::default();
         let Some(root) = self.root else { return (None, cost) };
-        let mut stack = vec![root];
-        while let Some(n) = stack.pop() {
-            cost.nodes_visited += 1;
-            match &self.nodes[n as usize] {
-                Node::Internal { children, .. } => {
-                    for &c in children {
-                        cost.mbr_tests += 1;
-                        if self.nodes[c as usize].mbr().min_dist_sq(center) < r_sq {
-                            stack.push(c);
-                        }
-                    }
-                }
-                Node::Leaf { data: LeafData::Boxes(entries), .. } => {
+        let scan_leaf = |data: &LeafData, cost: &mut QueryCost| {
+            match data {
+                LeafData::Boxes(entries) => {
                     for e in entries {
                         cost.mbr_tests += 1;
                         cost.candidates += 1;
                         if e.mbr.min_dist_sq(center) < r_sq {
                             cost.matches += 1;
-                            return (Some(e.item), cost);
+                            return Some(e.item);
                         }
                     }
                 }
-                Node::Leaf { data: LeafData::Points(block), .. } => {
+                LeafData::Points(block) => {
                     for i in 0..block.len() {
                         cost.mbr_tests += 1;
                         cost.candidates += 1;
                         if block.dist_sq_to(i, center) < r_sq {
                             cost.matches += 1;
-                            return (Some(block.item(i)), cost);
+                            return Some(block.item(i));
                         }
                     }
                 }
             }
+            None
+        };
+        if let Node::Leaf { data, .. } = &self.nodes[root as usize] {
+            cost.nodes_visited += 1;
+            let hit = scan_leaf(data, &mut cost);
+            return (hit, cost);
         }
-        (None, cost)
+        let hit = with_scratch(&STACK, |stack| {
+            stack.clear();
+            stack.push(root);
+            while let Some(n) = stack.pop() {
+                cost.nodes_visited += 1;
+                match &self.nodes[n as usize] {
+                    Node::Internal { children, .. } => {
+                        for &c in children {
+                            cost.mbr_tests += 1;
+                            if self.nodes[c as usize].mbr().min_dist_sq(center) < r_sq {
+                                stack.push(c);
+                            }
+                        }
+                    }
+                    Node::Leaf { data, .. } => {
+                        if let Some(hit) = scan_leaf(data, &mut cost) {
+                            return Some(hit);
+                        }
+                    }
+                }
+            }
+            None
+        });
+        (hit, cost)
     }
 
     /// Collect the ids of all items strictly within `r` of `center`.

@@ -12,12 +12,46 @@
 //! counters are bit-identical to the old depth-first path; only the order
 //! in which matches are emitted changes.
 //!
+//! The traversals allocate nothing once warm: the MINDIST heap, the leaf
+//! distance buffer and the depth-first stack are per-thread scratch
+//! buffers (`with_scratch`) whose capacity is reused from query to
+//! query.
+//!
 //! The module also hosts the process-global leaf-evaluation switch used
 //! by the conformance suite to prove the batched column kernel and the
 //! per-point scalar loop produce bit-identical clusterings.
 
+use crate::node::NodeId;
+use std::cell::Cell;
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+use std::thread::LocalKey;
+
+thread_local! {
+    /// Best-first MINDIST heap (ε-range and k-NN queries).
+    pub(crate) static HEAP: Cell<BinaryHeap<Candidate>> = const { Cell::new(BinaryHeap::new()) };
+    /// Per-leaf squared distances of the batched leaf kernel.
+    pub(crate) static DISTS: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+    /// Depth-first node stack (`first_in_sphere`, `search_box`).
+    pub(crate) static STACK: Cell<Vec<NodeId>> = const { Cell::new(Vec::new()) };
+}
+
+/// Run `f` on this thread's scratch buffer in `slot`, then put the buffer
+/// back so the next query reuses its capacity. The buffer is taken out
+/// for the duration, so a visitor that queries again on the same thread
+/// finds the slot empty and works on a fresh buffer of its own — nested
+/// queries stay correct, they just do not share storage. `f` receives the
+/// buffer as it was left and must clear it before use.
+pub(crate) fn with_scratch<T: Default, R>(
+    slot: &'static LocalKey<Cell<T>>,
+    f: impl FnOnce(&mut T) -> R,
+) -> R {
+    let mut buf = slot.take();
+    let out = f(&mut buf);
+    slot.set(buf);
+    out
+}
 
 /// Heap entry ordered by *minimum* distance (min-heap via reversed cmp).
 /// Ties break on node id, then item id, so traversal order is fully

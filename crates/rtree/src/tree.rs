@@ -2,7 +2,9 @@
 //! split.
 
 use crate::node::{Entry, LeafData, Node, NodeId};
-use geom::Mbr;
+use crate::traversal::with_scratch;
+use geom::{Mbr, PointBlock};
+use std::cell::Cell;
 
 /// Node-split algorithm used on overflow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -123,51 +125,55 @@ impl RTree {
             None => {
                 let mbr = entry.mbr.clone();
                 let data = LeafData::from_entries(self.dim, self.leaf_cap(), vec![entry]);
-                let id = self.push_node(Node::Leaf { mbr, data });
-                self.root = Some(id);
-                self.height = 1;
+                self.plant_root(Node::Leaf { mbr, data });
             }
-            Some(root) => {
-                if let Some(sibling) = self.insert_rec(root, entry) {
-                    let mbr =
-                        self.nodes[root as usize].mbr().merged(self.nodes[sibling as usize].mbr());
-                    let new_root =
-                        self.push_node(Node::Internal { mbr, children: vec![root, sibling] });
-                    self.root = Some(new_root);
-                    self.height += 1;
-                }
-            }
+            Some(root) => self.insert_below(root, entry),
         }
         self.len += 1;
     }
 
-    /// Insert a point item (degenerate MBR).
+    /// Insert a point item (degenerate MBR). The coordinates go straight
+    /// into a point leaf's column block; no box is built for them.
     pub fn insert_point(&mut self, item: u32, coords: &[f64]) {
-        self.insert(Entry::point(item, coords));
+        assert_eq!(coords.len(), self.dim, "entry dimensionality mismatch");
+        match self.root {
+            None => {
+                let mut block = PointBlock::with_capacity(self.dim, self.leaf_cap());
+                block.push(item, coords);
+                let data = LeafData::Points(block);
+                self.plant_root(Node::Leaf { mbr: Mbr::point(coords), data });
+            }
+            Some(root) => self.insert_below(root, NewPoint { item, coords }),
+        }
+        self.len += 1;
     }
 
     /// Remove the point item `item` stored at `coords` (degenerate MBR).
     /// Returns `true` when the item was found and removed.
     pub fn remove_point(&mut self, item: u32, coords: &[f64]) -> bool {
         assert_eq!(coords.len(), self.dim, "point dimensionality mismatch");
-        self.remove(item, &Mbr::point(coords))
+        self.remove_corners(item, coords, coords)
     }
 
     /// Remove the item `item` whose stored bounding box equals `mbr`.
     /// Returns `true` when the item was found and removed.
     ///
     /// The descent only visits subtrees whose box contains `mbr`; on the
-    /// unwind every ancestor's cached MBR is recomputed exactly from its
-    /// surviving children, so boxes *shrink* — queries after a removal
-    /// pay no dead-volume penalty. Nodes emptied by the removal are
-    /// unlinked from their parent (their arena slots are reclaimed only
-    /// when the tree empties entirely). No minimum-fan-out reinsertion
-    /// is performed: underfull nodes are legal in this tree, deletion
-    /// merely trades a little query balance for O(height) cost.
+    /// unwind every ancestor's cached MBR is recomputed exactly (in place)
+    /// from its surviving children, so boxes *shrink* — queries after a
+    /// removal pay no dead-volume penalty. Nodes emptied by the removal
+    /// are unlinked from their parent (their arena slots are reclaimed
+    /// only when the tree empties entirely). No minimum-fan-out
+    /// reinsertion is performed: underfull nodes are legal in this tree,
+    /// deletion merely trades a little query balance for O(height) cost.
     pub fn remove(&mut self, item: u32, mbr: &Mbr) -> bool {
         assert_eq!(mbr.dim(), self.dim, "entry dimensionality mismatch");
+        self.remove_corners(item, mbr.lo(), mbr.hi())
+    }
+
+    fn remove_corners(&mut self, item: u32, lo: &[f64], hi: &[f64]) -> bool {
         let Some(root) = self.root else { return false };
-        match self.remove_rec(root, item, mbr) {
+        match self.remove_rec(root, item, lo, hi) {
             Removal::NotFound => false,
             Removal::Removed { empty } => {
                 self.len -= 1;
@@ -183,31 +189,27 @@ impl RTree {
         }
     }
 
-    fn remove_rec(&mut self, node: NodeId, item: u32, mbr: &Mbr) -> Removal {
-        if self.nodes[node as usize].is_leaf() {
-            let Node::Leaf { data, .. } = &mut self.nodes[node as usize] else { unreachable!() };
-            let Some(i) =
-                (0..data.len()).find(|&i| data.item(i) == item && data.entry_mbr(i) == *mbr)
-            else {
+    fn remove_rec(&mut self, node: NodeId, item: u32, lo: &[f64], hi: &[f64]) -> Removal {
+        if let Node::Leaf { mbr, data } = &mut self.nodes[node as usize] {
+            let Some(i) = (0..data.len()).find(|&i| data.holds(i, item, lo, hi)) else {
                 return Removal::NotFound;
             };
             data.remove(i);
             if data.is_empty() {
                 return Removal::Removed { empty: true };
             }
-            let shrunk = leaf_mbr(data);
-            let Node::Leaf { mbr: m, .. } = &mut self.nodes[node as usize] else { unreachable!() };
-            *m = shrunk;
+            data.bound_into(mbr);
             return Removal::Removed { empty: false };
         }
 
-        let Node::Internal { children, .. } = &self.nodes[node as usize] else { unreachable!() };
-        let kids = children.clone();
-        for (k, &c) in kids.iter().enumerate() {
-            if !self.nodes[c as usize].mbr().contains(mbr) {
+        // Index-based: the child list is only modified right before
+        // returning.
+        for k in 0..self.nodes[node as usize].fanout() {
+            let c = self.child(node, k);
+            if !self.nodes[c as usize].mbr().contains_corners(lo, hi) {
                 continue;
             }
-            let Removal::Removed { empty } = self.remove_rec(c, item, mbr) else { continue };
+            let Removal::Removed { empty } = self.remove_rec(c, item, lo, hi) else { continue };
             let Node::Internal { children, .. } = &mut self.nodes[node as usize] else {
                 unreachable!()
             };
@@ -217,12 +219,7 @@ impl RTree {
             if children.is_empty() {
                 return Removal::Removed { empty: true };
             }
-            let remaining = children.clone();
-            let shrunk = self.mbr_of_children(&remaining);
-            let Node::Internal { mbr: m, .. } = &mut self.nodes[node as usize] else {
-                unreachable!()
-            };
-            *m = shrunk;
+            self.refit_internal(node);
             return Removal::Removed { empty: false };
         }
         Removal::NotFound
@@ -234,54 +231,60 @@ impl RTree {
         id
     }
 
-    /// Recursive insert; returns the id of a new sibling when `node` split.
-    fn insert_rec(&mut self, node: NodeId, entry: Entry) -> Option<NodeId> {
-        if self.nodes[node as usize].is_leaf() {
-            let max = self.cfg.max_entries;
-            let dim = self.dim;
-            let Node::Leaf { mbr, data } = &mut self.nodes[node as usize] else { unreachable!() };
-            mbr.merge(&entry.mbr);
-            data.push(entry, dim);
-            if data.len() > max {
-                return Some(self.split_leaf(node));
-            }
-            return None;
-        }
+    fn plant_root(&mut self, leaf: Node) {
+        let id = self.push_node(leaf);
+        self.root = Some(id);
+        self.height = 1;
+    }
 
-        let child = self.choose_subtree(node, &entry.mbr);
-        let entry_mbr = entry.mbr.clone();
-        let split = self.insert_rec(child, entry);
-        // The chosen child's box grew by at most `entry_mbr`; growing our own
-        // box by the same amount keeps it covering.
-        let Node::Internal { mbr, children } = &mut self.nodes[node as usize] else {
-            unreachable!()
-        };
-        mbr.merge(&entry_mbr);
-        if let Some(sibling) = split {
-            children.push(sibling);
-            let sib_mbr = self.nodes[sibling as usize].mbr().clone();
-            let Node::Internal { mbr, children } = &mut self.nodes[node as usize] else {
-                unreachable!()
-            };
-            mbr.merge(&sib_mbr);
-            if children.len() > self.cfg.max_entries {
-                return Some(self.split_internal(node));
-            }
+    /// Insert below the existing `root`, growing a new root when it
+    /// splits.
+    fn insert_below(&mut self, root: NodeId, item: impl NewItem) {
+        if let Some(sibling) = self.insert_rec(root, item) {
+            let mbr = self.nodes[root as usize].mbr().merged(self.nodes[sibling as usize].mbr());
+            let new_root = self.push_node(Node::Internal { mbr, children: vec![root, sibling] });
+            self.root = Some(new_root);
+            self.height += 1;
         }
-        None
+    }
+
+    /// Recursive insert; returns the id of a new sibling when `node` split.
+    fn insert_rec(&mut self, node: NodeId, item: impl NewItem) -> Option<NodeId> {
+        let (lo, hi) = item.corners();
+        // Every box on the descent path must cover the item wherever it
+        // lands, so grow it on the way down. ChooseLeaf scores only the
+        // children's boxes, which are not grown until the descent reaches
+        // them, so growing first picks the same subtree.
+        self.nodes[node as usize].mbr_mut().merge_corners(lo, hi);
+        let child = match &self.nodes[node as usize] {
+            Node::Internal { children, .. } => self.choose_subtree(children, lo, hi),
+            Node::Leaf { .. } => {
+                let max = self.cfg.max_entries;
+                let dim = self.dim;
+                let Node::Leaf { data, .. } = &mut self.nodes[node as usize] else {
+                    unreachable!()
+                };
+                item.store(data, dim);
+                return (data.len() > max).then(|| self.split_leaf(node));
+            }
+        };
+        let sibling = self.insert_rec(child, item)?;
+        let (parent, sib) = two(&mut self.nodes, node as usize, sibling as usize);
+        parent.mbr_mut().merge(sib.mbr());
+        let Node::Internal { children, .. } = parent else { unreachable!() };
+        children.push(sibling);
+        (children.len() > self.cfg.max_entries).then(|| self.split_internal(node))
     }
 
     /// Guttman's ChooseLeaf criterion: least enlargement, ties by smallest
     /// volume, then smallest margin.
-    fn choose_subtree(&self, node: NodeId, mbr: &Mbr) -> NodeId {
-        let Node::Internal { children, .. } = &self.nodes[node as usize] else {
-            unreachable!("choose_subtree on leaf")
-        };
+    fn choose_subtree(&self, children: &[NodeId], lo: &[f64], hi: &[f64]) -> NodeId {
         let mut best = children[0];
         let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         for &c in children {
             let cm = self.nodes[c as usize].mbr();
-            let key = (cm.enlargement(mbr), cm.volume(), cm.margin());
+            let volume = cm.volume();
+            let key = (cm.merged_volume(lo, hi) - volume, volume, cm.margin());
             if key < best_key {
                 best_key = key;
                 best = c;
@@ -290,62 +293,115 @@ impl RTree {
         best
     }
 
+    /// Split an overfull leaf in two; `node` keeps the first group and the
+    /// returned new node holds the second. Both keep storage order.
     fn split_leaf(&mut self, node: NodeId) -> NodeId {
-        let (dim, cap) = (self.dim, self.leaf_cap());
-        let Node::Leaf { data, .. } = &mut self.nodes[node as usize] else { unreachable!() };
-        let taken = std::mem::replace(data, LeafData::Boxes(Vec::new())).into_entries(dim);
-        let boxes: Vec<&Mbr> = taken.iter().map(|e| &e.mbr).collect();
-        let (ga, gb) = self.partition_boxes(&boxes);
-        let (mut ea, mut eb) = (Vec::with_capacity(ga.len()), Vec::with_capacity(gb.len()));
-        let mut assign = vec![false; taken.len()];
-        for &i in &gb {
-            assign[i] = true;
-        }
-        for (i, e) in taken.into_iter().enumerate() {
-            if assign[i] {
-                eb.push(e);
-            } else {
-                ea.push(e);
+        let (dim, cap, cfg) = (self.dim, self.leaf_cap(), self.cfg);
+        let Node::Leaf { mbr, data } = &mut self.nodes[node as usize] else { unreachable!() };
+        let sibling = match data {
+            // A point leaf is partitioned over a row-major copy of its
+            // block and split in place: no entry or box per point.
+            LeafData::Points(block) => with_scratch(&SPLIT, |s| {
+                let n = block.len();
+                s.rows.clear();
+                s.rows.resize(n * dim, 0.0);
+                for (i, row) in s.rows.chunks_exact_mut(dim).enumerate() {
+                    block.write_point(i, row);
+                }
+                let rows = &s.rows;
+                let row = |i: usize| &rows[i * dim..(i + 1) * dim];
+                partition(cfg, n, |i| (row(i), row(i)), &mut s.part);
+                let to_b = &s.part.to_b;
+                let mut moved = PointBlock::with_capacity(dim, cap);
+                for i in (0..n).filter(|&i| to_b[i]) {
+                    moved.push(block.item(i), row(i));
+                }
+                block.retain(|i| !to_b[i]);
+                block.bound_into(mbr);
+                let moved_mbr = moved.mbr().expect("split group cannot be empty");
+                Node::Leaf { mbr: moved_mbr, data: LeafData::Points(moved) }
+            }),
+            LeafData::Boxes(entries) => {
+                let taken = std::mem::take(entries);
+                with_scratch(&SPLIT, |s| {
+                    let corners = |i: usize| (taken[i].mbr.lo(), taken[i].mbr.hi());
+                    partition(cfg, taken.len(), corners, &mut s.part);
+                    let to_b = &s.part.to_b;
+                    let nb = to_b.iter().filter(|&&b| b).count();
+                    let (mut ea, mut eb) =
+                        (Vec::with_capacity(taken.len() - nb), Vec::with_capacity(nb));
+                    for (e, &b) in taken.into_iter().zip(to_b) {
+                        if b {
+                            eb.push(e);
+                        } else {
+                            ea.push(e);
+                        }
+                    }
+                    // Either group may turn out all-point and take the block
+                    // layout.
+                    *mbr = mbr_of_entries(&ea);
+                    *data = LeafData::from_entries(dim, cap, ea);
+                    Node::Leaf {
+                        mbr: mbr_of_entries(&eb),
+                        data: LeafData::from_entries(dim, cap, eb),
+                    }
+                })
             }
-        }
-        let mbr_a = mbr_of_entries(&ea);
-        let mbr_b = mbr_of_entries(&eb);
-        self.nodes[node as usize] =
-            Node::Leaf { mbr: mbr_a, data: LeafData::from_entries(dim, cap, ea) };
-        self.push_node(Node::Leaf { mbr: mbr_b, data: LeafData::from_entries(dim, cap, eb) })
+        };
+        self.push_node(sibling)
     }
 
+    /// Split an overfull internal node in two; `node` keeps the first
+    /// group (its box refit in place) and the returned new node holds the
+    /// second.
     fn split_internal(&mut self, node: NodeId) -> NodeId {
+        let cfg = self.cfg;
         let Node::Internal { children, .. } = &mut self.nodes[node as usize] else {
             unreachable!()
         };
         let taken = std::mem::take(children);
-        let boxes: Vec<Mbr> = taken.iter().map(|&c| self.nodes[c as usize].mbr().clone()).collect();
-        let refs: Vec<&Mbr> = boxes.iter().collect();
-        let (_, gb) = self.partition_boxes(&refs);
-        let mut assign = vec![false; taken.len()];
-        for &i in &gb {
-            assign[i] = true;
-        }
-        let (mut ca, mut cb) = (Vec::new(), Vec::new());
-        for (i, c) in taken.into_iter().enumerate() {
-            if assign[i] {
-                cb.push(c);
-            } else {
-                ca.push(c);
+        let nodes = &self.nodes;
+        let (ca, cb) = with_scratch(&SPLIT, |s| {
+            let corners = |i: usize| {
+                let m = nodes[taken[i] as usize].mbr();
+                (m.lo(), m.hi())
+            };
+            partition(cfg, taken.len(), corners, &mut s.part);
+            let (mut ca, mut cb) = (Vec::new(), Vec::new());
+            for (&c, &b) in taken.iter().zip(&s.part.to_b) {
+                if b {
+                    cb.push(c);
+                } else {
+                    ca.push(c);
+                }
             }
-        }
-        let mbr_a = self.mbr_of_children(&ca);
+            (ca, cb)
+        });
         let mbr_b = self.mbr_of_children(&cb);
-        self.nodes[node as usize] = Node::Internal { mbr: mbr_a, children: ca };
+        let Node::Internal { children, .. } = &mut self.nodes[node as usize] else {
+            unreachable!()
+        };
+        *children = ca;
+        self.refit_internal(node);
         self.push_node(Node::Internal { mbr: mbr_b, children: cb })
     }
 
-    /// Dispatch to the configured split algorithm.
-    fn partition_boxes(&self, boxes: &[&Mbr]) -> (Vec<usize>, Vec<usize>) {
-        match self.cfg.split {
-            SplitStrategy::Quadratic => quadratic_partition(boxes, self.cfg.min_entries),
-            SplitStrategy::RStar => crate::rstar::rstar_partition(boxes, self.cfg.min_entries),
+    /// The `k`-th child of internal `node`.
+    fn child(&self, node: NodeId, k: usize) -> NodeId {
+        let Node::Internal { children, .. } = &self.nodes[node as usize] else { unreachable!() };
+        children[k]
+    }
+
+    /// Recompute internal `node`'s box exactly from its children, in place.
+    fn refit_internal(&mut self, node: NodeId) {
+        for k in 0..self.nodes[node as usize].fanout() {
+            let c = self.child(node, k);
+            let (parent, child) = two(&mut self.nodes, node as usize, c as usize);
+            if k == 0 {
+                parent.mbr_mut().clone_from(child.mbr());
+            } else {
+                parent.mbr_mut().merge(child.mbr());
+            }
         }
     }
 
@@ -451,11 +507,49 @@ enum Removal {
     },
 }
 
-/// Exact bounding box of a non-empty leaf's contents.
-fn leaf_mbr(data: &LeafData) -> Mbr {
-    match data {
-        LeafData::Boxes(entries) => mbr_of_entries(entries),
-        LeafData::Points(block) => block.mbr().expect("leaf cannot be empty here"),
+/// An item on its way down to a leaf: its box corners steer ChooseLeaf
+/// and grow every box on the path, and `store` files it in the chosen
+/// leaf.
+trait NewItem {
+    fn corners(&self) -> (&[f64], &[f64]);
+    fn store(self, leaf: &mut LeafData, dim: usize);
+}
+
+impl NewItem for Entry {
+    fn corners(&self) -> (&[f64], &[f64]) {
+        (self.mbr.lo(), self.mbr.hi())
+    }
+
+    fn store(self, leaf: &mut LeafData, dim: usize) {
+        leaf.push(self, dim);
+    }
+}
+
+/// A point item: its coordinates are both corners.
+struct NewPoint<'a> {
+    item: u32,
+    coords: &'a [f64],
+}
+
+impl NewItem for NewPoint<'_> {
+    fn corners(&self) -> (&[f64], &[f64]) {
+        (self.coords, self.coords)
+    }
+
+    fn store(self, leaf: &mut LeafData, dim: usize) {
+        leaf.push_point(self.item, self.coords, dim);
+    }
+}
+
+/// `nodes[a]` mutably and `nodes[b]` shared, for `a != b`.
+fn two(nodes: &mut [Node], a: usize, b: usize) -> (&mut Node, &Node) {
+    debug_assert_ne!(a, b);
+    if a < b {
+        let (l, r) = nodes.split_at_mut(b);
+        (&mut l[a], &r[0])
+    } else {
+        let (l, r) = nodes.split_at_mut(a);
+        (&mut r[0], &l[b])
     }
 }
 
@@ -468,21 +562,86 @@ fn mbr_of_entries(entries: &[Entry]) -> Mbr {
     m
 }
 
-/// Guttman's quadratic split over a set of boxes: returns the two index
-/// groups. Each group has at least `min_entries` members (assuming
-/// `boxes.len() > 2 * min_entries`, which holds when splitting an overfull
-/// node).
-pub(crate) fn quadratic_partition(boxes: &[&Mbr], min_entries: usize) -> (Vec<usize>, Vec<usize>) {
-    let n = boxes.len();
+/// Per-thread buffers reused by every node split.
+#[derive(Default)]
+struct SplitScratch {
+    /// Row-major copy of the point leaf being split.
+    rows: Vec<f64>,
+    part: Partition,
+}
+
+thread_local! {
+    static SPLIT: Cell<SplitScratch> = Cell::new(SplitScratch::default());
+}
+
+/// The outcome of partitioning an overfull node, plus the quadratic
+/// split's working buffers.
+#[derive(Default)]
+pub(crate) struct Partition {
+    /// The group of each entry: `true` for the second group (the new
+    /// sibling node).
+    pub to_b: Vec<bool>,
+    /// Entries not yet assigned, in PickNext's scan order.
+    rest: Vec<usize>,
+    /// The two growing group boxes, `[a_lo | a_hi | b_lo | b_hi]`.
+    groups: Vec<f64>,
+}
+
+/// Partition `n` boxes, given by their corners, with the configured
+/// split algorithm.
+fn partition<'a>(
+    cfg: RTreeConfig,
+    n: usize,
+    corners: impl Fn(usize) -> (&'a [f64], &'a [f64]),
+    part: &mut Partition,
+) {
+    match cfg.split {
+        SplitStrategy::Quadratic => quadratic_partition(n, corners, cfg.min_entries, part),
+        SplitStrategy::RStar => {
+            let boxes: Vec<Mbr> = (0..n)
+                .map(|i| {
+                    let (lo, hi) = corners(i);
+                    Mbr::new(lo.to_vec(), hi.to_vec())
+                })
+                .collect();
+            let refs: Vec<&Mbr> = boxes.iter().collect();
+            let (_, gb) = crate::rstar::rstar_partition(&refs, cfg.min_entries);
+            part.to_b.clear();
+            part.to_b.resize(n, false);
+            for i in gb {
+                part.to_b[i] = true;
+            }
+        }
+    }
+}
+
+/// Guttman's quadratic split over `n` boxes given by their corners:
+/// writes each box's group to `part.to_b`. Each group has at least
+/// `min_entries` members (assuming `n > 2 * min_entries`, which holds when
+/// splitting an overfull node). The group boxes live as corner slices in
+/// `part`'s buffers, scored with the [`geom::mbr::corners`] arithmetic, so
+/// a split builds no temporary [`Mbr`].
+pub(crate) fn quadratic_partition<'a>(
+    n: usize,
+    corners: impl Fn(usize) -> (&'a [f64], &'a [f64]),
+    min_entries: usize,
+    part: &mut Partition,
+) {
+    use geom::mbr::corners::{margin, merge, merged_margin, merged_volume, volume};
     debug_assert!(n >= 2);
     // PickSeeds: the pair wasting the most volume (margin as tie-breaker so
     // degenerate point boxes still pick the farthest pair).
     let (mut sa, mut sb) = (0, 1);
     let mut worst = (f64::NEG_INFINITY, f64::NEG_INFINITY);
     for i in 0..n {
+        let (ilo, ihi) = corners(i);
+        let ivol = volume(ilo, ihi);
         for j in i + 1..n {
-            let merged = boxes[i].merged(boxes[j]);
-            let key = (merged.volume() - boxes[i].volume() - boxes[j].volume(), merged.margin());
+            let (jlo, jhi) = corners(j);
+            let key = (
+                merged_volume(ilo, ihi, jlo, jhi) - ivol - volume(jlo, jhi),
+                merged_margin(ilo, ihi, jlo, jhi),
+            );
             if key > worst {
                 worst = key;
                 sa = i;
@@ -490,29 +649,48 @@ pub(crate) fn quadratic_partition(boxes: &[&Mbr], min_entries: usize) -> (Vec<us
             }
         }
     }
-    let mut ga = vec![sa];
-    let mut gb = vec![sb];
-    let mut mbr_a = boxes[sa].clone();
-    let mut mbr_b = boxes[sb].clone();
-    let mut rest: Vec<usize> = (0..n).filter(|&i| i != sa && i != sb).collect();
+    let Partition { to_b, rest, groups } = part;
+    to_b.clear();
+    to_b.resize(n, false);
+    to_b[sb] = true;
+    let (mut na, mut nb) = (1, 1);
+    rest.clear();
+    rest.extend((0..n).filter(|&i| i != sa && i != sb));
+    let dim = corners(sa).0.len();
+    groups.clear();
+    for s in [sa, sb] {
+        let (lo, hi) = corners(s);
+        groups.extend_from_slice(lo);
+        groups.extend_from_slice(hi);
+    }
+    let (a, b) = groups.split_at_mut(2 * dim);
+    let ((alo, ahi), (blo, bhi)) = (a.split_at_mut(dim), b.split_at_mut(dim));
 
     while !rest.is_empty() {
         // If one group needs every remaining box to reach min_entries,
         // assign them all.
-        if ga.len() + rest.len() == min_entries {
-            ga.append(&mut rest);
+        if na + rest.len() == min_entries {
+            rest.clear();
             break;
         }
-        if gb.len() + rest.len() == min_entries {
-            gb.append(&mut rest);
+        if nb + rest.len() == min_entries {
+            for &i in rest.iter() {
+                to_b[i] = true;
+            }
+            rest.clear();
             break;
         }
         // PickNext: the box with maximal preference difference.
+        let (avol, amargin) = (volume(alo, ahi), margin(alo, ahi));
+        let (bvol, bmargin) = (volume(blo, bhi), margin(blo, bhi));
         let mut best_k = 0;
         let mut best_diff = f64::NEG_INFINITY;
         for (k, &i) in rest.iter().enumerate() {
-            let da = mbr_a.enlargement(boxes[i]) + mbr_a.merged(boxes[i]).margin() - mbr_a.margin();
-            let db = mbr_b.enlargement(boxes[i]) + mbr_b.merged(boxes[i]).margin() - mbr_b.margin();
+            let (lo, hi) = corners(i);
+            let da =
+                merged_volume(alo, ahi, lo, hi) - avol + merged_margin(alo, ahi, lo, hi) - amargin;
+            let db =
+                merged_volume(blo, bhi, lo, hi) - bvol + merged_margin(blo, bhi, lo, hi) - bmargin;
             let diff = (da - db).abs();
             if diff > best_diff {
                 best_diff = diff;
@@ -520,17 +698,18 @@ pub(crate) fn quadratic_partition(boxes: &[&Mbr], min_entries: usize) -> (Vec<us
             }
         }
         let i = rest.swap_remove(best_k);
-        let da = (mbr_a.enlargement(boxes[i]), mbr_a.merged(boxes[i]).margin());
-        let db = (mbr_b.enlargement(boxes[i]), mbr_b.merged(boxes[i]).margin());
+        let (lo, hi) = corners(i);
+        let da = (merged_volume(alo, ahi, lo, hi) - avol, merged_margin(alo, ahi, lo, hi));
+        let db = (merged_volume(blo, bhi, lo, hi) - bvol, merged_margin(blo, bhi, lo, hi));
         if da <= db {
-            ga.push(i);
-            mbr_a.merge(boxes[i]);
+            na += 1;
+            merge(alo, ahi, lo, hi);
         } else {
-            gb.push(i);
-            mbr_b.merge(boxes[i]);
+            to_b[i] = true;
+            nb += 1;
+            merge(blo, bhi, lo, hi);
         }
     }
-    (ga, gb)
 }
 
 #[cfg(test)]
@@ -591,13 +770,11 @@ mod tests {
     #[test]
     fn quadratic_partition_respects_min() {
         let pts: Vec<Mbr> = (0..10).map(|i| Mbr::point(&[i as f64, 0.0])).collect();
-        let refs: Vec<&Mbr> = pts.iter().collect();
-        let (ga, gb) = quadratic_partition(&refs, 4);
-        assert!(ga.len() >= 4 && gb.len() >= 4);
-        assert_eq!(ga.len() + gb.len(), 10);
-        let mut all: Vec<usize> = ga.iter().chain(gb.iter()).copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
+        let mut part = Partition::default();
+        quadratic_partition(10, |i| (pts[i].lo(), pts[i].hi()), 4, &mut part);
+        assert_eq!(part.to_b.len(), 10);
+        let nb = part.to_b.iter().filter(|&&b| b).count();
+        assert!(nb >= 4 && 10 - nb >= 4, "groups of {} and {nb}", 10 - nb);
     }
 
     #[test]

@@ -1,0 +1,163 @@
+//! Tree-shape pin: insert-built trees (quadratic split) must keep exactly
+//! the node structure, item order and query work recorded in the golden
+//! digests below.
+//!
+//! Each digest folds, for one seeded point set, the tree's `height`,
+//! `node_count` and `for_each_item` order (item ids and coordinate bits),
+//! then the visit order and summed [`QueryCost`] of a fixed query set —
+//! `search_sphere`, `first_in_sphere`, `search_box` and `knn` — and then
+//! the same again after removing every seventh point. Any change to
+//! ChooseLeaf, the quadratic split, removal or a traversal moves a digest.
+//! A deliberate change to tree construction must re-record the constants
+//! and say why.
+
+use geom::Mbr;
+use rtree::{Entry, QueryCost, RTree, RTreeConfig};
+
+/// FNV-1a over 64-bit words.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn cost(&mut self, c: QueryCost) {
+        self.word(c.nodes_visited);
+        self.word(c.mbr_tests);
+        self.word(c.candidates);
+        self.word(c.matches);
+    }
+}
+
+/// splitmix64: a self-contained seeded stream, so the digests do not
+/// depend on any external RNG's algorithm.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// `n` points in `[0, 64)^dim`, clustered around a few centres. Half of
+/// them are snapped to a 1/4 grid, so duplicate coordinates and equal
+/// volumes/margins exercise every tie-break of the split heuristics.
+fn points(n: usize, dim: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut s = seed;
+    let mut unit = move || (splitmix(&mut s) >> 11) as f64 / (1u64 << 53) as f64;
+    let centres: Vec<Vec<f64>> =
+        (0..6).map(|_| (0..dim).map(|_| 8.0 + unit() * 48.0).collect()).collect();
+    (0..n)
+        .map(|i| {
+            let c = &centres[i % centres.len()];
+            let spread = if i % 5 == 0 { 32.0 } else { 4.0 };
+            let snap = i % 2 == 0;
+            c.iter()
+                .map(|&x| {
+                    let v = (x + (unit() - 0.5) * spread).clamp(0.0, 63.75);
+                    if snap {
+                        (v * 4.0).floor() / 4.0
+                    } else {
+                        v
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn fold_tree(d: &mut Digest, t: &RTree, queries: &[Vec<f64>], r: f64) {
+    d.word(t.len() as u64);
+    d.word(t.height() as u64);
+    d.word(t.node_count() as u64);
+    t.for_each_item(|item, mbr| {
+        d.word(item as u64);
+        for (&l, &h) in mbr.lo().iter().zip(mbr.hi()) {
+            d.word(l.to_bits());
+            d.word(h.to_bits());
+        }
+    });
+
+    let mut sphere = QueryCost::default();
+    let mut first = QueryCost::default();
+    let mut boxed = QueryCost::default();
+    for q in queries {
+        sphere.add(t.search_sphere(q, r, |i| d.word(i as u64)));
+        let (hit, cost) = t.first_in_sphere(q, r);
+        d.word(hit.map_or(u64::MAX, u64::from));
+        first.add(cost);
+        boxed.add(t.search_box(&Mbr::around_point(q, r), |i| d.word(i as u64)));
+        for (item, dist) in t.knn(q, 4) {
+            d.word(item as u64);
+            d.word(dist.to_bits());
+        }
+    }
+    d.cost(sphere);
+    d.cost(first);
+    d.cost(boxed);
+}
+
+/// Digest of one insert-built tree, before and after removing every
+/// seventh item. `halfwidth` 0 stores points (the column-block leaf
+/// layout); a positive one stores the box of that half-width around each
+/// point (the box leaf layout of the level-1 μR-tree).
+fn digest(dim: usize, cfg: RTreeConfig, n: usize, seed: u64, halfwidth: f64) -> u64 {
+    let pts = points(n, dim, seed);
+    let queries: Vec<Vec<f64>> = pts.iter().step_by(13).cloned().collect();
+    let r = 2.5;
+    let boxes: Vec<Mbr> = pts.iter().map(|p| Mbr::around_point(p, halfwidth)).collect();
+    let mut t = RTree::with_config(dim, cfg);
+    for (i, (p, b)) in pts.iter().zip(&boxes).enumerate() {
+        if halfwidth == 0.0 {
+            t.insert_point(i as u32, p);
+        } else {
+            t.insert(Entry { mbr: b.clone(), item: i as u32 });
+        }
+    }
+    t.check_invariants();
+    let mut d = Digest::new();
+    fold_tree(&mut d, &t, &queries, r);
+    for (i, (p, b)) in pts.iter().zip(&boxes).enumerate().step_by(7) {
+        let removed =
+            if halfwidth == 0.0 { t.remove_point(i as u32, p) } else { t.remove(i as u32, b) };
+        assert!(removed);
+    }
+    t.check_invariants();
+    fold_tree(&mut d, &t, &queries, r);
+    d.0
+}
+
+#[test]
+fn insert_built_trees_keep_their_shape() {
+    // (dim, max_entries, min_entries, box half-width, golden digest)
+    let golden: [(usize, usize, usize, f64, u64); 8] = [
+        (2, 32, 12, 0.0, 0xa4528a1abfa4c669),
+        (3, 32, 12, 0.0, 0x90121b3f14cbe095),
+        (5, 32, 12, 0.0, 0x610c1527759f2add),
+        (2, 8, 3, 0.0, 0x78b2c5926921e1a9),
+        (3, 8, 3, 0.0, 0x7fe5eb34687099e6),
+        (5, 8, 3, 0.0, 0x6415a42be3d17cd5),
+        (3, 32, 12, 0.75, 0xb81df023a2e4be85),
+        (3, 8, 3, 0.75, 0xf018aabd6f4861cd),
+    ];
+    let got: Vec<u64> = golden
+        .iter()
+        .map(|&(dim, max, min, w, _)| {
+            digest(dim, RTreeConfig::new(max, min), 3000, 0x5eed + dim as u64, w)
+        })
+        .collect();
+    for (g, &(dim, max, min, w, _)) in got.iter().zip(&golden) {
+        println!("dim {dim} M {max} m {min} half-width {w}: {g:#018x}");
+    }
+    for (g, &(dim, max, min, w, want)) in got.iter().zip(&golden) {
+        assert_eq!(*g, want, "tree shape changed for dim {dim}, M {max}, m {min}, half-width {w}");
+    }
+}

@@ -219,6 +219,13 @@ pub enum ServeError {
         /// The offending slice length.
         got: usize,
     },
+    /// A coordinate passed to ingest or query is NaN or ±∞. Such a point
+    /// has no place in the long-lived index (it would poison every
+    /// bounding box above it), so the whole batch is rejected.
+    NonFiniteCoordinate {
+        /// The axis of the first offending coordinate within its point.
+        axis: usize,
+    },
     /// The writer thread is gone: every handle was dropped and
     /// re-created impossibly, or the writer panicked. Pinned snapshots
     /// remain readable; ingest/drain cannot proceed.
@@ -238,6 +245,9 @@ impl std::fmt::Display for ServeError {
             ServeError::DimensionMismatch { expected, got } => {
                 write!(f, "dimension mismatch: engine serves {expected}-d points, got {got}-d")
             }
+            ServeError::NonFiniteCoordinate { axis } => {
+                write!(f, "non-finite coordinate on axis {axis}: NaN and ±∞ are rejected")
+            }
             ServeError::WriterGone => write!(f, "the serving writer thread has shut down"),
             ServeError::Postmortem { message } => {
                 write!(f, "failed to write the postmortem artifact: {message}")
@@ -247,6 +257,17 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+/// Validate one point's coordinates against the engine dimension.
+fn check_coords(dim: usize, coords: &[f64]) -> Result<(), ServeError> {
+    if coords.len() != dim {
+        return Err(ServeError::DimensionMismatch { expected: dim, got: coords.len() });
+    }
+    match coords.iter().position(|x| !x.is_finite()) {
+        Some(axis) => Err(ServeError::NonFiniteCoordinate { axis }),
+        None => Ok(()),
+    }
+}
 
 /// An immutable published epoch: the live points, their canonical
 /// clustering, and an R-tree for ε-queries. Cheap to pin (one `Arc`
@@ -325,13 +346,9 @@ impl Snapshot {
     }
 
     /// External ids strictly within ε of `coords`, in insertion order.
+    /// Coordinates of the wrong dimension, or NaN/±∞ ones, are rejected.
     pub fn query(&self, coords: &[f64]) -> Result<Vec<ExtId>, ServeError> {
-        if coords.len() != self.data.dim() {
-            return Err(ServeError::DimensionMismatch {
-                expected: self.data.dim(),
-                got: coords.len(),
-            });
-        }
+        check_coords(self.data.dim(), coords)?;
         let mut hits: Vec<PointId> = Vec::new();
         self.index.search_sphere(coords, self.params.eps, |p| hits.push(p));
         // Writer-internal ids are monotone in insertion order, so
@@ -489,19 +506,20 @@ impl ServeHandle {
     /// Returns the external ids assigned to the batch's inserts, in op
     /// order, without waiting for the batch to be applied (see
     /// [`Self::drain`] for the rendezvous).
+    ///
+    /// The whole batch is validated before any id is assigned: an insert
+    /// of the wrong dimension or with a NaN/±∞ coordinate rejects the
+    /// batch and burns no id, so ids stay dense.
     pub fn ingest(&self, ops: Vec<ServeOp>) -> Result<Vec<ExtId>, ServeError> {
-        let mut ids = Vec::new();
+        let mut inserts = 0u64;
         for op in &ops {
             if let ServeOp::Insert { coords, .. } = op {
-                if coords.len() != self.shared.dim {
-                    return Err(ServeError::DimensionMismatch {
-                        expected: self.shared.dim,
-                        got: coords.len(),
-                    });
-                }
-                ids.push(self.shared.next_id.fetch_add(1, Ordering::Relaxed));
+                check_coords(self.shared.dim, coords)?;
+                inserts += 1;
             }
         }
+        let first = self.shared.next_id.fetch_add(inserts, Ordering::Relaxed);
+        let ids: Vec<ExtId> = (first..first + inserts).collect();
         self.tx.send(Cmd::Batch { ops, ids: ids.clone() }).map_err(|_| ServeError::WriterGone)?;
         Ok(ids)
     }
@@ -1103,6 +1121,36 @@ mod tests {
         // The failed batch assigned no ids and changed no state.
         assert_eq!(h.drain().unwrap().snapshot.epoch(), 0);
         assert_eq!(h.ingest(vec![ServeOp::insert(vec![0.0, 0.0])]).unwrap(), vec![0]);
+    }
+
+    #[test]
+    fn rejected_batches_burn_no_ids() {
+        let h = ServingMuDbscan::spawn(2, params());
+        let first =
+            h.ingest(vec![ServeOp::insert(vec![0.0, 0.0]), ServeOp::insert(vec![0.1, 0.0])]);
+        let last = *first.unwrap().last().unwrap();
+        // Valid inserts ahead of the bad op must not consume ids either.
+        let wrong_dim = h.ingest(vec![
+            ServeOp::insert(vec![0.2, 0.0]),
+            ServeOp::insert(vec![0.3, 0.0]),
+            ServeOp::insert(vec![0.4]),
+        ]);
+        assert_eq!(wrong_dim.unwrap_err(), ServeError::DimensionMismatch { expected: 2, got: 1 });
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = h
+                .ingest(vec![ServeOp::insert(vec![0.2, 0.0]), ServeOp::insert(vec![0.3, bad])])
+                .unwrap_err();
+            assert_eq!(err, ServeError::NonFiniteCoordinate { axis: 1 });
+            assert_eq!(
+                h.query(&[bad, 0.0]).unwrap_err(),
+                ServeError::NonFiniteCoordinate { axis: 0 }
+            );
+        }
+        let next = h.ingest(vec![ServeOp::insert(vec![0.2, 0.0])]).unwrap();
+        assert_eq!(next, vec![last + 1], "a rejected batch left a gap in the ids");
+        let d = h.drain().unwrap();
+        assert_eq!(d.snapshot.epoch(), 2, "rejected batches must not become epochs");
+        assert_eq!(d.snapshot.live_ids(), &[0, 1, 2]);
     }
 
     #[test]
