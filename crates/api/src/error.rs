@@ -8,7 +8,9 @@ use stream::ServeError;
 ///
 /// Algorithms in this workspace are total over valid inputs — the
 /// runtime failures are configuration mistakes caught by
-/// [`crate::prelude::Runner::build`], distributed local-stage errors
+/// [`crate::prelude::Runner::build`], input a run cannot cluster (a
+/// NaN or ±∞ coordinate, caught by [`crate::prelude::Runner::run_source`]
+/// before any family sees it), distributed local-stage errors
 /// (e.g. a rank's GridDBSCAN exceeding its memory budget) surfaced as
 /// [`DistError`], and serving-layer failures surfaced as
 /// [`ServeError`] — a dimension mismatch or a NaN/±∞ coordinate at
@@ -24,6 +26,9 @@ pub enum MuDbscanError {
     /// The builder was given an inconsistent configuration (the message
     /// names the offending knob and the family it clashes with).
     InvalidConfig(String),
+    /// The input cannot be clustered (the message names the first
+    /// non-finite coordinate).
+    InvalidInput(String),
     /// A distributed run failed.
     Dist(DistError),
     /// A serving-layer operation failed.
@@ -36,6 +41,7 @@ impl std::fmt::Display for MuDbscanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MuDbscanError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            MuDbscanError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
             MuDbscanError::Dist(e) => write!(f, "distributed run failed: {e}"),
             MuDbscanError::Serve(e) => write!(f, "serving operation failed: {e}"),
             MuDbscanError::Io(e) => write!(f, "dataset store operation failed: {e}"),
@@ -49,7 +55,7 @@ impl std::error::Error for MuDbscanError {
             MuDbscanError::Dist(e) => Some(e),
             MuDbscanError::Serve(e) => Some(e),
             MuDbscanError::Io(e) => Some(e),
-            MuDbscanError::InvalidConfig(_) => None,
+            MuDbscanError::InvalidConfig(_) | MuDbscanError::InvalidInput(_) => None,
         }
     }
 }

@@ -77,7 +77,10 @@ pub enum Family {
     Sequential,
     /// Shared-memory parallel μDBSCAN.
     Parallel,
-    /// μDBSCAN-D over the BSP cluster simulator (paper §V).
+    /// μDBSCAN-D over the BSP cluster simulator (paper §V): the same
+    /// planner, shard summary and merge as [`Family::Sharded`], so
+    /// `.ranks(p)` and `.shards(p)` return the same clustering —
+    /// bit-identical to [`naive_dbscan`].
     Distributed,
     /// Out-of-core sharded μDBSCAN: spatial shards cut to a memory
     /// budget, clustered on OS threads, merged exactly — bit-identical
@@ -130,7 +133,7 @@ pub enum RunDetails {
     },
     /// Distributed-run extras.
     Distributed {
-        /// Virtual runtime excluding partitioning and halo exchange.
+        /// Virtual runtime excluding partitioning (planner and halo gather).
         runtime_secs: f64,
         /// Bytes communicated.
         comm_bytes: u64,
@@ -228,7 +231,6 @@ pub struct Runner {
     opts: Option<BuildOptions>,
     serve_opts: Option<ServeOptions>,
     faults: Option<FaultConfig>,
-    threaded_ranks: bool,
     disable_dynamic_promotion: bool,
     disable_post_core_mc_skip: bool,
 }
@@ -246,7 +248,6 @@ impl Runner {
             opts: None,
             serve_opts: None,
             faults: None,
-            threaded_ranks: false,
             disable_dynamic_promotion: false,
             disable_post_core_mc_skip: false,
         }
@@ -329,13 +330,6 @@ impl Runner {
         self
     }
 
-    /// Run the distributed rank programs on real threads
-    /// ([`cluster_sim::ExecMode::Threaded`]).
-    pub fn threaded_ranks(mut self) -> Self {
-        self.threaded_ranks = true;
-        self
-    }
-
     /// Ablation knob of [`Family::Sequential`]: skip the dynamic
     /// wndq-core promotion (Algorithm 6 step (iii)).
     pub fn disable_dynamic_promotion(mut self, disable: bool) -> Self {
@@ -380,9 +374,6 @@ impl Runner {
             }
             if self.ranks.is_some() {
                 return bad("a rank count");
-            }
-            if self.threaded_ranks {
-                return bad("threaded rank execution");
             }
         }
         if !matches!(family, Family::Sharded) {
@@ -435,11 +426,7 @@ impl Runner {
                 Box::new(Par { algo })
             }
             Family::Distributed => {
-                let mut cfg = DistConfig::new(self.ranks.unwrap_or(1));
-                if self.threaded_ranks {
-                    cfg = cfg.threaded();
-                }
-                cfg = cfg.with_local_threads(self.threads);
+                let cfg = DistConfig::new(self.ranks.unwrap_or(1)).with_local_threads(self.threads);
                 let mut algo = MuDbscanD::from_params(self.params, cfg);
                 if let Some(opts) = self.opts {
                     algo = algo.with_options(opts);
@@ -511,6 +498,7 @@ impl Runner {
     pub fn run_source(&self, src: &dyn DataSource) -> Result<RunOutput, MuDbscanError> {
         let family = self.resolved_family();
         self.validate(family)?;
+        validate_finite(src)?;
         if matches!(family, Family::Sharded) {
             return Ok(sharded_run_output(self.sharded_algo().run_source(src)));
         }
@@ -550,14 +538,6 @@ impl Runner {
         Ok(ServingMuDbscan::spawn_with(dim, self.params, opts))
     }
 
-    /// Deprecated spelling of `serve_options(opts).serve(dim)`; one-PR
-    /// deprecation shim per the facade's deprecation policy
-    /// (`docs/API.md`) — it will be removed in the next PR.
-    #[deprecated(note = "use Runner::serve_options(opts).serve(dim) instead")]
-    pub fn serve_with(&self, dim: usize, opts: ServeOptions) -> Result<ServeHandle, MuDbscanError> {
-        self.clone().serve_options(opts).serve(dim)
-    }
-
     /// The sorted k-distance sample of `data` (descending): each
     /// sampled point's distance to its `k`-th nearest *other* neighbour,
     /// the curve whose knee is the classical ε-selection heuristic
@@ -585,6 +565,29 @@ impl Runner {
         let sample_every = (data.len() / 2048).max(1);
         Ok(mudbscan_core::k_dist_curve(data, k, sample_every))
     }
+}
+
+/// Reject a source holding a NaN or ±∞ coordinate, once, before any
+/// family sees it. The message is [`Dataset::validate_finite`]'s.
+fn validate_finite(src: &dyn DataSource) -> Result<(), MuDbscanError> {
+    if let Some(data) = src.as_dataset() {
+        return data.validate_finite().map_err(MuDbscanError::InvalidInput);
+    }
+    for c in 0..src.n_chunks() {
+        let ch = src.chunk(c);
+        for i in 0..ch.len {
+            for k in 0..ch.dim {
+                let x = ch.coord(i, k);
+                if !x.is_finite() {
+                    let point = ch.base as usize + i;
+                    return Err(MuDbscanError::InvalidInput(format!(
+                        "non-finite coordinate {x} at point {point}, component {k}"
+                    )));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 impl Cluster for Runner {
@@ -786,15 +789,14 @@ mod tests {
             Runner::new(p).family(Family::Serving).options(BuildOptions::default()),
             Runner::new(p).threads(2).disable_dynamic_promotion(true), // knob on Parallel
             Runner::new(p).ranks(2).disable_post_core_mc_skip(true),   // knob on Distributed
-            Runner::new(p).family(Family::Sequential).threaded_ranks(),
-            Runner::new(p).family(Family::Sequential).shards(2), // shards on forced Seq
+            Runner::new(p).family(Family::Sequential).shards(2),       // shards on forced Seq
             Runner::new(p).family(Family::Parallel).threads(2).memory_budget(1 << 20),
             Runner::new(p).ranks(2).shards(2), // ranks win inference; shards clash
             Runner::new(p).family(Family::Optics).memory_budget(1 << 20),
             Runner::new(p).family(Family::Streaming).shards(2),
             Runner::new(p).shards(2).disable_dynamic_promotion(true), // knob on Sharded
             Runner::new(p).shards(2).fault_plan(FaultPlan::new(1)),   // faults on Sharded
-            Runner::new(p).serve_options(ServeOptions::default()), // serve opts on Sequential
+            Runner::new(p).serve_options(ServeOptions::default()),    // serve opts on Sequential
             Runner::new(p).shards(2).serve_options(ServeOptions::default()),
         ] {
             match bad.build() {
@@ -862,17 +864,6 @@ mod tests {
             Dataset::from_rows(&data.iter().skip(1).map(|(_, c)| c.to_vec()).collect::<Vec<_>>());
         let oracle = naive_dbscan(&survivors, &p);
         assert_eq!(*drained.snapshot.clustering(), oracle);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn serve_with_shim_still_works_one_more_pr() {
-        // PR-5 deprecation policy: the old spelling keeps working for
-        // exactly one PR. This pin fails to compile when `serve_with`
-        // is deleted, reminding the remover to drop this test with it.
-        let p = DbscanParams::new(0.5, 3);
-        let handle = Runner::new(p).serve_with(2, ServeOptions::default()).unwrap();
-        handle.shutdown().unwrap();
     }
 
     #[test]

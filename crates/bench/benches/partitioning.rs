@@ -1,10 +1,10 @@
-//! Ablation: kd-tree partitioning (median splits, μDBSCAN-D) vs
-//! HPDBSCAN-style cell-block partitioning — cost and halo volume.
+//! Ablation: kd-tree partitioning (the shard planner's median splits,
+//! μDBSCAN-D) vs HPDBSCAN-style cell-block partitioning — cost and halo
+//! volume.
 
-use cluster_sim::{CommModel, ExecMode};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dist::hpdbscan::cell_partition;
-use partition::kd_partition;
+use partition::{gather_shards, plan_shards, ShardingOptions};
 use std::hint::black_box;
 
 fn bench_partitioning(c: &mut Criterion) {
@@ -15,14 +15,15 @@ fn bench_partitioning(c: &mut Criterion) {
     for p in [8usize, 32] {
         g.bench_function(BenchmarkId::new("kd_tree", p), |b| {
             b.iter(|| {
-                let out =
-                    kd_partition(&dataset, p, eps, ExecMode::Sequential, CommModel::default());
-                black_box(out.shards.iter().map(|s| s.halo_ids.len()).sum::<usize>())
+                let opts = ShardingOptions { min_shards: p, max_shard_bytes: None };
+                let plan = plan_shards(&dataset, eps, &opts);
+                let shards = gather_shards(&dataset, &plan);
+                black_box(shards.iter().map(|s| s.halo_ids.len()).sum::<usize>())
             })
         });
         g.bench_function(BenchmarkId::new("cell_blocks", p), |b| {
             b.iter(|| {
-                let (shards, _) = cell_partition(&dataset, p, eps);
+                let shards = cell_partition(&dataset, p, eps);
                 black_box(shards.iter().map(|s| s.halo_ids.len()).sum::<usize>())
             })
         });

@@ -152,12 +152,13 @@ const WORKLOAD_NAMES: [&str; 3] = ["3DSRN", "DGB0.5M3D", "HHP0.5M5D"];
 /// The pinned fault plan of the `mudbscan_d_p4_faults` arm: one of every
 /// fault class, all recoverable under the default retry budget. Superstep
 /// 0 is the local-clustering compute step; superstep 2 is the
-/// edge-exchange communication step (see `dist::driver`).
+/// merge-fact exchange (see `dist::driver`).
 fn bench_fault_plan() -> FaultPlan {
     // Drops cover every inbound link of the merge root: whether a given
-    // rank sends edges depends on the dataset's cross-partition structure
-    // (an edge-free rank sends nothing), so dropping on all three links
-    // guarantees the retry path is exercised at any workload size.
+    // rank sends merge facts depends on the dataset's cross-partition
+    // structure (a rank with none sends nothing), so dropping on all
+    // three links guarantees the retry path is exercised at any workload
+    // size.
     FaultPlan::new(SEED)
         .with(Fault::Crash { rank: 1, superstep: 0 })
         .with(Fault::Drop { superstep: 2, from: 1, to: 0, attempts: 3 })

@@ -604,10 +604,7 @@ pub fn diff(baseline: &Json, candidate: &Json, cfg: &DiffConfig) -> Result<DiffR
             );
         }
         d.report.compared += 1;
-        if cs
-            .get("oracle_overlap")
-            .and_then(|o| o.get("matches_oracle"))
-            .and_then(Json::as_bool)
+        if cs.get("oracle_overlap").and_then(|o| o.get("matches_oracle")).and_then(Json::as_bool)
             != Some(true)
         {
             d.push(
@@ -659,8 +656,7 @@ pub fn diff(baseline: &Json, candidate: &Json, cfg: &DiffConfig) -> Result<DiffR
                     d.time_metric(&actx, metric, b, c);
                 }
             }
-            for metric in ["n_shards", "halo_points", "edges", "clusters", "noise", "border_ties"]
-            {
+            for metric in ["n_shards", "halo_points", "edges", "clusters", "noise", "border_ties"] {
                 if let (Some(b), Some(c)) = (f(ba, metric), f(ca, metric)) {
                     d.work_metric(&actx, metric, b, c);
                 }

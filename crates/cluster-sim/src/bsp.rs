@@ -24,19 +24,6 @@ impl Default for CommModel {
     }
 }
 
-/// How rank closures are executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Run ranks one after another on the calling thread, timing each —
-    /// exact virtual clocks on any host. Default.
-    #[default]
-    Sequential,
-    /// Run every rank on its own OS thread per superstep — demonstrates
-    /// real data-parallelism; virtual clocks then reflect wall time under
-    /// whatever core count the host has.
-    Threaded,
-}
-
 /// An outgoing message.
 #[derive(Debug, Clone)]
 pub struct Envelope<M> {
@@ -74,7 +61,6 @@ pub struct RankClock {
 /// The engine: `p` rank states, virtual clocks, makespan accounting.
 pub struct Bsp<S> {
     states: Vec<S>,
-    mode: ExecMode,
     comm: CommModel,
     /// Virtual makespan accumulated so far (seconds).
     makespan: f64,
@@ -97,14 +83,13 @@ pub struct Bsp<S> {
     stats: FaultStats,
 }
 
-impl<S: Send> Bsp<S> {
+impl<S> Bsp<S> {
     /// Engine over the given per-rank states.
     pub fn new(states: Vec<S>) -> Self {
         assert!(!states.is_empty(), "need at least one rank");
         let p = states.len();
         Self {
             states,
-            mode: ExecMode::Sequential,
             comm: CommModel::default(),
             makespan: 0.0,
             phase_times: PhaseTimer::new(),
@@ -117,12 +102,6 @@ impl<S: Send> Bsp<S> {
             down: vec![false; p],
             stats: FaultStats::default(),
         }
-    }
-
-    /// Select the execution mode.
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Override the communication cost model.
@@ -253,54 +232,21 @@ impl<S: Send> Bsp<S> {
         }
     }
 
-    /// Time `f(r, &mut states[r])` for every rank, honouring the
-    /// execution mode, and return the per-rank wall seconds plus the
-    /// value the makespan should advance by (per-rank max in Sequential
-    /// mode, the scope wall — including spawn overhead — in Threaded
-    /// mode, exactly as before per-rank clocks existed).
-    fn timed_ranks<T: Send>(
-        mode: ExecMode,
+    /// Run `f(r, &mut states[r])` for every rank, one after another on
+    /// the calling thread, and return the results with the per-rank
+    /// wall seconds.
+    fn timed_ranks<T>(
         states: &mut [S],
-        f: impl Fn(usize, &mut S) -> T + Sync,
-    ) -> (Vec<T>, Vec<f64>, f64) {
-        match mode {
-            ExecMode::Sequential => {
-                let mut out = Vec::with_capacity(states.len());
-                let mut secs = Vec::with_capacity(states.len());
-                for (r, s) in states.iter_mut().enumerate() {
-                    let sw = Stopwatch::start();
-                    out.push(f(r, s));
-                    secs.push(sw.secs());
-                }
-                let max = secs.iter().cloned().fold(0.0f64, f64::max);
-                (out, secs, max)
-            }
-            ExecMode::Threaded => {
-                let sw = Stopwatch::start();
-                let mut out = Vec::with_capacity(states.len());
-                let mut secs = Vec::with_capacity(states.len());
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = states
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(r, s)| {
-                            let f = &f;
-                            scope.spawn(move || {
-                                let sw = Stopwatch::start();
-                                let v = f(r, s);
-                                (v, sw.secs())
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        let (v, t) = h.join().expect("rank thread panicked");
-                        out.push(v);
-                        secs.push(t);
-                    }
-                });
-                (out, secs, sw.secs())
-            }
+        mut f: impl FnMut(usize, &mut S) -> T,
+    ) -> (Vec<T>, Vec<f64>) {
+        let mut out = Vec::with_capacity(states.len());
+        let mut secs = Vec::with_capacity(states.len());
+        for (r, s) in states.iter_mut().enumerate() {
+            let sw = Stopwatch::start();
+            out.push(f(r, s));
+            secs.push(sw.secs());
         }
+        (out, secs)
     }
 
     /// Panic unless every rank is alive: the orchestrator must
@@ -313,16 +259,13 @@ impl<S: Send> Bsp<S> {
     }
 
     /// Zero crashed ranks' compute time, scale stragglers', and return
-    /// the makespan advance (per-rank max in Sequential mode; at least
-    /// the scope wall in Threaded mode).
+    /// the makespan advance: the slowest rank's time.
     fn finish_compute_times(
         &mut self,
         secs: &mut [f64],
-        base_advance: f64,
         crashed: &[bool],
         count_straggle: bool,
     ) -> f64 {
-        let mut scaled_any = false;
         for (r, s) in secs.iter_mut().enumerate() {
             if crashed[r] {
                 *s = 0.0;
@@ -331,38 +274,29 @@ impl<S: Send> Bsp<S> {
             let k = self.plan.straggler_factor(r);
             if k > 1.0 {
                 *s *= k;
-                scaled_any = true;
                 if count_straggle {
                     self.stats.straggled_steps += 1;
                 }
             }
         }
-        if crashed.iter().all(|&c| !c) && !scaled_any {
-            return base_advance;
-        }
-        let max = secs.iter().cloned().fold(0.0f64, f64::max);
-        match self.mode {
-            ExecMode::Sequential => max,
-            ExecMode::Threaded => base_advance.max(max),
-        }
+        secs.iter().cloned().fold(0.0f64, f64::max)
     }
 
     /// A compute-only superstep: run `f` on every rank; the makespan
     /// advances by the slowest rank. Crash faults scheduled for this
     /// superstep fire here (fail-stop: the rank does no work and is
     /// marked down until [`Bsp::recover`]).
-    pub fn run(&mut self, f: impl Fn(usize, &mut S) + Sync) {
+    pub fn run(&mut self, mut f: impl FnMut(usize, &mut S)) {
         self.assert_all_alive("run");
         let step = self.steps;
         let p = self.size();
         let crashed: Vec<bool> = (0..p).map(|r| self.plan.crash_step(r) == Some(step)).collect();
-        let crashed_ref = &crashed;
-        let (_, mut secs, base) = Self::timed_ranks(self.mode, &mut self.states, |r, s| {
-            if !crashed_ref[r] {
+        let (_, mut secs) = Self::timed_ranks(&mut self.states, |r, s| {
+            if !crashed[r] {
                 f(r, s)
             }
         });
-        let advance = self.finish_compute_times(&mut secs, base, &crashed, true);
+        let advance = self.finish_compute_times(&mut secs, &crashed, true);
         for (r, &c) in crashed.iter().enumerate() {
             if c {
                 self.down[r] = true;
@@ -436,10 +370,10 @@ impl<S: Send> Bsp<S> {
     /// delivery layer's `(source, sequence)` sort) — so as long as drops
     /// stay within the retry budget, consumers observe the exact
     /// fault-free inbox and only the virtual clock differs.
-    pub fn exchange<M: Send + Clone + MsgSize>(
+    pub fn exchange<M: Clone + MsgSize>(
         &mut self,
-        produce: impl Fn(usize, &mut S) -> Vec<Envelope<M>> + Sync,
-        consume: impl Fn(usize, &mut S, Vec<(usize, M)>) + Sync,
+        produce: impl FnMut(usize, &mut S) -> Vec<Envelope<M>>,
+        mut consume: impl FnMut(usize, &mut S, Vec<(usize, M)>),
     ) {
         self.assert_all_alive("exchange");
         let p = self.size();
@@ -448,10 +382,8 @@ impl<S: Send> Bsp<S> {
         let stats_before = self.stats.clone();
 
         // Produce sub-phase.
-        let (outboxes, mut produce_secs, produce_base) =
-            Self::timed_ranks(self.mode, &mut self.states, &produce);
-        let produce_max =
-            self.finish_compute_times(&mut produce_secs, produce_base, &vec![false; p], true);
+        let (outboxes, mut produce_secs) = Self::timed_ranks(&mut self.states, produce);
+        let produce_max = self.finish_compute_times(&mut produce_secs, &vec![false; p], true);
         self.trace_rank_slices(self.makespan, &produce_secs, "compute");
 
         // Route: h-relation cost = max over ranks of bytes in/out.
@@ -557,19 +489,14 @@ impl<S: Send> Bsp<S> {
             self.trace_rank_slices(comm_start, &vec![comm_secs; p], "comm");
         }
 
-        // Consume sub-phase.
-        let inboxes = std::sync::Mutex::new(
-            inboxes.into_iter().map(Some).collect::<Vec<Option<Vec<(usize, M)>>>>(),
-        );
-        let (_, mut consume_secs, consume_base) =
-            Self::timed_ranks(self.mode, &mut self.states, |r, s| {
-                let inbox =
-                    inboxes.lock().expect("poisoned")[r].take().expect("inbox consumed once");
-                consume(r, s, inbox)
-            });
+        // Consume sub-phase: ranks consume in rank order, so the r-th
+        // inbox is rank r's.
+        let mut inboxes = inboxes.into_iter();
+        let (_, mut consume_secs) = Self::timed_ranks(&mut self.states, |r, s| {
+            consume(r, s, inboxes.next().expect("one inbox per rank"))
+        });
         // Stragglers already counted once for this superstep (produce).
-        let consume_max =
-            self.finish_compute_times(&mut consume_secs, consume_base, &vec![false; p], false);
+        let consume_max = self.finish_compute_times(&mut consume_secs, &vec![false; p], false);
         self.trace_rank_slices(comm_start + comm_secs, &consume_secs, "compute");
 
         for (r, clock) in self.rank_clocks.iter_mut().enumerate() {
@@ -587,31 +514,27 @@ impl<S: Send> Bsp<S> {
     /// (indexed by rank) is returned to the orchestrator AND can be read
     /// by every rank in a following superstep. Communication is charged
     /// as each rank broadcasting its value to all others.
-    pub fn allgather<M: Send + Clone + MsgSize>(
+    pub fn allgather<M: Clone + MsgSize>(
         &mut self,
-        f: impl Fn(usize, &mut S) -> M + Sync,
+        mut f: impl FnMut(usize, &mut S) -> M,
     ) -> Vec<M> {
         let p = self.size();
         let mut slots: Vec<Option<M>> = (0..p).map(|_| None).collect();
-        {
-            let slots_ref = std::sync::Mutex::new(&mut slots);
-            self.exchange(
-                |r, s| {
-                    let v = f(r, s);
-                    // Broadcast to all ranks (self included, matching
-                    // MPI_Allgather semantics).
-                    (0..p).map(|to| Envelope::new(to, v.clone())).collect()
-                },
-                |r, _s, inbox| {
-                    if r == 0 {
-                        let mut guard = slots_ref.lock().expect("poisoned");
-                        for (src, m) in inbox {
-                            guard[src] = Some(m);
-                        }
+        self.exchange(
+            |r, s| {
+                let v = f(r, s);
+                // Broadcast to all ranks (self included, matching
+                // MPI_Allgather semantics).
+                (0..p).map(|to| Envelope::new(to, v.clone())).collect()
+            },
+            |r, _s, inbox| {
+                if r == 0 {
+                    for (src, m) in inbox {
+                        slots[src] = Some(m);
                     }
-                },
-            );
-        }
+                }
+            },
+        );
         slots.into_iter().map(|o| o.expect("allgather missing contribution")).collect()
     }
 }
@@ -670,26 +593,6 @@ mod tests {
         let mut bsp = Bsp::new(vec![0u32; 4]);
         let all = bsp.allgather(|r, _s| r as u32 + 100);
         assert_eq!(all, vec![100, 101, 102, 103]);
-    }
-
-    #[test]
-    fn threaded_matches_sequential() {
-        let program = |bsp: &mut Bsp<Vec<u64>>| {
-            bsp.run(|r, s| s.push(r as u64));
-            bsp.exchange(
-                |r, _s| vec![Envelope::new(0, r as u64 * 2)],
-                |r, s, inbox| {
-                    if r == 0 {
-                        s.extend(inbox.into_iter().map(|(_, m)| m));
-                    }
-                },
-            );
-        };
-        let mut a = Bsp::new(vec![Vec::new(); 4]);
-        program(&mut a);
-        let mut b = Bsp::new(vec![Vec::new(); 4]).with_mode(ExecMode::Threaded);
-        program(&mut b);
-        assert_eq!(a.into_states(), b.into_states());
     }
 
     #[test]
@@ -917,20 +820,5 @@ mod tests {
                 panic!("injected rank failure");
             }
         });
-    }
-
-    #[test]
-    #[should_panic]
-    fn rank_panic_propagates_threaded() {
-        let mut bsp = Bsp::new(vec![(); 3]).with_mode(ExecMode::Threaded);
-        bsp.exchange(
-            |r, _s| {
-                if r == 2 {
-                    panic!("injected rank failure");
-                }
-                Vec::<Envelope<u32>>::new()
-            },
-            |_r, _s, _in| {},
-        );
     }
 }

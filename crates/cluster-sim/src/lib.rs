@@ -7,24 +7,22 @@
 //! which `p` ranks own private state and communicate only through typed
 //! messages routed by the engine between supersteps.
 //!
-//! Why BSP is a faithful model here: every phase of μDBSCAN-D (sampling
-//! based kd-partitioning, ε-halo exchange, independent local clustering,
-//! merge-edge exchange) is bulk-synchronous in the original MPI code too —
-//! computation alternates with collective communication.
+//! Why BSP is a faithful model here: the phases of μDBSCAN-D after
+//! partitioning (independent local clustering, the per-rank merge
+//! summary, the exchange of cross-partition merge facts) are
+//! bulk-synchronous in the original MPI code too — computation
+//! alternates with collective communication.
 //!
 //! ## Virtual time
 //!
-//! Each rank carries a **virtual clock**. In [`ExecMode::Sequential`]
-//! (default, exact on a single-core host) the engine runs ranks one after
-//! another, measures each rank's compute time per superstep, and advances
-//! the *makespan* by the per-step maximum plus an α–β communication cost
-//! (`latency + max-per-rank-bytes / bandwidth`, the BSP `L + g·h` term).
-//! Speedup numbers derived from the makespan therefore reproduce the
-//! *shape* of real cluster scaling even when the host has one core.
-//!
-//! [`ExecMode::Threaded`] runs every rank's closure on a real OS thread
-//! per superstep — same results, used to demonstrate that the rank
-//! programs are genuinely data-parallel (no hidden shared state).
+//! Each rank carries a **virtual clock**. The engine runs ranks one
+//! after another on the calling thread, measures each rank's compute
+//! time per superstep, and advances the *makespan* by the per-step
+//! maximum plus an α–β communication cost (`latency + max-per-rank-bytes
+//! / bandwidth`, the BSP `L + g·h` term) — exact on any host, including
+//! a single-core one. Speedup numbers derived from the makespan therefore
+//! reproduce the *shape* of real cluster scaling. (Real OS-thread
+//! execution of the same shard programs is `dist::ShardedMuDbscan`.)
 //!
 //! ```
 //! use cluster_sim::{Bsp, Envelope};
@@ -60,6 +58,6 @@ pub mod bsp;
 pub mod fault;
 pub mod msgsize;
 
-pub use bsp::{Bsp, CommModel, Envelope, ExecMode, RankClock};
+pub use bsp::{Bsp, CommModel, Envelope, RankClock};
 pub use fault::{Fault, FaultPlan, FaultStats, RetryConfig};
 pub use msgsize::MsgSize;

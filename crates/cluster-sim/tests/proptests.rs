@@ -1,7 +1,7 @@
 //! Property tests of the BSP engine's message routing: arbitrary
-//! communication matrices must be delivered exactly, in both executors.
+//! communication matrices must be delivered exactly.
 
-use cluster_sim::{Bsp, Envelope, ExecMode};
+use cluster_sim::{Bsp, Envelope};
 use proptest::prelude::*;
 
 /// A communication plan: for each sender, a list of (dest, payload).
@@ -9,9 +9,9 @@ fn plan(p: usize) -> impl Strategy<Value = Vec<Vec<(usize, u64)>>> {
     prop::collection::vec(prop::collection::vec((0..p, any::<u64>()), 0..12), p..=p)
 }
 
-fn run_plan(plan: &[Vec<(usize, u64)>], mode: ExecMode) -> Vec<Vec<(usize, u64)>> {
+fn run_plan(plan: &[Vec<(usize, u64)>]) -> Vec<Vec<(usize, u64)>> {
     let p = plan.len();
-    let mut bsp = Bsp::new(vec![Vec::<(usize, u64)>::new(); p]).with_mode(mode);
+    let mut bsp = Bsp::new(vec![Vec::<(usize, u64)>::new(); p]);
     let plan_ref = plan.to_vec();
     bsp.exchange(
         move |r, _s| plan_ref[r].iter().map(|&(to, v)| Envelope::new(to, v)).collect(),
@@ -27,7 +27,7 @@ proptest! {
 
     #[test]
     fn every_message_delivered_exactly_once(plan in (2usize..7).prop_flat_map(plan)) {
-        let inboxes = run_plan(&plan, ExecMode::Sequential);
+        let inboxes = run_plan(&plan);
         // Expected inbox of rank r: all (src, v) with (r, v) in src's plan,
         // sorted by src (stable within one sender).
         for (r, inbox) in inboxes.iter().enumerate() {
@@ -48,21 +48,6 @@ proptest! {
                 v
             };
             prop_assert_eq!(norm(&got), norm(&want), "rank {}", r);
-        }
-    }
-
-    #[test]
-    fn threaded_executor_delivers_the_same(plan in (2usize..6).prop_flat_map(plan)) {
-        let a = run_plan(&plan, ExecMode::Sequential);
-        let b = run_plan(&plan, ExecMode::Threaded);
-        // Same inbox contents (ordering within a source may differ; the
-        // engine sorts by source only).
-        for (ia, ib) in a.iter().zip(&b) {
-            let mut x = ia.clone();
-            let mut y = ib.clone();
-            x.sort_unstable();
-            y.sort_unstable();
-            prop_assert_eq!(x, y);
         }
     }
 

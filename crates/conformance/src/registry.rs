@@ -147,7 +147,7 @@ pub fn registry() -> Vec<Box<dyn ExactDbscan>> {
         Box::new(GBaseline),
         Box::new(GridBaseline),
         // μDBSCAN-D across simulated rank counts (1 pins the trivial
-        // partition; 2 and 4 exercise halo exchange and the merge replay).
+        // partition; 2 and 4 exercise halos and the cross-partition merge).
         Box::new(Facade { name: "mu-dist/r1", configure: |r| r.ranks(1) }),
         Box::new(Facade { name: "mu-dist/r2", configure: |r| r.ranks(2) }),
         Box::new(Facade { name: "mu-dist/r4", configure: |r| r.ranks(4) }),

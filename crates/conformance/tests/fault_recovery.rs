@@ -16,9 +16,9 @@ use mudbscan::prelude::{Fault, FaultPlan, RunDetails, Runner};
 use mudbscan::Clustering;
 use proptest::prelude::*;
 
-/// μDBSCAN-D's superstep layout: local clustering (0) and cross-partition
-/// edge collection (1) are compute supersteps; the merge-edge exchange is
-/// superstep 2. Mirrors `dist/tests/fault_recovery.rs`.
+/// μDBSCAN-D's superstep layout: local clustering (0) and the merge
+/// summary (1) are compute supersteps; the exchange of cross-partition
+/// merge facts is superstep 2. Mirrors `dist/tests/fault_recovery.rs`.
 const COMPUTE_STEPS: &[usize] = &[0, 1];
 const EXCHANGE_STEPS: &[usize] = &[2];
 

@@ -28,7 +28,7 @@
 use conformance::{DatasetSpec, Family as DataFamily, FAMILIES};
 use geom::{Dataset, DbscanParams};
 use mudbscan::naive_dbscan;
-use mudbscan::prelude::{write_store, ChunkedStore, Runner};
+use mudbscan::prelude::{write_store, ChunkedStore, RunDetails, Runner};
 
 fn dataset(family: DataFamily, n: usize, dim: usize, seed: u64) -> Dataset {
     Dataset::from_rows(&DatasetSpec { family, n, dim, seed }.rows())
@@ -45,8 +45,7 @@ fn sharded_matches_oracle_across_families_and_shard_counts() {
         for shards in [1usize, 2, 4] {
             let out = Runner::new(p).shards(shards).run(&data).expect("sharded run");
             assert_eq!(
-                out.clustering,
-                oracle,
+                out.clustering, oracle,
                 "{family:?} with {shards} shard(s) diverged from the oracle"
             );
         }
@@ -161,5 +160,33 @@ fn shard_boundary_at_exactly_eps_respects_the_open_ball() {
         let out = Runner::new(p).shards(shards).run(&close).expect("sharded run");
         assert_eq!(out.clustering, oracle, "eps-minus-delta pair split at {shards} shard(s)");
         assert_eq!(out.clustering.n_clusters, 1, "inside the ball: chains must merge");
+    }
+}
+
+/// One engine: the BSP ranks (`.ranks(p)`) and the threaded shards
+/// (`.shards(p)`) run the same planner, summary and merge, so they must
+/// agree on the clustering AND on the work the merge saw — the same
+/// halo points and the same cross-shard edges.
+#[test]
+fn ranks_and_shards_are_one_engine() {
+    for (fi, family) in FAMILIES.into_iter().enumerate() {
+        let data = dataset(family, 500, 3, 0x0E61 ^ fi as u64);
+        let p = DbscanParams::new(0.6, 4);
+        for n in [1usize, 2, 4, 7] {
+            // The obs collector is process-global, but no other test in
+            // this binary records `dist/*` keys.
+            obs::reset();
+            obs::enable();
+            let ranks = Runner::new(p).ranks(n).run(&data).expect("distributed run");
+            obs::disable();
+            let report = obs::take_report();
+            let shards = Runner::new(p).shards(n).run(&data).expect("sharded run");
+            assert_eq!(ranks.clustering, shards.clustering, "{family:?} p={n}: clusterings differ");
+            let RunDetails::Sharded { halo_points, edges, .. } = shards.details else {
+                panic!("shards() must report sharded details");
+            };
+            assert_eq!(report.count("dist/halo_points"), halo_points, "{family:?} p={n}: halo");
+            assert_eq!(report.count("dist/edges"), edges, "{family:?} p={n}: edges");
+        }
     }
 }

@@ -30,7 +30,7 @@ pub mod plot;
 pub mod store;
 
 pub use catalog::{paper_table2_specs, DatasetSpec, GeneratorKind};
-pub use store::{write_store, ChunkedStore, StoreError, StoreWriter};
 pub use generators::{
     drifting_stream, galaxy, gaussian_mixture, household, kddbio, road_network, uniform, Normal,
 };
+pub use store::{write_store, ChunkedStore, StoreError, StoreWriter};

@@ -342,9 +342,7 @@ impl ChunkedStore {
             return Err(StoreError::BadHeader("zero chunk capacity".into()));
         }
         if n > u32::MAX as u64 {
-            return Err(StoreError::BadHeader(format!(
-                "{n} points exceed the u32 PointId space"
-            )));
+            return Err(StoreError::BadHeader(format!("{n} points exceed the u32 PointId space")));
         }
         let want_chunks = n.div_ceil(chunk_cap as u64);
         if n_chunks != want_chunks {
@@ -387,7 +385,7 @@ impl ChunkedStore {
                 let data = &m.bytes()[HEADER_BYTES as usize..];
                 // Page-aligned base + 64-byte header keeps f64 alignment;
                 // fall back to a heap read rather than assume it.
-                if data.as_ptr() as usize % std::mem::align_of::<f64>() == 0 {
+                if (data.as_ptr() as usize).is_multiple_of(std::mem::align_of::<f64>()) {
                     Ok(Backing::Mapped(m))
                 } else {
                     Self::heap_back(file, payload_f64s)
@@ -421,9 +419,7 @@ impl ChunkedStore {
             Backing::Mapped(m) => {
                 let data = &m.bytes()[HEADER_BYTES as usize..];
                 // Alignment was checked at open time.
-                unsafe {
-                    std::slice::from_raw_parts(data.as_ptr() as *const f64, data.len() / 8)
-                }
+                unsafe { std::slice::from_raw_parts(data.as_ptr() as *const f64, data.len() / 8) }
             }
             Backing::Heap(h) => h,
         }
@@ -446,7 +442,8 @@ impl ChunkedStore {
 
     /// File bytes the store occupies on disk.
     pub fn file_bytes(&self) -> u64 {
-        HEADER_BYTES + (self.n_chunks as u64) * (self.chunk_cap as u64) * (self.dim as u64) * F64_BYTES
+        HEADER_BYTES
+            + (self.n_chunks as u64) * (self.chunk_cap as u64) * (self.dim as u64) * F64_BYTES
     }
 }
 
@@ -520,9 +517,9 @@ mod tests {
             let ch = s.chunk(c);
             let mut out = vec![0.0; ch.len];
             ch.dist_sq_batch(&q, &mut out);
-            for i in 0..ch.len {
+            for (i, got) in out.iter().enumerate() {
                 let want = geom::dist_sq(d.point(ch.base + i as u32), &q);
-                assert_eq!(out[i].to_bits(), want.to_bits());
+                assert_eq!(got.to_bits(), want.to_bits());
             }
         }
         std::fs::remove_file(&path).ok();
@@ -552,10 +549,7 @@ mod tests {
         let path = tmp("dim");
         let mut w = StoreWriter::create(&path, 3, 16).unwrap();
         w.push(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(
-            w.push(&[1.0, 2.0]),
-            Err(StoreError::DimMismatch { expected: 3, got: 2 })
-        );
+        assert_eq!(w.push(&[1.0, 2.0]), Err(StoreError::DimMismatch { expected: 3, got: 2 }));
         drop(w);
         std::fs::remove_file(&path).ok();
     }

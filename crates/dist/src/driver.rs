@@ -1,15 +1,25 @@
-//! The generic distributed driver: local clustering per rank inside BSP
-//! supersteps, cross-partition edge collection, and the exact merge
-//! replay.
+//! The BSP driver: the shard programs of [`crate::merge`] run as
+//! simulated ranks, charged to virtual clocks, with faults injected.
+//!
+//! Three supersteps, numbered as fault plans address them:
+//!
+//! 0. **local clustering** — every rank clusters its [`LocalView`];
+//! 1. **summary** — every rank [`summarize`]s its local clustering;
+//! 2. **exchange** — every rank sends its [`CrossFacts`] (core→halo
+//!    edges and border candidate lists) to rank 0, which hosts the
+//!    [`merge`]. The merge consumes what rank 0 actually *received*, so
+//!    message faults on this step are load-bearing.
+//!
+//! Own core flags and core groups stay on their rank and are read by
+//! the merge directly; the sharded executor runs the same summary and
+//! merge on OS threads.
 
-use cluster_sim::{Bsp, CommModel, Envelope, ExecMode, FaultStats, RankClock};
-use geom::{Dataset, DbscanParams, PointId};
+use cluster_sim::{Bsp, CommModel, Envelope, FaultStats, RankClock};
+use geom::{Dataset, DbscanParams};
 use metrics::{Counters, PhaseTimer, Stopwatch};
-use mudbscan::{Clustering, NOISE};
-use partition::Shard;
-use rtree::{RTree, RTreeConfig};
-use unionfind::UnionFind;
+use mudbscan::Clustering;
 
+use crate::merge::{merge, summarize, CrossFacts, LocalView, ShardSummary};
 use crate::recovery::{Checkpoint, FaultConfig};
 
 /// What a local clustering stage returns for one rank.
@@ -23,6 +33,37 @@ pub struct LocalRun {
     pub counters: Counters,
     /// The rank's estimated peak structure bytes.
     pub peak_heap_bytes: usize,
+}
+
+impl From<baselines::BaselineOutput> for LocalRun {
+    fn from(out: baselines::BaselineOutput) -> Self {
+        let peak_heap_bytes = out.peak_heap_bytes;
+        Self {
+            clustering: out.clustering,
+            phases: out.phases,
+            counters: out.counters,
+            peak_heap_bytes,
+        }
+    }
+}
+
+impl From<mudbscan::MuDbscanOutput> for LocalRun {
+    fn from(out: mudbscan::MuDbscanOutput) -> Self {
+        let peak_heap_bytes = out.peak_heap_bytes;
+        Self {
+            clustering: out.clustering,
+            phases: out.phases,
+            counters: out.counters,
+            peak_heap_bytes,
+        }
+    }
+}
+
+impl From<mudbscan::ParOutput> for LocalRun {
+    fn from(out: mudbscan::ParOutput) -> Self {
+        let counters = out.counters.snapshot();
+        Self { clustering: out.clustering, phases: out.phases, counters, peak_heap_bytes: 0 }
+    }
 }
 
 /// A failed distributed run.
@@ -48,14 +89,15 @@ impl std::error::Error for DistError {}
 pub struct DistOutput {
     /// The global clustering over all `n` points.
     pub clustering: Clustering,
-    /// Per-phase virtual makespans: `partitioning`, `halo_exchange`,
-    /// the local phases (per-phase maxima over ranks), and `merging`.
+    /// Per-phase times: `partitioning` (planner wall time), the local
+    /// phases (per-phase virtual maxima over ranks), `merging` and, under
+    /// faults, `recovery`.
     pub phases: PhaseTimer,
-    /// Total virtual runtime *excluding* partitioning and halo exchange —
-    /// the quantity the paper reports ("we do not include data
-    /// partitioning ... while computing the speedup").
+    /// Total virtual runtime *excluding* partitioning — the quantity the
+    /// paper reports ("we do not include data partitioning ... while
+    /// computing the speedup").
     pub runtime_secs: f64,
-    /// Bytes communicated (partitioning + halos + merge edges).
+    /// Bytes communicated (partitioning + halos + merge facts).
     pub comm_bytes: u64,
     /// Aggregated operation counters over all ranks.
     pub counters: Counters,
@@ -74,92 +116,63 @@ pub struct DistOutput {
     pub fault_stats: FaultStats,
 }
 
-/// A cross-partition candidate pair: own point `x` (with its exact core
-/// flag) strictly within ε of halo point `y`.
-type Edge = (PointId, PointId, bool);
-
 struct RankState {
-    shard: Shard,
-    combined: Dataset,
-    own_n: usize,
+    view: LocalView,
     local: Option<Result<LocalRun, String>>,
-    edges: Vec<Edge>,
-    /// Exact core/assigned flags for this rank's own points, filled after
-    /// the local stage.
-    own_core: Vec<bool>,
-    heap_bytes: usize,
-    /// Decoded cross-partition edges received during the merge exchange
-    /// (only rank 0, which hosts the union replay, fills this). The
-    /// replay consumes THESE edges — delivery faults on the exchange are
-    /// load-bearing, not cosmetic.
-    merge_edges: Vec<Edge>,
+    summary: ShardSummary,
+    /// Cross-partition facts received during the merge exchange (only
+    /// rank 0, which hosts the merge, fills this).
+    received: Vec<CrossFacts>,
 }
 
-/// Run a distributed DBSCAN: `local` clusters one rank's combined
-/// dataset; the driver handles edge collection and the merge.
-///
-/// `shards` comes from a partitioner ([`partition::kd_partition`] or
-/// [`crate::hpdbscan`]'s cell partitioner); `part_phases` are its virtual
-/// times, folded into the output phase report.
+/// Run a distributed DBSCAN over one [`LocalView`] per rank (their owned
+/// ids partition `0..n`): `local` clusters one rank's combined view
+/// exactly; the driver summarizes, exchanges and merges.
+/// `partition_secs` is the partitioner's wall time, reported as the
+/// `partitioning` phase; the bytes it moved are derived from the views:
+/// owned points that left their initial contiguous block, plus every
+/// halo copy.
 ///
 /// With `faults`, the BSP engine injects the configured [`FaultConfig`]
 /// and this driver recovers every crash: a rank lost during the local
-/// stage re-requests its ε-halo (idempotent — the merge is query-free)
-/// and re-executes the deterministic `local` closure; a rank lost during
-/// edge collection restores its post-local-stage [`Checkpoint`] and
-/// re-runs only the edge queries. Either way the recovered output is
-/// bit-identical to the fault-free run, and all recovery work is charged
-/// to the virtual clock under a `recovery` phase.
-#[allow(clippy::too_many_arguments)] // mirrors the phases of an MPI driver: data, partitioning output, params, engine config, fault options, local stage
+/// stage re-requests its ε-halo (idempotent — nobody observed partial
+/// state) and re-executes the deterministic `local` closure; a rank
+/// lost during the summary restores its post-local-stage [`Checkpoint`]
+/// and re-runs only the summary queries. Either way the recovered output
+/// is bit-identical to the fault-free run, and all recovery work is
+/// charged to the virtual clock under a `recovery` phase.
 pub fn run_distributed(
-    n_total: usize,
-    shards: Vec<Shard>,
-    part_phases: PhaseTimer,
-    part_comm_bytes: u64,
+    views: Vec<LocalView>,
+    partition_secs: f64,
     params: &DbscanParams,
-    mode: ExecMode,
     comm: CommModel,
     faults: Option<&FaultConfig>,
-    local: impl Fn(usize, &Dataset, usize) -> Result<LocalRun, String> + Sync,
+    local: impl Fn(&Dataset) -> Result<LocalRun, String>,
 ) -> Result<DistOutput, DistError> {
-    let p = shards.len();
-    let states: Vec<RankState> = shards
+    let p = views.len();
+    let n: usize = views.iter().map(LocalView::own_len).sum();
+    let part_bytes = partition_bytes(&views);
+    let states: Vec<RankState> = views
         .into_iter()
-        .map(|shard| {
-            let mut combined = shard.data.clone();
-            combined.extend_from(&shard.halo);
-            let own_n = shard.len();
-            RankState {
-                shard,
-                combined,
-                own_n,
-                local: None,
-                edges: Vec::new(),
-                own_core: Vec::new(),
-                heap_bytes: 0,
-                merge_edges: Vec::new(),
-            }
+        .map(|view| RankState {
+            view,
+            local: None,
+            summary: ShardSummary::default(),
+            received: Vec::new(),
         })
         .collect();
 
     let run_span = obs::span!("dist");
-    let mut bsp = Bsp::new(states).with_mode(mode).with_comm(comm);
+    let mut bsp = Bsp::new(states).with_comm(comm);
     if let Some(fc) = faults {
         bsp = bsp.with_fault_plan(fc.plan.clone()).with_retry(fc.retry);
     }
 
     // The local-stage superstep body — shared with crash recovery, which
     // re-executes exactly this closure on the replacement rank.
-    let local_step = |r: usize, s: &mut RankState| {
-        let run = local(r, &s.combined, s.own_n);
-        if let Ok(run) = &run {
-            s.own_core = run.clustering.is_core[..s.own_n].to_vec();
-            s.heap_bytes = run.peak_heap_bytes;
-        }
-        s.local = Some(run);
-    };
+    let local_step = |_r: usize, s: &mut RankState| s.local = Some(local(&s.view.combined));
 
-    // Local clustering superstep.
+    // Superstep 0: local clustering.
     let local_span = obs::span!("local_clustering");
     bsp.phase("local_clustering");
     bsp.run(local_step);
@@ -169,11 +182,9 @@ pub fn run_distributed(
     // durable) and re-runs the deterministic local stage from scratch.
     for r in bsp.crashed_ranks() {
         bsp.phase("recovery");
-        let halo_bytes = {
-            let s = &bsp.states()[r];
-            (s.shard.halo.len() * s.shard.halo.dim() * 8 + s.shard.halo_ids.len() * 4) as u64
-        };
-        bsp.charge_recovery_comm(r, halo_bytes);
+        let view = &bsp.states()[r].view;
+        let halo_bytes = view.halo_ids.len() * (view.combined.dim() * 8 + 4);
+        bsp.charge_recovery_comm(r, halo_bytes as u64);
         bsp.recover(r, local_step);
     }
     for (r, s) in bsp.states().iter().enumerate() {
@@ -181,7 +192,6 @@ pub fn run_distributed(
             return Err(DistError::Local(r, msg.clone()));
         }
     }
-
     drop(local_span);
 
     // Snapshot every rank's local result so a crash later in the
@@ -191,227 +201,100 @@ pub fn run_distributed(
     let checkpoints: Vec<Option<Checkpoint>> = if faults.is_some() {
         bsp.states()
             .iter()
-            .map(|s| match &s.local {
-                Some(Ok(run)) => Some(Checkpoint::capture(run)),
-                _ => None,
-            })
+            .map(|s| s.local.as_ref()?.as_ref().ok().map(Checkpoint::capture))
             .collect()
     } else {
         Vec::new()
     };
 
-    // Edge collection superstep: index own points, query each halo point.
+    // Superstep 1: every rank summarizes its local clustering.
     let merge_span = obs::span!("merging");
     bsp.phase("merging");
-    let edge_step = |_r: usize, s: &mut RankState| {
-        if s.shard.halo_ids.is_empty() {
-            return;
-        }
-        let own_tree = RTree::bulk_load_points(
-            s.combined.dim(),
-            RTreeConfig::default(),
-            (0..s.own_n).map(|i| (i as u32, s.shard.data.point(i as u32).to_vec())),
-        );
-        let run = match s.local.as_ref() {
-            Some(Ok(run)) => run,
-            _ => return,
-        };
-        for (h, &hid) in s.shard.halo_ids.iter().enumerate() {
-            let coords = s.shard.halo.point(h as u32);
-            let mut hits = Vec::new();
-            let cost = own_tree.search_sphere(coords, params.eps, |x| hits.push(x));
-            // Halo probes are range queries like any other: count their
-            // node visits and MBR tests too (accounting hole until v3).
-            run.counters.count_range_query();
-            run.counters.count_dists(cost.mbr_tests);
-            run.counters.count_node_visits(cost.nodes_visited.max(1));
-            if obs::enabled() {
-                obs::record_hist("halo/node_visits", cost.nodes_visited.max(1));
-            }
-            for x in hits {
-                let gx = s.shard.ids[x as usize];
-                let x_core = run.clustering.is_core[x as usize];
-                s.edges.push((gx, hid, x_core));
-            }
+    let eps = params.eps;
+    let summary_step = |_r: usize, s: &mut RankState| {
+        if let Some(Ok(run)) = &s.local {
+            s.summary = summarize(&s.view, &run.clustering, eps, &run.counters);
         }
     };
-    bsp.run(edge_step);
+    bsp.run(summary_step);
 
-    // Recover ranks that crashed during edge collection: fail-stop lost
-    // the rank's volatile memory, so restore the post-local-stage
-    // checkpoint (charged as a transfer) and re-run only the edge
-    // queries.
+    // Recover ranks that crashed during the summary: fail-stop lost the
+    // rank's volatile memory, so restore the post-local-stage checkpoint
+    // (charged as a transfer) and re-run only the summary queries.
     for r in bsp.crashed_ranks() {
         bsp.phase("recovery");
-        let ck = checkpoints[r].as_ref().expect("rank checkpointed after the local stage").clone();
-        {
-            let s = &mut bsp.states_mut()[r];
-            s.local = None;
-            s.own_core.clear();
-            s.edges.clear();
-        }
+        let ck = checkpoints[r].as_ref().expect("rank checkpointed after the local stage");
+        bsp.states_mut()[r].local = None;
         bsp.charge_recovery_comm(r, ck.byte_size() as u64);
         bsp.recover(r, |r, s| {
-            let run = ck.restore();
-            s.own_core = run.clustering.is_core[..s.own_n].to_vec();
-            s.heap_bytes = run.peak_heap_bytes;
-            s.local = Some(Ok(run));
-            edge_step(r, s);
+            s.local = Some(Ok(ck.restore()));
+            summary_step(r, s);
         });
     }
+    let edges: u64 = bsp.states().iter().map(|s| s.summary.cross.edges.len() as u64).sum();
+    let halo_points: u64 = bsp.states().iter().map(|s| s.summary.halo_len as u64).sum();
 
-    // Exchange edges (models the all-to-all of merge pairs; routed to
-    // rank 0, which hosts the union replay in this simulation). Rank 0
-    // decodes what it actually RECEIVED — the merge below runs over the
-    // delivered edges, so drops/duplicates/reorders must be healed by
-    // the delivery layer for the replay to stay exact.
+    // Superstep 2: send the cross-partition facts to rank 0, which
+    // hosts the merge and keeps what it actually RECEIVED — drops,
+    // duplicates and reorders must be healed by the delivery layer for
+    // the merge to stay exact.
     bsp.phase("merging");
     bsp.exchange(
         |_r, s: &mut RankState| {
-            if s.edges.is_empty() {
+            let cross = std::mem::take(&mut s.summary.cross);
+            if cross.is_empty() {
                 Vec::new()
             } else {
-                let flat: Vec<u64> = s
-                    .edges
-                    .iter()
-                    .map(|&(x, y, c)| ((x as u64) << 33) | ((y as u64) << 1) | c as u64)
-                    .collect();
-                vec![Envelope::new(0, flat)]
+                vec![Envelope::new(0, cross)]
             }
         },
-        |r, s: &mut RankState, inbox: Vec<(usize, Vec<u64>)>| {
+        |r, s: &mut RankState, inbox: Vec<(usize, CrossFacts)>| {
             if r == 0 {
-                for (_src, flat) in inbox {
-                    s.merge_edges.extend(flat.into_iter().map(|v| {
-                        ((v >> 33) as PointId, ((v >> 1) & 0xffff_ffff) as PointId, v & 1 == 1)
-                    }));
-                }
+                s.received.extend(inbox.into_iter().map(|(_src, cross)| cross));
             }
         },
     );
 
-    // Global merge replay (orchestrator side, timed into "merging").
+    // The merge (orchestrator side, timed into "merging").
     let sw = Stopwatch::start();
-    let mut is_core = vec![false; n_total];
-    let mut assigned = vec![false; n_total];
-    let mut uf = UnionFind::new(n_total);
     let counters = Counters::new();
-
-    // Exact flags + seeds from every rank's own points.
-    for s in bsp.states() {
-        let run = match s.local.as_ref() {
-            Some(Ok(run)) => run,
-            _ => unreachable!("checked above"),
-        };
-        let labels = &run.clustering.labels;
-        // Seed the global forest with each local cluster: all OWN members,
-        // plus locally-core HALO members. A locally-core halo point is
-        // truly core (a rank sees a subset of a halo point's true
-        // neighbourhood, so it can only under-mark), and it reached the
-        // local cluster through a chain of truly-core pivots — so these
-        // unions are always valid. Crucially, they carry own *border*
-        // points that were attached via a halo-core pivot into the right
-        // global set; skipping them (and relying on the edge replay) loses
-        // those points, because their `assigned` flag blocks the
-        // border-guarded edge rule.
-        let mut rep: std::collections::HashMap<u32, PointId> = std::collections::HashMap::new();
-        for (i, &gid) in s.shard.ids.iter().enumerate() {
-            is_core[gid as usize] = run.clustering.is_core[i];
-            let l = labels[i];
-            if l == NOISE {
-                continue;
-            }
-            assigned[gid as usize] = true;
-            match rep.entry(l) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    uf.union(*e.get(), gid);
-                    counters.count_union();
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(gid);
-                }
-            }
-        }
-        for (h, &gid) in s.shard.halo_ids.iter().enumerate() {
-            let i = s.own_n + h;
-            if !run.clustering.is_core[i] {
-                continue; // non-core halo points: the owner's word stands
-            }
-            let l = labels[i];
-            if l == NOISE {
-                continue;
-            }
-            match rep.entry(l) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    uf.union(*e.get(), gid);
-                    counters.count_union();
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(gid);
-                }
-            }
-        }
+    let states = bsp.states();
+    let clustering =
+        merge(n, states.iter().map(|s| &s.summary.own), &states[0].received, &counters);
+    let runs = || states.iter().filter_map(|s| s.local.as_ref()?.as_ref().ok());
+    for run in runs() {
         counters.absorb(&run.counters);
     }
-
-    // Replay the cross-partition edges with exact flags — over the edges
-    // rank 0 actually received in the exchange (delivery order is the
-    // per-sender send order, so the border-guarded unions replay
-    // identically to a fault-free run).
-    for &(x, y, x_core) in &bsp.states()[0].merge_edges {
-        debug_assert_eq!(is_core[x as usize], x_core);
-        let y_core = is_core[y as usize];
-        if x_core && y_core {
-            uf.union(x, y);
-            counters.count_union();
-        } else if x_core && !assigned[y as usize] {
-            uf.union(x, y);
-            counters.count_union();
-            assigned[y as usize] = true;
-        } else if y_core && !x_core && !assigned[x as usize] {
-            uf.union(y, x);
-            counters.count_union();
-            assigned[x as usize] = true;
-        }
-    }
-    let replay_secs = sw.secs();
+    let merge_secs = sw.secs();
     drop(merge_span);
 
     // Assemble the phase report: partitioning + per-phase local maxima +
     // merging.
-    let mut phases = part_phases;
+    let mut phases = PhaseTimer::new();
+    phases.add_secs("partitioning", partition_secs);
     let mut local_max = PhaseTimer::new();
-    let mut max_heap = 0usize;
-    for s in bsp.states() {
-        if let Some(Ok(run)) = &s.local {
-            local_max.max_merge(&run.phases);
-        }
-        max_heap = max_heap.max(s.heap_bytes);
+    for run in runs() {
+        local_max.max_merge(&run.phases);
     }
+    let max_heap = runs().map(|run| run.peak_heap_bytes).max().unwrap_or(0);
     for (name, d) in local_max.iter() {
         phases.add(name, d);
     }
-    let merging_secs = bsp.phase_times().secs("merging") + replay_secs;
-    phases.add_secs("merging", merging_secs);
+    phases.add_secs("merging", bsp.phase_times().secs("merging") + merge_secs);
     let recovery_secs = bsp.phase_times().secs("recovery");
     if recovery_secs > 0.0 {
         phases.add_secs("recovery", recovery_secs);
     }
+    let runtime_secs = phases.total_secs() - phases.secs("partitioning");
 
-    let runtime_secs =
-        phases.total_secs() - phases.secs("partitioning") - phases.secs("halo_exchange");
-
-    let comm_bytes = part_comm_bytes + bsp.comm_bytes();
+    let comm_bytes = part_bytes + bsp.comm_bytes();
     if obs::enabled() {
         obs::record_count("dist/ranks", p as u64);
         obs::record_count("dist/comm_bytes", comm_bytes);
-        obs::record_count("dist/edges", bsp.states().iter().map(|s| s.edges.len() as u64).sum());
-        obs::record_count(
-            "dist/halo_points",
-            bsp.states().iter().map(|s| s.shard.halo_ids.len() as u64).sum(),
-        );
+        obs::record_count("dist/edges", edges);
+        obs::record_count("dist/halo_points", halo_points);
         obs::record_value("dist/virtual_makespan_secs", bsp.makespan());
-        obs::record_value("dist/merge_replay_secs", replay_secs);
+        obs::record_value("dist/merge_replay_secs", merge_secs);
     }
     let fault_stats = bsp.fault_stats().clone();
     if obs::enabled() && !fault_stats.is_quiet() {
@@ -419,9 +302,6 @@ pub fn run_distributed(
         obs::record_count("recovery/bytes", fault_stats.recovery_comm_bytes);
     }
     drop(run_span);
-    let rank_clocks = bsp.rank_clocks().to_vec();
-    let supersteps = bsp.steps();
-    let clustering = Clustering::from_union_find(&mut uf, is_core);
 
     Ok(DistOutput {
         clustering,
@@ -431,8 +311,24 @@ pub fn run_distributed(
         counters,
         ranks: p,
         max_rank_heap_bytes: max_heap,
-        rank_clocks,
-        supersteps,
+        rank_clocks: bsp.rank_clocks().to_vec(),
+        supersteps: bsp.steps(),
         fault_stats,
     })
+}
+
+/// Bytes a partitioning moves between ranks: owned points that leave
+/// their initial contiguous block (parallel I/O hands rank `r` the ids
+/// `r·⌈n/p⌉..`) plus every halo copy; a point travels as its 4-byte id
+/// and its 8-byte coordinates.
+fn partition_bytes(views: &[LocalView]) -> u64 {
+    let n: usize = views.iter().map(LocalView::own_len).sum();
+    let block = n.div_ceil(views.len()).max(1);
+    let mut points = 0usize;
+    for (r, view) in views.iter().enumerate() {
+        points += view.ids.iter().filter(|&&id| id as usize / block != r).count();
+        points += view.halo_ids.len();
+    }
+    let point_bytes = views.first().map_or(0, |v| v.combined.dim() * 8 + 4);
+    (points * point_bytes) as u64
 }

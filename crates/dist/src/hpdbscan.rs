@@ -16,12 +16,12 @@
 //!   from the paper's reported runtimes anyway) and charged to the
 //!   `partitioning` phase via a stopwatch.
 
-use crate::driver::{run_distributed, DistError, DistOutput, LocalRun};
+use crate::driver::{run_distributed, DistError, DistOutput};
 use baselines::GridDbscan;
-use cluster_sim::{CommModel, ExecMode};
+use cluster_sim::CommModel;
 use geom::{Dataset, DbscanParams, Mbr, PointId};
 use metrics::mem::MemBudget;
-use metrics::{PhaseTimer, Stopwatch};
+use metrics::Stopwatch;
 use partition::Shard;
 use std::collections::BTreeMap;
 
@@ -30,7 +30,6 @@ use std::collections::BTreeMap;
 pub struct HpDbscan {
     params: DbscanParams,
     ranks: usize,
-    mode: ExecMode,
     comm: CommModel,
     /// Per-rank structure memory budget (inherited by the grid stage).
     pub budget: MemBudget,
@@ -39,46 +38,21 @@ pub struct HpDbscan {
 impl HpDbscan {
     /// New instance over `ranks` simulated ranks.
     pub fn new(params: DbscanParams, ranks: usize) -> Self {
-        Self {
-            params,
-            ranks,
-            mode: ExecMode::Sequential,
-            comm: CommModel::default(),
-            budget: MemBudget::new(4 << 30),
-        }
+        Self { params, ranks, comm: CommModel::default(), budget: MemBudget::new(4 << 30) }
     }
 
     /// Run on `data`.
     pub fn run(&self, data: &Dataset) -> Result<DistOutput, DistError> {
-        let mut phases = PhaseTimer::new();
         let sw = Stopwatch::start();
-        let (shards, moved_bytes) = cell_partition(data, self.ranks, self.params.eps);
-        phases.add_secs("partitioning", sw.secs());
+        let shards = cell_partition(data, self.ranks, self.params.eps);
+        let views = shards.into_iter().map(Into::into).collect();
+        let partition_secs = sw.secs();
 
-        let params = self.params;
-        let budget = self.budget;
-        run_distributed(
-            data.len(),
-            shards,
-            phases,
-            moved_bytes,
-            &params,
-            self.mode,
-            self.comm,
-            None,
-            move |_rank, combined, _own_n| {
-                let out = GridDbscan::new(params)
-                    .with_budget(budget)
-                    .run(combined)
-                    .map_err(|e| e.to_string())?;
-                Ok(LocalRun {
-                    clustering: out.clustering,
-                    phases: out.phases,
-                    counters: out.counters,
-                    peak_heap_bytes: out.peak_heap_bytes,
-                })
-            },
-        )
+        let (params, budget) = (self.params, self.budget);
+        run_distributed(views, partition_secs, &params, self.comm, None, |combined| {
+            let out = GridDbscan::new(params).with_budget(budget).run(combined);
+            Ok(out.map_err(|e| e.to_string())?.into())
+        })
     }
 }
 
@@ -86,7 +60,7 @@ impl HpDbscan {
 /// balancing the HPDBSCAN cost heuristic (cost(cell) = |cell|²,
 /// approximating the pairwise work inside a cell). Returns shards with
 /// regions = bounding boxes of the assigned points, and ε-halos.
-pub fn cell_partition(data: &Dataset, p: usize, eps: f64) -> (Vec<Shard>, u64) {
+pub fn cell_partition(data: &Dataset, p: usize, eps: f64) -> Vec<Shard> {
     assert!(p >= 1);
     let dim = data.dim();
 
@@ -137,7 +111,6 @@ pub fn cell_partition(data: &Dataset, p: usize, eps: f64) -> (Vec<Shard>, u64) {
 
     // Halo exchange: remote points strictly within ε of a rank's region.
     let eps_sq = eps * eps;
-    let mut moved = 0u64;
     for r in 0..p {
         let region = shards[r].region.clone();
         let mut halo_ids = Vec::new();
@@ -154,12 +127,11 @@ pub fn cell_partition(data: &Dataset, p: usize, eps: f64) -> (Vec<Shard>, u64) {
                 }
             }
         }
-        moved += (coords.len() * 8 + halo_ids.len() * 4) as u64;
         shards[r].halo_ids = halo_ids;
         shards[r].halo = Dataset::from_flat(dim, coords);
     }
 
-    (shards, moved)
+    shards
 }
 
 #[cfg(test)]
@@ -188,7 +160,7 @@ mod tests {
     #[test]
     fn cell_partition_complete_and_disjoint() {
         let data = blob_data();
-        let (shards, _) = cell_partition(&data, 4, 0.8);
+        let shards = cell_partition(&data, 4, 0.8);
         let mut seen = vec![false; data.len()];
         for s in &shards {
             for &id in &s.ids {
@@ -203,7 +175,7 @@ mod tests {
     fn halos_complete_for_cell_partition() {
         let data = blob_data();
         let eps = 0.8;
-        let (shards, _) = cell_partition(&data, 4, eps);
+        let shards = cell_partition(&data, 4, eps);
         for s in &shards {
             let halo: std::collections::HashSet<u32> = s.halo_ids.iter().copied().collect();
             for (other_i, other) in shards.iter().enumerate() {
@@ -232,13 +204,14 @@ mod tests {
             let out = HpDbscan::new(params, p).run(&data).unwrap();
             let rep = check_exact(&out.clustering, &reference, &data, &params);
             assert!(rep.is_exact(), "p={p}: {rep:?}");
+            assert_eq!(out.clustering, reference, "p={p}");
         }
     }
 
     #[test]
     fn load_heuristic_spreads_cost() {
         let data = blob_data();
-        let (shards, _) = cell_partition(&data, 4, 0.8);
+        let shards = cell_partition(&data, 4, 0.8);
         let nonempty = shards.iter().filter(|s| !s.is_empty()).count();
         assert!(nonempty >= 2, "cost heuristic collapsed everything onto one rank");
     }

@@ -3,23 +3,22 @@
 //! local stage differs).
 
 use crate::driver::{run_distributed, DistError, DistOutput, LocalRun};
+use crate::merge::LocalView;
 use crate::recovery::FaultConfig;
 use baselines::{GridDbscan, RDbscan};
-use cluster_sim::FaultPlan;
-use cluster_sim::{CommModel, ExecMode};
+use cluster_sim::{CommModel, FaultPlan};
 use geom::{Dataset, DbscanParams};
 use mcs::BuildOptions;
 use metrics::mem::MemBudget;
-use mudbscan::MuDbscan;
-use partition::kd_partition;
+use metrics::Stopwatch;
+use mudbscan::{MuDbscan, ParMuDbscan};
+use partition::{gather_shards, plan_shards, ShardingOptions};
 
 /// Common configuration of the kd-partitioned distributed algorithms.
 #[derive(Debug, Clone, Copy)]
 pub struct DistConfig {
     /// Number of simulated ranks (`p`).
     pub ranks: usize,
-    /// Execution mode of the BSP engine.
-    pub mode: ExecMode,
     /// Communication cost model.
     pub comm: CommModel,
     /// Worker threads used *inside* each rank's local μDBSCAN stage —
@@ -32,13 +31,7 @@ pub struct DistConfig {
 impl DistConfig {
     /// `p` sequentially simulated ranks with the default network model.
     pub fn new(ranks: usize) -> Self {
-        Self { ranks, mode: ExecMode::Sequential, comm: CommModel::default(), local_threads: 1 }
-    }
-
-    /// Run the rank programs on real threads.
-    pub fn threaded(mut self) -> Self {
-        self.mode = ExecMode::Threaded;
-        self
+        Self { ranks, comm: CommModel::default(), local_threads: 1 }
     }
 
     /// Use `t` worker threads inside each rank's local clustering stage.
@@ -47,6 +40,31 @@ impl DistConfig {
         self.local_threads = t;
         self
     }
+}
+
+/// Run `local` on the paper's p-rank kd partition: the shard planner's
+/// plan with `min_shards = p`, padded with empty shards when the data
+/// cannot be cut that often (tiny or duplicate-heavy inputs), so there
+/// are always exactly `p` ranks. The planner and halo gather are timed
+/// as `partitioning`.
+fn run_on_kd_ranks(
+    data: &Dataset,
+    params: &DbscanParams,
+    cfg: &DistConfig,
+    faults: Option<&FaultConfig>,
+    local: impl Fn(&Dataset) -> Result<LocalRun, String>,
+) -> Result<DistOutput, DistError> {
+    let p = cfg.ranks;
+    assert!(p >= 1, "need at least one rank");
+    let sw = Stopwatch::start();
+    let plan =
+        plan_shards(data, params.eps, &ShardingOptions { min_shards: p, max_shard_bytes: None });
+    let mut views: Vec<LocalView> =
+        gather_shards(data, &plan).into_iter().map(LocalView::from).collect();
+    let partition_secs = sw.secs();
+    assert!(views.len() <= p, "the planner cut more shards than ranks");
+    views.resize_with(p, || LocalView::empty(data.dim()));
+    run_distributed(views, partition_secs, params, cfg.comm, faults, local)
 }
 
 /// μDBSCAN-D (paper §V): kd partitioning + local μDBSCAN + merge.
@@ -91,42 +109,14 @@ impl MuDbscanD {
     // going through the facade — depending on `mudbscan` (the api crate)
     // here would be a dependency cycle.
     pub fn run(&self, data: &Dataset) -> Result<DistOutput, DistError> {
-        let part =
-            kd_partition(data, self.cfg.ranks, self.params.eps, self.cfg.mode, self.cfg.comm);
-        let params = self.params;
-        let opts = self.opts;
-        let local_threads = self.cfg.local_threads;
-        run_distributed(
-            data.len(),
-            part.shards,
-            part.phases,
-            part.comm_bytes,
-            &params,
-            self.cfg.mode,
-            self.cfg.comm,
-            self.faults.as_ref(),
-            move |_rank, combined, _own_n| {
-                if local_threads > 1 {
-                    let out = mudbscan::ParMuDbscan::from_params(params, local_threads)
-                        .with_options(opts)
-                        .run(combined);
-                    Ok(LocalRun {
-                        clustering: out.clustering,
-                        phases: out.phases,
-                        counters: out.counters.snapshot(),
-                        peak_heap_bytes: 0,
-                    })
-                } else {
-                    let out = MuDbscan::from_params(params).with_options(opts).run(combined);
-                    Ok(LocalRun {
-                        clustering: out.clustering,
-                        phases: out.phases,
-                        counters: out.counters,
-                        peak_heap_bytes: out.peak_heap_bytes,
-                    })
-                }
-            },
-        )
+        let (params, opts, threads) = (self.params, self.opts, self.cfg.local_threads);
+        run_on_kd_ranks(data, &params, &self.cfg, self.faults.as_ref(), |combined| {
+            Ok(if threads > 1 {
+                ParMuDbscan::from_params(params, threads).with_options(opts).run(combined).into()
+            } else {
+                MuDbscan::from_params(params).with_options(opts).run(combined).into()
+            })
+        })
     }
 }
 
@@ -146,28 +136,10 @@ impl PdsDbscanD {
 
     /// Run on `data`.
     pub fn run(&self, data: &Dataset) -> Result<DistOutput, DistError> {
-        let part =
-            kd_partition(data, self.cfg.ranks, self.params.eps, self.cfg.mode, self.cfg.comm);
         let params = self.params;
-        run_distributed(
-            data.len(),
-            part.shards,
-            part.phases,
-            part.comm_bytes,
-            &params,
-            self.cfg.mode,
-            self.cfg.comm,
-            None,
-            move |_rank, combined, _own_n| {
-                let out = RDbscan::new(params).run(combined);
-                Ok(LocalRun {
-                    clustering: out.clustering,
-                    phases: out.phases,
-                    counters: out.counters,
-                    peak_heap_bytes: out.peak_heap_bytes,
-                })
-            },
-        )
+        run_on_kd_ranks(data, &params, &self.cfg, None, |combined| {
+            Ok(RDbscan::new(params).run(combined).into())
+        })
     }
 }
 
@@ -197,32 +169,11 @@ impl GridDbscanD {
 
     /// Run on `data`.
     pub fn run(&self, data: &Dataset) -> Result<DistOutput, DistError> {
-        let part =
-            kd_partition(data, self.cfg.ranks, self.params.eps, self.cfg.mode, self.cfg.comm);
-        let params = self.params;
-        let budget = self.budget;
-        run_distributed(
-            data.len(),
-            part.shards,
-            part.phases,
-            part.comm_bytes,
-            &params,
-            self.cfg.mode,
-            self.cfg.comm,
-            None,
-            move |_rank, combined, _own_n| {
-                let out = GridDbscan::new(params)
-                    .with_budget(budget)
-                    .run(combined)
-                    .map_err(|e| e.to_string())?;
-                Ok(LocalRun {
-                    clustering: out.clustering,
-                    phases: out.phases,
-                    counters: out.counters,
-                    peak_heap_bytes: out.peak_heap_bytes,
-                })
-            },
-        )
+        let (params, budget) = (self.params, self.budget);
+        run_on_kd_ranks(data, &params, &self.cfg, None, |combined| {
+            let out = GridDbscan::new(params).with_budget(budget).run(combined);
+            Ok(out.map_err(|e| e.to_string())?.into())
+        })
     }
 }
 
@@ -258,6 +209,7 @@ mod tests {
             let out = MuDbscanD::from_params(params, DistConfig::new(p)).run(&data).unwrap();
             let rep = check_exact(&out.clustering, &reference, &data, &params);
             assert!(rep.is_exact(), "p={p}: {rep:?}");
+            assert_eq!(out.clustering, reference, "p={p}");
             assert_eq!(out.ranks, p);
             assert!(out.runtime_secs > 0.0);
         }
@@ -271,6 +223,7 @@ mod tests {
         let out = PdsDbscanD::new(params, DistConfig::new(4)).run(&data).unwrap();
         let rep = check_exact(&out.clustering, &reference, &data, &params);
         assert!(rep.is_exact(), "{rep:?}");
+        assert_eq!(out.clustering, reference);
         // PDSDBSCAN queries every local point (own + halo).
         assert!(out.counters.range_queries() as usize >= data.len());
     }
@@ -283,6 +236,7 @@ mod tests {
         let out = GridDbscanD::new(params, DistConfig::new(4)).run(&data).unwrap();
         let rep = check_exact(&out.clustering, &reference, &data, &params);
         assert!(rep.is_exact(), "{rep:?}");
+        assert_eq!(out.clustering, reference);
     }
 
     #[test]
@@ -295,15 +249,6 @@ mod tests {
             Err(DistError::Local(_, msg)) => assert!(msg.contains("memory"), "{msg}"),
             Ok(_) => panic!("expected per-rank memory error"),
         }
-    }
-
-    #[test]
-    fn mudbscan_d_threaded_matches_sequential() {
-        let data = blob_data(40);
-        let params = DbscanParams::new(0.7, 5);
-        let a = MuDbscanD::from_params(params, DistConfig::new(4)).run(&data).unwrap();
-        let b = MuDbscanD::from_params(params, DistConfig::new(4).threaded()).run(&data).unwrap();
-        assert_eq!(a.clustering, b.clustering);
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //! the checkpointable form of a rank's local result.
 //!
 //! Recovery is *exact by construction*: a crashed rank's replacement
-//! re-executes the deterministic local μDBSCAN over the same owned
+//! re-executes the deterministic local stage over the same owned
 //! partition plus the re-requested ε-halo (halo re-request is idempotent
-//! — the merge phase is query-free, so nobody observed partial state),
-//! and the re-executed [`LocalRun`] is bit-identical to the lost one.
-//! A crash *after* the local stage instead restores the rank's
-//! [`Checkpoint`] (charged as a transfer) and re-runs only the edge
-//! collection, per Theorem 1's merge argument: the merge consumes only
-//! exact core flags and cross-partition ε-pairs, both reproducible.
+//! — no other rank observed the lost state), and the re-executed
+//! [`LocalRun`] is bit-identical to the lost one. A crash *after* the
+//! local stage instead restores the rank's [`Checkpoint`] (charged as a
+//! transfer) and re-runs only the summary queries: the merge consumes
+//! only exact core flags, core groups, cross-partition ε-pairs and
+//! border candidate lists, all a pure function of the local result.
 
 use cluster_sim::{FaultPlan, RetryConfig};
 use metrics::{Counters, PhaseTimer};

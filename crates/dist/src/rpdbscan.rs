@@ -22,7 +22,7 @@
 //! The output is intentionally **approximate** — tests assert structural
 //! sanity (blobs found, deviation bounded), not exactness.
 
-use cluster_sim::{Bsp, CommModel, ExecMode};
+use cluster_sim::{Bsp, CommModel};
 use geom::{dist_sq, Dataset, DbscanParams, Mbr, PointId};
 use metrics::{Counters, PhaseTimer};
 use mudbscan::{Clustering, NOISE};
@@ -37,7 +37,6 @@ pub struct RpDbscan {
     /// Approximation parameter ρ ∈ (0, 1]; the paper's authors suggest
     /// 0.99 (used in the μDBSCAN comparison too).
     pub rho: f64,
-    mode: ExecMode,
     comm: CommModel,
 }
 
@@ -72,7 +71,7 @@ struct RpRank {
 impl RpDbscan {
     /// New instance with ρ = 0.99 over `ranks` simulated ranks.
     pub fn new(params: DbscanParams, ranks: usize) -> Self {
-        Self { params, ranks, rho: 0.99, mode: ExecMode::Sequential, comm: CommModel::default() }
+        Self { params, ranks, rho: 0.99, comm: CommModel::default() }
     }
 
     /// Run on `data`.
@@ -99,7 +98,7 @@ impl RpDbscan {
                 cell_of: Vec::new(),
             })
             .collect();
-        let mut bsp = Bsp::new(states).with_mode(self.mode).with_comm(self.comm);
+        let mut bsp = Bsp::new(states).with_comm(self.comm);
 
         // Phase 1: per-rank sub-dictionaries.
         bsp.phase("cell_dictionary");

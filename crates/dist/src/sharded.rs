@@ -7,48 +7,13 @@
 //! memory: a deterministic [`partition::ShardPlan`] cuts budget-sized
 //! spatial cells, each worker thread claims shards off a shared queue,
 //! materializes one shard at a time (owned points + ε-halo), clusters it
-//! with the exact sequential μDBSCAN, and emits a compact summary; a
-//! final sequential merge stitches the summaries into the global
-//! clustering.
-//!
-//! ## Exactness: bit-identical to the in-memory oracle
-//!
-//! The merge is built so the output equals `naive_dbscan` *structurally*
-//! — for any shard count, memory budget, or thread count:
-//!
-//! 1. **Core flags are exact.** A shard's ε-halo contains every remote
-//!    point strictly within ε of its region, so an owned point's full
-//!    ε-neighbourhood is present locally and its core flag is the true
-//!    one.
-//! 2. **The core partition is exact.** Every core–core ε-pair is either
-//!    shard-internal (both points in one shard's combined view — the
-//!    local run unions them) or cross-shard (the remote point is in the
-//!    halo — the edge query collects it, and the merge unions it once
-//!    the remote flag is confirmed core). Seeds union each local
-//!    cluster's core members (own cores plus locally-core halo points,
-//!    which are truly core because a shard can only *under*-mark halo
-//!    cores).
-//! 3. **Borders resolve canonically.** The reference attaches each
-//!    non-core point to its minimum-id core ε-neighbour. Each shard
-//!    records, per owned non-core point, the sorted global ids of all
-//!    its ε-neighbours (complete, by halo completeness; short, since a
-//!    non-core point has fewer than MinPts of them); the merge picks the
-//!    first globally-core candidate. No shard-geometry-dependent
-//!    tie-break survives into the output.
-//!
-//! `Clustering::from_union_find` then canonicalizes labels in point-id
-//! order, which makes the whole clustering — labels, core flags, noise —
-//! bit-identical to `naive_dbscan` for any shard geometry. The
-//! conformance suite (`conformance/tests/sharded_equivalence.rs`) pins
-//! this across dataset families × shard counts × budgets. Against the
-//! single-heap μDBSCAN families the output is paper-exact (identical
-//! cores, core partition and noise); a border point strictly within ε
-//! of cores in *two* clusters may join the other one, because the
-//! in-memory algorithm resolves that tie by processing order (a CMC
-//! member is pre-assigned to its center's cluster without a query —
-//! that is the wndq saving) while this executor always picks the
-//! minimum-id core neighbour. DBSCAN itself leaves the choice
-//! order-defined; `check_exact` accepts both.
+//! with the exact sequential μDBSCAN, and emits a compact
+//! [`ShardSummary`]; a final sequential [`merge`] stitches the summaries
+//! into the global clustering. Planner, summary and merge are the ones
+//! the BSP driver uses, so the output is bit-identical to `naive_dbscan`
+//! for any shard count, memory budget or thread count (see the
+//! [crate docs](crate#exactness-of-the-merge)); the conformance suite
+//! (`conformance/tests/sharded_equivalence.rs`) pins it.
 //!
 //! ## Timing: wall vs makespan
 //!
@@ -61,13 +26,12 @@
 //! is what the wall-clock would be with real cores, which is what the
 //! t1→t4 speedup gate measures.
 
-use geom::{DataSource, Dataset, DbscanParams, PointId};
+use crate::merge::{merge, summarize, LocalView, ShardSummary};
+use geom::{DataSource, DbscanParams};
 use metrics::{BusyTimer, Counters, Stopwatch};
-use mudbscan::{Clustering, MuDbscan, NOISE};
+use mudbscan::{Clustering, MuDbscan};
 use partition::{gather_shard, plan_shards, ShardPlan, ShardingOptions};
-use rtree::{RTree, RTreeConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use unionfind::UnionFind;
 
 /// Configuration of a sharded run.
 #[derive(Debug, Clone, Copy)]
@@ -126,19 +90,12 @@ pub struct ShardedOutput {
     pub edges: u64,
 }
 
-/// One shard's compact contribution to the merge.
-struct ShardSummary {
+/// One shard's summary plus the counters of its local stage and
+/// summary queries.
+struct ShardResult {
     shard: usize,
-    /// (global id, exact core flag) for every owned point.
-    own: Vec<(PointId, bool)>,
-    /// Core member gids per local cluster (own cores + locally-core halo).
-    groups: Vec<Vec<PointId>>,
-    /// Owned non-core points with the sorted gids of all ε-neighbours.
-    borders: Vec<(PointId, Vec<PointId>)>,
-    /// (own core gid, halo gid) cross-shard candidate pairs.
-    edges: Vec<(PointId, PointId)>,
+    summary: ShardSummary,
     counters: Counters,
-    halo_len: usize,
 }
 
 /// The out-of-core sharded μDBSCAN executor. Prefer the facade:
@@ -166,8 +123,7 @@ impl ShardedMuDbscan {
         // Plan: deterministic function of (source, eps, shards, budget).
         let plan_sw = Stopwatch::start();
         let min_shards = self.opts.shards.unwrap_or(threads).max(1);
-        let max_shard_bytes =
-            self.opts.memory_budget.map(|b| (b / (2 * threads)).max(1));
+        let max_shard_bytes = self.opts.memory_budget.map(|b| (b / (2 * threads)).max(1));
         let plan =
             plan_shards(src, self.params.eps, &ShardingOptions { min_shards, max_shard_bytes });
         let plan_wall_secs = plan_sw.secs();
@@ -181,7 +137,7 @@ impl ShardedMuDbscan {
         let workers = threads.min(n_shards).max(1);
         let params = self.params;
         let build = self.opts.build;
-        let mut summaries: Vec<ShardSummary> = Vec::with_capacity(n_shards);
+        let mut results: Vec<ShardResult> = Vec::with_capacity(n_shards);
         let mut busy: Vec<f64> = Vec::with_capacity(workers);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
@@ -206,53 +162,30 @@ impl ShardedMuDbscan {
                 .collect();
             for h in handles {
                 let (mut out, secs) = h.join().expect("shard worker panicked");
-                summaries.append(&mut out);
+                results.append(&mut out);
                 busy.push(secs);
             }
         });
-        summaries.sort_by_key(|s| s.shard);
+        results.sort_by_key(|r| r.shard);
         let busy_max_secs = busy.iter().copied().fold(0.0, f64::max);
         let busy_total_secs: f64 = busy.iter().sum();
 
         // Sequential merge: exact flags, core-partition unions, canonical
-        // border resolution (module docs lay out why this reproduces the
-        // oracle bit-for-bit).
+        // border resolution.
         let merge_sw = Stopwatch::start();
         let counters = Counters::new();
-        let mut is_core = vec![false; n];
-        for sm in &summaries {
-            for &(gid, core) in &sm.own {
-                is_core[gid as usize] = core;
-            }
+        let clustering = merge(
+            n,
+            results.iter().map(|r| &r.summary.own),
+            results.iter().map(|r| &r.summary.cross),
+            &counters,
+        );
+        let (mut edges, mut halo_points) = (0u64, 0u64);
+        for r in &results {
+            counters.absorb(&r.counters);
+            edges += r.summary.cross.edges.len() as u64;
+            halo_points += r.summary.halo_len as u64;
         }
-        let mut uf = UnionFind::new(n);
-        let mut edges = 0u64;
-        let mut halo_points = 0u64;
-        for sm in &summaries {
-            for group in &sm.groups {
-                for w in group.windows(2) {
-                    uf.union(w[0], w[1]);
-                    counters.count_union();
-                }
-            }
-            for &(x, y) in &sm.edges {
-                debug_assert!(is_core[x as usize]);
-                if is_core[y as usize] {
-                    uf.union(x, y);
-                    counters.count_union();
-                }
-            }
-            for (b, cands) in &sm.borders {
-                if let Some(&c) = cands.iter().find(|&&c| is_core[c as usize]) {
-                    uf.union(c, *b);
-                    counters.count_union();
-                }
-            }
-            counters.absorb(&sm.counters);
-            edges += sm.edges.len() as u64;
-            halo_points += sm.halo_len as u64;
-        }
-        let clustering = Clustering::from_union_find(&mut uf, is_core);
         let merge_wall_secs = merge_sw.secs();
 
         let makespan_secs = plan_wall_secs + busy_max_secs + merge_wall_secs;
@@ -300,120 +233,28 @@ fn run_shard(
     build: &mcs::BuildOptions,
     resident: &AtomicUsize,
     peak: &AtomicUsize,
-) -> ShardSummary {
+) -> ShardResult {
     let shard_span = obs::span!("shard");
-    let mut shard = gather_shard(src, plan, s);
-    let own_n = shard.len();
-    let halo_len = shard.halo_ids.len();
-    let dim = plan.dim();
-
-    // Fold the halo into one combined dataset (own points first) and
-    // drop the separate copies, so tracked residency is what's actually
-    // held: combined coordinates + the id vectors.
-    let mut combined = std::mem::replace(&mut shard.data, Dataset::empty(dim));
-    combined.extend_from(&shard.halo);
-    shard.halo = Dataset::empty(dim);
-    let bytes = combined.len() * dim * 8 + (own_n + halo_len) * 4;
+    let view = LocalView::from(gather_shard(src, plan, s));
+    // Tracked residency is what's actually held: combined coordinates +
+    // the id vectors.
+    let bytes = view.resident_bytes();
     let now = resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
     peak.fetch_max(now, Ordering::Relaxed);
 
-    // Exact local clustering over the combined view.
-    let out = MuDbscan::from_params(*params).with_options(*build).run(&combined);
-    let labels = &out.clustering.labels;
-    let own = (0..own_n).map(|i| (shard.ids[i], out.clustering.is_core[i])).collect();
-
-    // Seeds: core members (gids) per local cluster — own cores plus
-    // locally-core halo points (truly core: a shard only under-marks
-    // halo cores). Grouped by local label.
-    let mut group_of: std::collections::HashMap<u32, Vec<PointId>> =
-        std::collections::HashMap::new();
-    for i in 0..combined.len() {
-        if !out.clustering.is_core[i] || labels[i] == NOISE {
-            continue;
-        }
-        let gid = if i < own_n { shard.ids[i] } else { shard.halo_ids[i - own_n] };
-        group_of.entry(labels[i]).or_default().push(gid);
-    }
-    let mut group_labels: Vec<u32> = group_of.keys().copied().collect();
-    group_labels.sort_unstable();
-    let groups: Vec<Vec<PointId>> =
-        group_labels.into_iter().map(|l| group_of.remove(&l).unwrap()).collect();
-
-    // One R-tree over the combined view answers both merge query kinds.
-    let tree = RTree::bulk_load_points(
-        dim,
-        RTreeConfig::default(),
-        (0..combined.len()).map(|i| (i as u32, combined.point(i as u32).to_vec())),
-    );
-
-    // Border candidates: every owned non-core point lists ALL its
-    // ε-neighbours' global ids, sorted — the merge picks the minimum-id
-    // globally-core one, reproducing the oracle's scan order.
-    let mut borders = Vec::new();
-    for i in 0..own_n {
-        if out.clustering.is_core[i] {
-            continue;
-        }
-        let q = combined.point(i as u32);
-        let mut cands: Vec<PointId> = Vec::new();
-        let cost = tree.search_sphere(q, params.eps, |x| {
-            if x as usize != i {
-                let gid = if (x as usize) < own_n {
-                    shard.ids[x as usize]
-                } else {
-                    shard.halo_ids[x as usize - own_n]
-                };
-                cands.push(gid);
-            }
-        });
-        out.counters.count_range_query();
-        out.counters.count_dists(cost.mbr_tests);
-        out.counters.count_node_visits(cost.nodes_visited.max(1));
-        cands.sort_unstable();
-        if obs::enabled() {
-            obs::record_hist("shard/border_candidates", cands.len() as u64);
-        }
-        borders.push((shard.ids[i], cands));
-    }
-
-    // Cross-shard edges: each halo point against owned cores.
-    let mut edges = Vec::new();
-    for h in 0..halo_len {
-        let q = combined.point((own_n + h) as u32);
-        let hid = shard.halo_ids[h];
-        let mut hits: Vec<u32> = Vec::new();
-        let cost = tree.search_sphere(q, params.eps, |x| {
-            if (x as usize) < own_n && out.clustering.is_core[x as usize] {
-                hits.push(x);
-            }
-        });
-        out.counters.count_range_query();
-        out.counters.count_dists(cost.mbr_tests);
-        out.counters.count_node_visits(cost.nodes_visited.max(1));
-        if obs::enabled() {
-            obs::record_hist("halo/node_visits", cost.nodes_visited.max(1));
-        }
-        for x in hits {
-            edges.push((shard.ids[x as usize], hid));
-        }
-    }
+    // Exact local clustering over the combined view, then the summary.
+    let out = MuDbscan::from_params(*params).with_options(*build).run(&view.combined);
+    let summary = summarize(&view, &out.clustering, params.eps, &out.counters);
 
     resident.fetch_sub(bytes, Ordering::Relaxed);
     drop(shard_span);
-    ShardSummary {
-        shard: s,
-        own,
-        groups,
-        borders,
-        edges,
-        counters: out.counters,
-        halo_len,
-    }
+    ShardResult { shard: s, summary, counters: out.counters }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geom::Dataset;
     use mudbscan::naive_dbscan;
 
     fn blob(n: usize, dim: usize, seed: u64) -> Dataset {
@@ -474,8 +315,10 @@ mod tests {
     fn thread_count_does_not_change_output() {
         let d = blob(600, 3, 17);
         let params = DbscanParams::new(0.8, 5);
-        let a = run(&d, params, ShardedOptions { shards: Some(6), threads: 1, ..Default::default() });
-        let b = run(&d, params, ShardedOptions { shards: Some(6), threads: 4, ..Default::default() });
+        let a =
+            run(&d, params, ShardedOptions { shards: Some(6), threads: 1, ..Default::default() });
+        let b =
+            run(&d, params, ShardedOptions { shards: Some(6), threads: 4, ..Default::default() });
         assert_eq!(a.clustering, b.clustering);
         assert_eq!(a.n_shards, b.n_shards);
         assert_eq!(a.edges, b.edges);

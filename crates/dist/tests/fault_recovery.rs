@@ -26,15 +26,16 @@ fn blob_data(n_per: usize) -> Dataset {
 }
 
 /// A 1-D layout whose only cross-partition attachment is a *border*
-/// point, so it travels exclusively through the merge-edge exchange
-/// (the halo seeding path in the merge only unions locally-core halo
-/// points, and a border point is never one). With eps 0.1 / MinPts 3:
+/// point, so it travels exclusively through the merge exchange (the
+/// seed groups in the merge hold only core points, and a border point is
+/// never one). With eps 0.1 / MinPts 3:
 /// a dense left cluster `S` ending at -0.05, a core pivot `x` at 0.0,
 /// the border point `y` at 0.09 (sees only x + itself → non-core), and
 /// a dense right cluster `R` starting at 0.30 (outside y's ε). The 27
 /// points split 13/14 at the median coordinate 0.09, so rank 0 owns
 /// S ∪ {x} and rank 1 owns {y} ∪ R — y's attachment to x's cluster
-/// crosses the boundary and exists only as an edge message.
+/// crosses the boundary and exists only as y's border candidate list in
+/// rank 1's merge message.
 const BORDER_ID: u32 = 13;
 
 fn border_bridge_data() -> Dataset {

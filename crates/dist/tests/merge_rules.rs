@@ -13,10 +13,12 @@ fn chain_across_partition_boundary_merges() {
     let rows: Vec<Vec<f64>> = (0..60).map(|i| vec![0.4 * i as f64, 0.0]).collect();
     let data = Dataset::from_rows(&rows);
     let params = DbscanParams::new(0.5, 3);
+    let reference = naive_dbscan(&data, &params);
     for p in [2, 3, 4, 8] {
         let out = MuDbscanD::from_params(params, DistConfig::new(p)).run(&data).unwrap();
         assert_eq!(out.clustering.n_clusters, 1, "p={p}: chain split by partitioning");
         assert_eq!(out.clustering.noise_count(), 0);
+        assert_eq!(out.clustering, reference, "p={p}");
     }
 }
 
@@ -33,11 +35,12 @@ fn separate_blobs_stay_separate() {
     let params = DbscanParams::new(0.5, 4);
     let out = MuDbscanD::from_params(params, DistConfig::new(4)).run(&data).unwrap();
     assert_eq!(out.clustering.n_clusters, 2);
+    assert_eq!(out.clustering, naive_dbscan(&data, &params));
 }
 
 /// A border point sitting exactly between two dense blobs, with the kd
 /// split likely running through it: it must join exactly one cluster and
-/// must not merge them (the border-guard rule across ranks).
+/// must not merge them (the minimum-id border rule across ranks).
 #[test]
 fn shared_border_point_does_not_merge_clusters() {
     let mut rows = Vec::new();
@@ -56,6 +59,7 @@ fn shared_border_point_does_not_merge_clusters() {
         let out = MuDbscanD::from_params(params, DistConfig::new(p)).run(&data).unwrap();
         let rep = check_exact(&out.clustering, &reference, &data, &params);
         assert!(rep.is_exact(), "p={p}: {rep:?}");
+        assert_eq!(out.clustering, reference, "p={p}");
         assert_eq!(out.clustering.n_clusters, 2, "p={p}: clusters merged via border");
         assert!(out.clustering.is_border(12), "p={p}");
     }
@@ -84,6 +88,7 @@ fn cross_rank_noise_rescue() {
         let out = MuDbscanD::from_params(params, DistConfig::new(p)).run(&data).unwrap();
         let rep = check_exact(&out.clustering, &reference, &data, &params);
         assert!(rep.is_exact(), "p={p}: {rep:?}");
+        assert_eq!(out.clustering, reference, "p={p}");
         assert!(out.clustering.is_border(5), "p={p}: border point lost to noise");
     }
 }
@@ -102,6 +107,7 @@ fn duplicate_points_across_ranks() {
         let out = MuDbscanD::from_params(params, DistConfig::new(p)).run(&data).unwrap();
         let rep = check_exact(&out.clustering, &reference, &data, &params);
         assert!(rep.is_exact(), "p={p}: {rep:?}");
+        assert_eq!(out.clustering, reference, "p={p}");
         assert_eq!(out.clustering.n_clusters, 2);
         assert!(out.clustering.is_noise(24));
     }
@@ -116,4 +122,6 @@ fn more_ranks_than_points() {
     let out = MuDbscanD::from_params(params, DistConfig::new(8)).run(&data).unwrap();
     let reference = naive_dbscan(&data, &params);
     assert!(check_exact(&out.clustering, &reference, &data, &params).is_exact());
+    assert_eq!(out.clustering, reference);
+    assert_eq!(out.ranks, 8, "empty shards pad the plan to p ranks");
 }

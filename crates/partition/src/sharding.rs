@@ -1,12 +1,8 @@
 //! Budget-sized spatial sharding over a chunked [`DataSource`].
 //!
-//! [`kd_partition`](crate::kd_partition) simulates μDBSCAN-D's
-//! partitioning as a BSP rank program over an in-memory dataset. The
-//! out-of-core path needs the same *geometry* — kd cells cut at sampled
-//! medians, ε-halos per cell — but driven by streaming passes over a
-//! source that never fits in memory, and sized so each shard's resident
-//! coordinates respect a memory budget. That is what [`plan_shards`]
-//! does:
+//! [`plan_shards`] cuts kd cells at sampled medians and sizes them so
+//! each shard's resident coordinates respect a memory budget, driven by
+//! streaming passes over a source that never needs to fit in memory:
 //!
 //! 1. **Scan pass** — one pass over the chunks computes the exact global
 //!    bounding box and a deterministic strided coordinate sample.
@@ -26,11 +22,8 @@
 //! shard workers. [`gather_shard`] then materializes one shard (owned
 //! points + ε-halo) with a single chunk scan; ownership is a strict
 //! descent (`coord < split` → left, else right) and halo membership is
-//! the open-ball test `region.min_dist_sq(p) < ε²`, exactly the
-//! conventions of the BSP partitioner, so the downstream merge logic is
-//! unchanged.
+//! the open-ball test `region.min_dist_sq(p) < ε²`.
 
-use crate::kdpart::Shard;
 use geom::{DataSource, Dataset, Mbr, PointId};
 
 /// Target size of the global scan-pass sample.
@@ -39,6 +32,34 @@ const GLOBAL_SAMPLE_TARGET: usize = 32_768;
 const LEAF_SAMPLE_TARGET: usize = 2_048;
 /// Maximum count-and-refine rounds before accepting residual oversize.
 const MAX_REFINE_ROUNDS: usize = 4;
+
+/// One shard of the data: its owned points plus its ε-halo.
+#[derive(Debug, Clone)]
+pub struct Shard {
+    /// Global ids of the owned points (parallel to `data`).
+    pub ids: Vec<PointId>,
+    /// Owned point coordinates.
+    pub data: Dataset,
+    /// Global ids of the halo points (parallel to `halo`).
+    pub halo_ids: Vec<PointId>,
+    /// Halo point coordinates — every remote point strictly within ε of
+    /// this shard's region.
+    pub halo: Dataset,
+    /// The shard's box region (kd-tree cell).
+    pub region: Mbr,
+}
+
+impl Shard {
+    /// Owned point count.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True when the shard owns no points.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+}
 
 /// Options for [`plan_shards`].
 #[derive(Debug, Clone)]
@@ -116,6 +137,40 @@ impl ShardPlan {
                     node = if p[*axis] < *split { *left } else { *right };
                 }
                 PlanNode::Leaf { shard } => return *shard,
+            }
+        }
+    }
+
+    /// Call `visit(s)` for every shard `s` other than `owner` whose
+    /// ε-halo holds `p` (`regions[s].min_dist_sq(p) < ε²`). A subtree is
+    /// skipped when `p` lies at least ε from its split plane: every
+    /// region below a split lies on its side of the plane, so none of
+    /// them can pass the test.
+    fn for_each_halo(
+        &self,
+        p: &[f64],
+        owner: usize,
+        stack: &mut Vec<usize>,
+        mut visit: impl FnMut(usize),
+    ) {
+        let eps_sq = self.eps * self.eps;
+        stack.clear();
+        stack.push(0);
+        while let Some(node) = stack.pop() {
+            match &self.nodes[node] {
+                PlanNode::Split { axis, split, left, right } => {
+                    if p[*axis] - *split < self.eps {
+                        stack.push(*left);
+                    }
+                    if *split - p[*axis] < self.eps {
+                        stack.push(*right);
+                    }
+                }
+                PlanNode::Leaf { shard } => {
+                    if *shard != owner && self.regions[*shard].min_dist_sq(p) < eps_sq {
+                        visit(*shard);
+                    }
+                }
             }
         }
     }
@@ -291,11 +346,8 @@ pub fn plan_shards(src: &dyn DataSource, eps: f64, opts: &ShardingOptions) -> Sh
             next_sample += stride;
         }
     }
-    let global_box = if n == 0 {
-        Mbr::new(vec![0.0; dim], vec![0.0; dim])
-    } else {
-        Mbr::new(lo, hi)
-    };
+    let global_box =
+        if n == 0 { Mbr::new(vec![0.0; dim], vec![0.0; dim]) } else { Mbr::new(lo, hi) };
     let sample = Sample { dim, rows };
 
     // Sample kd build.
@@ -317,10 +369,8 @@ pub fn plan_shards(src: &dyn DataSource, eps: f64, opts: &ShardingOptions) -> Sh
             if !l.splittable {
                 continue;
             }
-            let oversized = opts
-                .max_shard_bytes
-                .map(|b| bytes_of(l.est_count) > b as f64)
-                .unwrap_or(false);
+            let oversized =
+                opts.max_shard_bytes.map(|b| bytes_of(l.est_count) > b as f64).unwrap_or(false);
             if need_count || oversized {
                 match pick {
                     Some(p) if leaves[p].est_count >= l.est_count => {}
@@ -353,10 +403,8 @@ pub fn plan_shards(src: &dyn DataSource, eps: f64, opts: &ShardingOptions) -> Sh
             counts: Vec::new(),
         };
         let mut leaf_samples: Vec<Vec<f64>> = vec![Vec::new(); leaves.len()];
-        let sample_stride: Vec<usize> = leaves
-            .iter()
-            .map(|l| ((l.est_count as usize) / LEAF_SAMPLE_TARGET).max(1))
-            .collect();
+        let sample_stride: Vec<usize> =
+            leaves.iter().map(|l| ((l.est_count as usize) / LEAF_SAMPLE_TARGET).max(1)).collect();
         let want_samples = round < MAX_REFINE_ROUNDS && opts.max_shard_bytes.is_some();
         for c in 0..src.n_chunks() {
             let ch = src.chunk(c);
@@ -417,8 +465,8 @@ pub fn plan_shards(src: &dyn DataSource, eps: f64, opts: &ShardingOptions) -> Sh
 ///
 /// Own membership is the plan's strict descent; halo membership is the
 /// open-ball region test `min_dist_sq(p) < ε²` against the shard's
-/// region, matching [`kd_partition`]'s halo exchange, which makes the
-/// halo *complete*: every point within ε of any owned point is present.
+/// region, which makes the halo *complete*: every point within ε of any
+/// owned point is present.
 pub fn gather_shard(src: &dyn DataSource, plan: &ShardPlan, s: usize) -> Shard {
     let dim = plan.dim();
     let eps_sq = plan.eps() * plan.eps();
@@ -449,6 +497,43 @@ pub fn gather_shard(src: &dyn DataSource, plan: &ShardPlan, s: usize) -> Shard {
         halo: Dataset::from_flat(dim, halo),
         region,
     }
+}
+
+/// Materialize every shard of `plan` with one streaming pass over the
+/// chunks: for finite coordinates, entry `s` equals
+/// [`gather_shard`]`(src, plan, s)`. It holds
+/// all shards at once, so it suits an in-memory source cut into many
+/// shards; the out-of-core executor gathers one shard at a time instead.
+pub fn gather_shards(src: &dyn DataSource, plan: &ShardPlan) -> Vec<Shard> {
+    let dim = plan.dim();
+    let mut shards: Vec<Shard> = plan
+        .regions()
+        .iter()
+        .map(|region| Shard {
+            ids: Vec::new(),
+            data: Dataset::empty(dim),
+            halo_ids: Vec::new(),
+            halo: Dataset::empty(dim),
+            region: region.clone(),
+        })
+        .collect();
+    let mut buf = vec![0.0; dim];
+    let mut stack = Vec::new();
+    for c in 0..src.n_chunks() {
+        let ch = src.chunk(c);
+        for i in 0..ch.len {
+            ch.write_point(i, &mut buf);
+            let gid = ch.base + i as PointId;
+            let owner = plan.owner(&buf);
+            shards[owner].ids.push(gid);
+            shards[owner].data.push(&buf);
+            plan.for_each_halo(&buf, owner, &mut stack, |s| {
+                shards[s].halo_ids.push(gid);
+                shards[s].halo.push(&buf);
+            });
+        }
+    }
+    shards
 }
 
 #[cfg(test)]
@@ -493,11 +578,8 @@ mod tests {
     fn byte_bound_limits_shard_sizes() {
         let d = blob(4000, 2);
         let bound = 500 * 2 * 8; // ≤ 500 points per shard
-        let plan = plan_shards(
-            &d,
-            0.5,
-            &ShardingOptions { min_shards: 1, max_shard_bytes: Some(bound) },
-        );
+        let plan =
+            plan_shards(&d, 0.5, &ShardingOptions { min_shards: 1, max_shard_bytes: Some(bound) });
         assert!(plan.n_shards() >= 8);
         assert!(
             plan.max_shard_bytes() <= bound,
@@ -520,8 +602,7 @@ mod tests {
                     continue;
                 }
                 let q = d.point(qid);
-                let needed =
-                    (0..s.len()).any(|i| dist_euclidean(s.data.point(i as u32), q) < eps);
+                let needed = (0..s.len()).any(|i| dist_euclidean(s.data.point(i as u32), q) < eps);
                 if needed {
                     assert!(halo_set.contains(&qid), "missing halo point {qid}");
                 }
@@ -535,13 +616,34 @@ mod tests {
     }
 
     #[test]
+    fn one_pass_gather_equals_per_shard_gather() {
+        let d = blob(1500, 3);
+        let eps = 0.9;
+        for opts in [
+            ShardingOptions { min_shards: 1, max_shard_bytes: None },
+            ShardingOptions { min_shards: 7, max_shard_bytes: None },
+            ShardingOptions { min_shards: 32, max_shard_bytes: None },
+            ShardingOptions { min_shards: 2, max_shard_bytes: Some(90 * 3 * 8) },
+        ] {
+            let plan = plan_shards(&d, eps, &opts);
+            let all = gather_shards(&d, &plan);
+            assert_eq!(all.len(), plan.n_shards());
+            for (s, got) in all.iter().enumerate() {
+                let want = gather_shard(&d, &plan, s);
+                assert_eq!(got.ids, want.ids, "shard {s}");
+                assert_eq!(got.halo_ids, want.halo_ids, "shard {s}");
+                assert_eq!(got.data.coords(), want.data.coords(), "shard {s}");
+                assert_eq!(got.halo.coords(), want.halo.coords(), "shard {s}");
+                assert_eq!(got.region, want.region, "shard {s}");
+            }
+        }
+    }
+
+    #[test]
     fn identical_points_terminate() {
         let d = Dataset::from_rows(&vec![vec![3.0, 3.0]; 256]);
-        let plan = plan_shards(
-            &d,
-            0.5,
-            &ShardingOptions { min_shards: 4, max_shard_bytes: Some(64) },
-        );
+        let plan =
+            plan_shards(&d, 0.5, &ShardingOptions { min_shards: 4, max_shard_bytes: Some(64) });
         // Unsplittable: everything lands in one shard, but nothing is lost.
         assert_eq!(plan.counts().iter().sum::<usize>(), 256);
     }

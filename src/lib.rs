@@ -45,9 +45,9 @@ pub mod prelude {
     pub use dist::DistConfig;
     pub use mudbscan::prelude::{
         write_store, ChunkedStore, Cluster, Clustering, Counters, DataSource, Dataset,
-        DbscanParams, Family, Fault, FaultConfig, FaultPlan, FaultStats, Membership,
-        MuDbscanError, RetryConfig, RunDetails, RunOutput, Runner, ServeHandle, ServeOp,
-        ServeOptions, Snapshot, StoreError, NOISE,
+        DbscanParams, Family, Fault, FaultConfig, FaultPlan, FaultStats, Membership, MuDbscanError,
+        RetryConfig, RunDetails, RunOutput, Runner, ServeHandle, ServeOp, ServeOptions, Snapshot,
+        StoreError, NOISE,
     };
     pub use mudbscan::{check_exact, naive_dbscan};
 }

@@ -1,10 +1,10 @@
 //! Facade round-trip: for every family, a [`Runner`]-built instance must
 //! produce a clustering bit-identical to the directly-built (low-level)
-//! construction it wraps, and every low-level constructor must remain
-//! usable on its own.
+//! construction it wraps, every low-level constructor must remain
+//! usable on its own, and bad input is a typed error, never a panic.
 
 use dist::{DistConfig, MuDbscanD};
-use mudbscan::prelude::{Family, RunDetails, Runner};
+use mudbscan::prelude::{write_store, ChunkedStore, Family, MuDbscanError, RunDetails, Runner};
 use mudbscan::{Clustering, MuDbscan, ParMuDbscan};
 use optics::{extract_dbscan, Optics};
 use stream::StreamingMuDbscan;
@@ -102,4 +102,46 @@ fn low_level_constructors_compile_and_run() {
     assert_eq!(stream.snapshot(), oracle);
     let optics_out = Optics::from_params(params).run(&dataset);
     assert_eq!(extract_dbscan(&optics_out, &dataset, params.eps), oracle);
+}
+
+#[test]
+fn non_finite_input_is_a_typed_error_on_every_batch_family() {
+    let params = geom::DbscanParams::new(0.5, 3);
+    let runners = || {
+        [
+            Runner::new(params),
+            Runner::new(params).threads(2),
+            Runner::new(params).ranks(2),
+            Runner::new(params).shards(2),
+            Runner::new(params).family(Family::Streaming),
+            Runner::new(params).family(Family::Optics),
+            Runner::new(params).family(Family::Serving),
+        ]
+    };
+    for bad in [f64::NAN, f64::INFINITY] {
+        let data = geom::Dataset::from_rows(&[vec![0.0, 0.0], vec![0.1, bad], vec![0.2, 0.0]]);
+        for runner in runners() {
+            let family = runner.resolved_family();
+            match runner.run(&data) {
+                Err(MuDbscanError::InvalidInput(msg)) => {
+                    assert!(msg.contains("point 1, component 1"), "{family:?}: {msg}")
+                }
+                other => {
+                    panic!("{family:?} on {bad}: expected InvalidInput, got {:?}", other.err())
+                }
+            }
+        }
+
+        // A chunked store goes through the same check.
+        let dir = std::env::temp_dir().join("mudbscan-facade-non-finite");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("bad-{bad}.muds"));
+        write_store(&data, &path, 2).unwrap();
+        let store = ChunkedStore::open(&path).unwrap();
+        for runner in [Runner::new(params), Runner::new(params).shards(2)] {
+            let err = runner.run_source(&store).err();
+            assert!(matches!(err, Some(MuDbscanError::InvalidInput(_))), "store: {err:?}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }
