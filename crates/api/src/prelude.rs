@@ -25,13 +25,14 @@
 //! [`Family::Sharded`], otherwise `.threads(t > 1)` selects
 //! [`Family::Parallel`], otherwise [`Family::Sequential`] — or forced
 //! with [`Runner::family`] (the only way to reach
-//! [`Family::Streaming`], [`Family::Optics`], and the batch shape of
-//! [`Family::Serving`]). Configuration that a family cannot honour (a
-//! fault plan outside `Distributed`, a shard count or memory budget
-//! outside `Sharded`, worker threads on the inherently sequential
-//! families, ablation knobs outside `Sequential`) is an
-//! [`MuDbscanError::InvalidConfig`] at build time, never silently
-//! ignored.
+//! [`Family::Streaming`] and [`Family::Optics`]). Configuration that a
+//! family cannot honour (a fault plan outside `Distributed`, a shard
+//! count or memory budget outside `Sharded`, worker threads on the
+//! inherently sequential families, ablation knobs outside
+//! `Sequential`) is an [`MuDbscanError::InvalidConfig`] at build time,
+//! never silently ignored — and so are degenerate parameters: a NaN,
+//! infinite or non-positive ε, `min_pts = 0`, or a zero thread, rank,
+//! shard or byte count.
 //!
 //! Inputs need not be in memory: [`Runner::run_source`] clusters any
 //! [`DataSource`] — the in-memory [`Dataset`], or a memory-mapped
@@ -44,11 +45,11 @@
 //! cores, core partition and noise; DBSCAN leaves border ties
 //! order-defined). See `docs/API.md` for the out-of-core cookbook.
 //!
-//! The serving family is special: besides the one-shot batch shape
-//! above, [`Runner::serve`] starts the long-running concurrent service
-//! and hands back a [`ServeHandle`] for batched ingest (inserts,
-//! deletions, TTL expiry) and snapshot-isolated queries — tuned via
-//! [`Runner::serve_options`]; see `docs/SERVING.md`.
+//! The serving family has no batch shape: [`Runner::serve`] starts the
+//! long-running concurrent service and hands back a [`ServeHandle`] for
+//! batched ingest (inserts, deletions, TTL expiry) and
+//! snapshot-isolated queries — tuned via [`Runner::serve_options`]; see
+//! `docs/SERVING.md`.
 
 pub use crate::error::MuDbscanError;
 pub use cluster_sim::{Fault, FaultPlan, FaultStats, RankClock, RetryConfig};
@@ -91,9 +92,9 @@ pub enum Family {
     Streaming,
     /// OPTICS ordering with DBSCAN extraction at the generating ε.
     Optics,
-    /// The concurrent serving layer over the streaming engine: as a
-    /// batch family it ingests the dataset in one epoch and drains; the
-    /// long-running handle shape is [`Runner::serve`].
+    /// The concurrent serving layer over the streaming engine, started
+    /// by [`Runner::serve`]. It has no batch shape: [`Runner::build`]
+    /// and [`Runner::run`] reject it.
     Serving,
 }
 
@@ -177,13 +178,6 @@ pub enum RunDetails {
     },
     /// Streaming runs have no extras beyond the snapshot clustering.
     Streaming,
-    /// Serving-run extras (batch shape: one ingest epoch, then drain).
-    Serving {
-        /// Epochs published by the writer (1 for the batch shape).
-        epochs: u64,
-        /// Points live in the drained snapshot.
-        final_points: usize,
-    },
     /// The OPTICS ordering the clustering was extracted from.
     Optics {
         /// Point ids in processing order.
@@ -264,7 +258,6 @@ impl Runner {
     /// OS worker threads of [`Family::Sharded`]. Selects `Parallel`
     /// when `> 1` and no other family is implied.
     pub fn threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "threads must be >= 1");
         self.threads = threads;
         self
     }
@@ -272,7 +265,6 @@ impl Runner {
     /// Simulated rank count; selects [`Family::Distributed`] unless a
     /// family was forced.
     pub fn ranks(mut self, ranks: usize) -> Self {
-        assert!(ranks >= 1, "ranks must be >= 1");
         self.ranks = Some(ranks);
         self
     }
@@ -282,7 +274,6 @@ impl Runner {
     /// [`Runner::ranks`] implies `Distributed`. The planner may cut
     /// *more* shards to honour a memory budget, never fewer.
     pub fn shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "shards must be >= 1");
         self.shards = Some(shards);
         self
     }
@@ -292,7 +283,6 @@ impl Runner {
     /// planner sizes shards so that the `threads` concurrently resident
     /// shards (own points + ε-halo, double-buffered) fit the budget.
     pub fn memory_budget(mut self, bytes: usize) -> Self {
-        assert!(bytes >= 1, "the memory budget must be positive");
         self.memory_budget = Some(bytes);
         self
     }
@@ -303,8 +293,7 @@ impl Runner {
         self
     }
 
-    /// Serving-layer options for [`Runner::serve`] (and the batch shape
-    /// of [`Family::Serving`]): the deletion-repair budget
+    /// Serving-layer options for [`Runner::serve`]: the deletion-repair budget
     /// ([`ServeOptions::repair_budget`], whose default adapts to the
     /// live set size and whose `Some(0)` rebuilds on every structural
     /// deletion — the baseline the benchmark suite compares against),
@@ -359,9 +348,22 @@ impl Runner {
         })
     }
 
-    /// Validate every knob against `family`; the `Err` message names
-    /// the offending knob and the family it clashes with.
+    /// Validate the parameters and every knob against `family`; the
+    /// `Err` message names the offending parameter, or the knob and the
+    /// family it clashes with.
     fn validate(&self, family: Family) -> Result<(), MuDbscanError> {
+        let DbscanParams { eps, min_pts } = self.params;
+        let degenerate = [
+            (!(eps.is_finite() && eps > 0.0), "eps must be positive and finite"),
+            (min_pts == 0, "min_pts must be at least 1"),
+            (self.threads == 0, "the thread count must be at least 1"),
+            (self.ranks == Some(0), "the rank count must be at least 1"),
+            (self.shards == Some(0), "the shard count must be at least 1"),
+            (self.memory_budget == Some(0), "the memory budget must be positive"),
+        ];
+        if let Some((_, msg)) = degenerate.iter().find(|(is_bad, _)| *is_bad) {
+            return Err(MuDbscanError::InvalidConfig(msg.to_string()));
+        }
         let bad = |knob: &str| {
             Err(MuDbscanError::InvalidConfig(format!(
                 "{knob} is not supported by the {} family",
@@ -403,10 +405,22 @@ impl Runner {
         Ok(())
     }
 
+    /// The resolved family of a batch run, validated. The serving
+    /// family has no batch shape, so forcing it is an error.
+    fn batch_family(&self) -> Result<Family, MuDbscanError> {
+        let family = self.resolved_family();
+        if family == Family::Serving {
+            return Err(MuDbscanError::InvalidConfig(
+                "the Serving family has no batch shape: start it with Runner::serve".into(),
+            ));
+        }
+        self.validate(family)?;
+        Ok(family)
+    }
+
     /// Validate the configuration and construct the concrete algorithm.
     pub fn build(&self) -> Result<Box<dyn Cluster>, MuDbscanError> {
-        let family = self.resolved_family();
-        self.validate(family)?;
+        let family = self.batch_family()?;
 
         Ok(match family {
             Family::Sequential => {
@@ -438,10 +452,7 @@ impl Runner {
             }
             Family::Sharded => Box::new(ShardedRun { algo: self.sharded_algo() }),
             Family::Streaming => Box::new(Streaming { params: self.params }),
-            Family::Serving => Box::new(ServeRun {
-                params: self.params,
-                opts: self.serve_opts.clone().unwrap_or_default(),
-            }),
+            Family::Serving => unreachable!("batch_family rejects Serving"),
             Family::Optics => {
                 let mut algo = Optics::from_params(self.params);
                 if let Some(opts) = self.opts {
@@ -496,8 +507,7 @@ impl Runner {
     /// # std::fs::remove_file(&path).ok();
     /// ```
     pub fn run_source(&self, src: &dyn DataSource) -> Result<RunOutput, MuDbscanError> {
-        let family = self.resolved_family();
-        self.validate(family)?;
+        let family = self.batch_family()?;
         validate_finite(src)?;
         if matches!(family, Family::Sharded) {
             return Ok(sharded_run_output(self.sharded_algo().run_source(src)));
@@ -709,28 +719,6 @@ impl Cluster for Streaming {
     }
 }
 
-struct ServeRun {
-    params: DbscanParams,
-    opts: ServeOptions,
-}
-
-impl Cluster for ServeRun {
-    fn run(&self, data: &Dataset) -> Result<RunOutput, MuDbscanError> {
-        let handle = ServingMuDbscan::spawn_with(data.dim(), self.params, self.opts.clone());
-        handle.ingest(data.iter().map(|(_, c)| ServeOp::insert(c.to_vec())).collect())?;
-        let drained = handle.shutdown()?;
-        Ok(RunOutput {
-            clustering: drained.snapshot.clustering().clone(),
-            counters: drained.counters,
-            phases: PhaseTimer::new(),
-            details: RunDetails::Serving {
-                epochs: drained.snapshot.epoch(),
-                final_points: drained.snapshot.len(),
-            },
-        })
-    }
-}
-
 struct OpticsRun {
     algo: Optics,
     eps: f64,
@@ -785,8 +773,6 @@ mod tests {
             Runner::new(p).family(Family::Optics).threads(4), // threads on Optics
             Runner::new(p).family(Family::Streaming).threads(2), // threads on Streaming
             Runner::new(p).family(Family::Streaming).options(BuildOptions::default()),
-            Runner::new(p).family(Family::Serving).threads(2), // threads on Serving
-            Runner::new(p).family(Family::Serving).options(BuildOptions::default()),
             Runner::new(p).threads(2).disable_dynamic_promotion(true), // knob on Parallel
             Runner::new(p).ranks(2).disable_post_core_mc_skip(true),   // knob on Distributed
             Runner::new(p).family(Family::Sequential).shards(2),       // shards on forced Seq
@@ -806,6 +792,57 @@ mod tests {
                 other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
             }
         }
+
+        // The serving family has no batch shape.
+        let serving = Runner::new(p).family(Family::Serving);
+        for err in [serving.build().err(), serving.run(&tiny()).err()] {
+            match err {
+                Some(MuDbscanError::InvalidConfig(msg)) => assert!(msg.contains("Runner::serve")),
+                other => panic!("batch Serving: expected InvalidConfig, got {other:?}"),
+            }
+        }
+
+        // Degenerate parameters and zero counts: a struct literal skips
+        // `DbscanParams::new`'s checks, and the setters do not check. Every
+        // batch family and `serve` returns InvalidConfig, never panics.
+        let data = tiny();
+        let families = |p: DbscanParams| {
+            [
+                Runner::new(p),
+                Runner::new(p).threads(2),
+                Runner::new(p).ranks(2),
+                Runner::new(p).shards(2),
+                Runner::new(p).family(Family::Streaming),
+                Runner::new(p).family(Family::Optics),
+            ]
+        };
+        let degenerate = [(f64::NAN, 3), (-1.0, 3), (0.0, 3), (f64::INFINITY, 3), (0.5, 0)]
+            .map(|(eps, min_pts)| DbscanParams { eps, min_pts });
+        let mut bad_runners: Vec<Runner> = degenerate.iter().flat_map(|&p| families(p)).collect();
+        bad_runners.extend([
+            Runner::new(p).threads(0),
+            Runner::new(p).family(Family::Parallel).threads(0),
+            Runner::new(p).ranks(0),
+            Runner::new(p).shards(0),
+            Runner::new(p).memory_budget(0),
+        ]);
+        for runner in bad_runners {
+            for err in [runner.build().err(), runner.run(&data).err()] {
+                assert!(
+                    matches!(err, Some(MuDbscanError::InvalidConfig(_))),
+                    "{runner:?}: expected InvalidConfig, got {err:?}"
+                );
+            }
+        }
+        let mut bad_serves = degenerate.map(Runner::new).to_vec();
+        bad_serves.push(Runner::new(p).threads(0));
+        for runner in bad_serves {
+            let err = runner.serve(2).err();
+            assert!(
+                matches!(err, Some(MuDbscanError::InvalidConfig(_))),
+                "serve {runner:?}: expected InvalidConfig, got {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -821,7 +858,6 @@ mod tests {
             Runner::new(p).shards(2).threads(2).memory_budget(1 << 20),
             Runner::new(p).family(Family::Streaming),
             Runner::new(p).family(Family::Optics),
-            Runner::new(p).family(Family::Serving),
         ] {
             let family = runner.resolved_family();
             let out = runner.run(&data).unwrap_or_else(|e| panic!("{family:?}: {e}"));
@@ -839,9 +875,8 @@ mod tests {
         assert_eq!(ids.len(), data.len());
         let drained = handle.drain().unwrap();
         assert_eq!(drained.snapshot.epoch(), 1);
-        // The served epoch is bit-identical to the batch family's answer.
-        let batch = Runner::new(p).family(Family::Serving).run(&data).unwrap();
-        assert_eq!(*drained.snapshot.clustering(), batch.clustering);
+        // The served epoch is bit-identical to the oracle.
+        assert_eq!(*drained.snapshot.clustering(), naive_dbscan(&data, &p));
         assert_eq!(handle.membership(ids[0]), Some(Membership { cluster: Some(0), is_core: true }));
         assert_eq!(handle.membership(ids[3]), Some(Membership { cluster: None, is_core: false }));
     }
@@ -914,6 +949,7 @@ mod tests {
             Runner::new(p).family(Family::Optics).serve(2),
             Runner::new(p).ranks(2).serve(2),
             Runner::new(p).threads(4).serve(2),
+            Runner::new(p).options(BuildOptions::default()).serve(2),
             Runner::new(p).serve(0),
         ] {
             assert!(matches!(bad, Err(MuDbscanError::InvalidConfig(_))));

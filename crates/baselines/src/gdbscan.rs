@@ -13,7 +13,7 @@
 
 use crate::BaselineOutput;
 use geom::{dist_sq, within_sq, Dataset, DbscanParams, PointId};
-use metrics::{Counters, PhaseTimer, Stopwatch};
+use metrics::{Counters, PhaseTimer};
 use mudbscan::Clustering;
 use unionfind::UnionFind;
 
@@ -46,12 +46,11 @@ impl GDbscan {
 
         let counters = Counters::new();
         let mut phases = PhaseTimer::new();
-        let mut sw = Stopwatch::start();
         let n = data.len();
         let _run = obs::span!("gdbscan");
 
         // Phase 1: group construction by linear scan over masters.
-        let ph1 = obs::span!("group_construction");
+        let ph1 = phases.phase("group_construction");
         let mut groups: Vec<Group> = Vec::new();
         let mut group_of: Vec<u32> = vec![u32::MAX; n];
         for (p, coords) in data.iter() {
@@ -71,10 +70,9 @@ impl GDbscan {
             }
         }
         drop(ph1);
-        phases.add_secs("group_construction", sw.lap());
 
         // Phase 2: full groups are all-core; union within group.
-        let ph2 = obs::span!("group_classification");
+        let ph2 = phases.phase("group_classification");
         let mut uf = UnionFind::new(n);
         let mut is_core = vec![false; n];
         let mut assigned = vec![false; n];
@@ -92,10 +90,9 @@ impl GDbscan {
             }
         }
         drop(ph2);
-        phases.add_secs("group_classification", sw.lap());
 
         // Phase 3: neighbourhood queries restricted to nearby groups.
-        let ph3 = obs::span!("clustering");
+        let ph3 = phases.phase("clustering");
         let mut pending: Vec<(PointId, Vec<PointId>)> = Vec::new();
         let mut nbhrs: Vec<PointId> = Vec::new();
         for (p, coords) in data.iter() {
@@ -142,10 +139,9 @@ impl GDbscan {
             }
         }
         drop(ph3);
-        phases.add_secs("clustering", sw.lap());
 
         // Phase 4: border rescue from stored neighbourhoods.
-        let ph4 = obs::span!("post_processing");
+        let ph4 = phases.phase("post_processing");
         for (p, nb) in &pending {
             if assigned[*p as usize] {
                 continue;
@@ -160,7 +156,6 @@ impl GDbscan {
             }
         }
         drop(ph4);
-        phases.add_secs("post_processing", sw.lap());
 
         let peak = groups.iter().map(|g| 16 + g.members.capacity() * 4).sum::<usize>()
             + uf.heap_bytes()

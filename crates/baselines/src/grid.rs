@@ -21,7 +21,7 @@
 use crate::BaselineOutput;
 use geom::{dist_sq, within_sq, Dataset, DbscanParams, Mbr, PointId};
 use metrics::mem::{MemBudget, MemoryLimitExceeded};
-use metrics::{Counters, PhaseTimer, Stopwatch};
+use metrics::{Counters, PhaseTimer};
 use mudbscan::Clustering;
 use std::collections::HashMap;
 use unionfind::UnionFind;
@@ -83,11 +83,10 @@ impl GridDbscan {
 
         let counters = Counters::new();
         let mut phases = PhaseTimer::new();
-        let mut sw = Stopwatch::start();
         let _run = obs::span!("griddbscan");
 
         // Phase 1: bucket points into cells.
-        let ph1 = obs::span!("grid_construction");
+        let ph1 = phases.phase("grid_construction");
         let mut index: HashMap<Box<[i32]>, u32> = HashMap::new();
         let mut cells: Vec<Cell> = Vec::new();
         let mut cell_of: Vec<u32> = Vec::with_capacity(data.len());
@@ -160,9 +159,8 @@ impl GridDbscan {
             nbr_cells.resize_with(cells.len(), Vec::new);
         }
         drop(ph1);
-        phases.add_secs("grid_construction", sw.lap());
         let mut peak = bytes;
-        let ph2 = obs::span!("cell_classification");
+        let ph2 = phases.phase("cell_classification");
 
         // Phase 2: dense cells (>= MinPts points AND tight-MBR diagonal
         // strictly < ε) are all-core.
@@ -189,8 +187,7 @@ impl GridDbscan {
             }
         }
         drop(ph2);
-        phases.add_secs("cell_classification", sw.lap());
-        let ph3 = obs::span!("clustering");
+        let ph3 = phases.phase("clustering");
 
         // Phase 3: queries for all points in non-dense cells, restricted to
         // neighbour cells.
@@ -242,14 +239,13 @@ impl GridDbscan {
             }
         }
         drop(ph3);
-        phases.add_secs("clustering", sw.lap());
         peak = peak.max(
             bytes
                 + uf.heap_bytes()
                 + pending.iter().map(|(_, v)| 16 + v.capacity() * 4).sum::<usize>(),
         );
 
-        let ph4 = obs::span!("post_processing");
+        let ph4 = phases.phase("post_processing");
         // Phase 4a: stitch dense cells — both endpoints skipped their
         // queries, so cross-cell core links must be established here. One
         // link suffices per cell pair (each dense cell is one cluster).
@@ -293,7 +289,6 @@ impl GridDbscan {
             }
         }
         drop(ph4);
-        phases.add_secs("post_processing", sw.lap());
 
         let clustering = Clustering::from_union_find(&mut uf, is_core);
         Ok(BaselineOutput { clustering, counters, phases, peak_heap_bytes: peak })

@@ -6,7 +6,7 @@
 
 use crate::BaselineOutput;
 use geom::{Dataset, DbscanParams, PointId};
-use metrics::{Counters, PhaseTimer, Stopwatch};
+use metrics::{Counters, PhaseTimer};
 use mudbscan::Clustering;
 use rtree::{RTree, RTreeConfig};
 use unionfind::UnionFind;
@@ -37,10 +37,9 @@ impl RDbscan {
     pub fn run(&self, data: &Dataset) -> BaselineOutput {
         let counters = Counters::new();
         let mut phases = PhaseTimer::new();
-        let mut sw = Stopwatch::start();
         let _run = obs::span!("rdbscan");
 
-        let step1 = obs::span!("tree_construction");
+        let step1 = phases.phase("tree_construction");
         let tree = if self.bulk_load {
             RTree::bulk_load_points(data.dim(), self.cfg, data.iter().map(|(i, p)| (i, p.to_vec())))
         } else {
@@ -51,7 +50,6 @@ impl RDbscan {
             t
         };
         drop(step1);
-        phases.add_secs("tree_construction", sw.lap());
         let mut peak = tree.heap_bytes();
 
         let n = data.len();
@@ -64,7 +62,7 @@ impl RDbscan {
         let mut pending: Vec<(PointId, Vec<PointId>)> = Vec::new();
         let mut nbhrs: Vec<PointId> = Vec::new();
 
-        let step2 = obs::span!("clustering");
+        let step2 = phases.phase("clustering");
         for p in data.ids() {
             nbhrs.clear();
             let cost = tree.search_sphere(data.point(p), self.params.eps, |q| nbhrs.push(q));
@@ -102,7 +100,6 @@ impl RDbscan {
             }
         }
         drop(step2);
-        phases.add_secs("clustering", sw.lap());
         peak = peak.max(
             tree.heap_bytes()
                 + uf.heap_bytes()
@@ -110,7 +107,7 @@ impl RDbscan {
         );
 
         // Border rescue: some neighbours became core after p was examined.
-        let step3 = obs::span!("post_processing");
+        let step3 = phases.phase("post_processing");
         for (p, nb) in &pending {
             if assigned[*p as usize] {
                 continue;
@@ -125,7 +122,6 @@ impl RDbscan {
             }
         }
         drop(step3);
-        phases.add_secs("post_processing", sw.lap());
 
         let clustering = Clustering::from_union_find(&mut uf, is_core);
         BaselineOutput { clustering, counters, phases, peak_heap_bytes: peak }

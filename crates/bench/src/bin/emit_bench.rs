@@ -257,10 +257,7 @@ impl RunMeta {
             }
             // The sharded arm has its own emitter (`run_sharded_scale`)
             // and never flows through RunMeta.
-            RunDetails::Sharded { .. }
-            | RunDetails::Streaming
-            | RunDetails::Optics { .. }
-            | RunDetails::Serving { .. } => {}
+            RunDetails::Sharded { .. } | RunDetails::Streaming | RunDetails::Optics { .. } => {}
         }
         meta
     }

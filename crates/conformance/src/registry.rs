@@ -16,7 +16,7 @@
 use baselines::{GDbscan, GridDbscan, RDbscan};
 use geom::{Dataset, DbscanParams};
 use metrics::mem::MemBudget;
-use mudbscan::prelude::{BuildOptions, Family, Runner};
+use mudbscan::prelude::{BuildOptions, Family, Runner, ServeOp};
 use mudbscan::Clustering;
 
 /// An exact DBSCAN implementation under one fixed configuration.
@@ -48,6 +48,25 @@ impl ExactDbscan for Facade {
             .run(data)
             .map(|out| out.clustering)
             .map_err(|e| e.to_string())
+    }
+}
+
+/// The serving engine, started by `Runner::serve`: every point is
+/// ingested as one batch through the writer thread, then the engine is
+/// shut down and the drained snapshot's clustering returned.
+struct Served;
+
+impl ExactDbscan for Served {
+    fn name(&self) -> &'static str {
+        "mu-serve"
+    }
+
+    fn run(&self, data: &Dataset, params: &DbscanParams) -> Result<Clustering, String> {
+        let handle = Runner::new(*params).serve(data.dim()).map_err(|e| e.to_string())?;
+        let ops = data.iter().map(|(_, c)| ServeOp::insert(c.to_vec())).collect();
+        handle.ingest(ops).map_err(|e| e.to_string())?;
+        let drained = handle.shutdown().map_err(|e| e.to_string())?;
+        Ok(drained.snapshot.clustering().clone())
     }
 }
 
@@ -157,12 +176,11 @@ pub fn registry() -> Vec<Box<dyn ExactDbscan>> {
         // bit-for-bit with everything above.
         Box::new(Facade { name: "mu-stream", configure: |r| r.family(Family::Streaming) }),
         Box::new(Facade { name: "optics-extract", configure: |r| r.family(Family::Optics) }),
-        // The serving layer run as a one-shot: every point ingested as a
-        // single batch through the writer thread, then drained. The
+        // The serving engine run as a one-shot (see `Served`). The
         // concurrent-epoch behaviour has its own linearizability suite
         // (tests/serve_linearizability.rs); this entry keeps the
         // snapshot-canonicalization path inside the differential sweep.
-        Box::new(Facade { name: "mu-serve", configure: |r| r.family(Family::Serving) }),
+        Box::new(Served),
     ]
 }
 

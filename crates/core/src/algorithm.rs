@@ -17,7 +17,7 @@
 use crate::clustering::Clustering;
 use geom::{dist_sq, Dataset, DbscanParams, PointId};
 use mcs::{build_micro_clusters, BuildOptions, McKind, MuRTree};
-use metrics::{Counters, PhaseTimer, Stopwatch};
+use metrics::{Counters, PhaseTimer};
 use unionfind::UnionFind;
 
 /// Configured μDBSCAN instance.
@@ -138,8 +138,7 @@ fn run_mudbscan(
     let run_span = obs::span!("mudbscan");
 
     // Step 1: micro-clusters + μR-tree, and preliminary clusters.
-    let mut sw = Stopwatch::start();
-    let step1 = obs::span!("tree_construction");
+    let step1 = phases.phase("tree_construction");
     let tree = build_micro_clusters(data, params.eps, opts, &counters);
     let mut state = WorkingState {
         tree,
@@ -152,28 +151,24 @@ fn run_mudbscan(
     };
     process_micro_clusters(data, params, &mut state, &counters);
     drop(step1);
-    phases.add_secs("tree_construction", sw.lap());
     peak = peak.max(state.heap_bytes());
 
     // Step 2: reachable micro-clusters.
-    let step2 = obs::span!("finding_reachable");
+    let step2 = phases.phase("finding_reachable");
     state.tree.compute_reachable(data, &counters);
     drop(step2);
-    phases.add_secs("finding_reachable", sw.lap());
 
     // Step 3: remaining points.
-    let step3 = obs::span!("clustering");
+    let step3 = phases.phase("clustering");
     process_rem_points(data, params, &mut state, &counters, disable_promotion);
     drop(step3);
-    phases.add_secs("clustering", sw.lap());
     peak = peak.max(state.heap_bytes());
 
     // Step 4: final connections.
-    let step4 = obs::span!("post_processing");
+    let step4 = phases.phase("post_processing");
     post_processing_core(data, params, &mut state, &counters, disable_post_core_mc_skip);
     post_processing_noise(&mut state, &counters);
     drop(step4);
-    phases.add_secs("post_processing", sw.lap());
     peak = peak.max(state.heap_bytes());
 
     if obs::enabled() {

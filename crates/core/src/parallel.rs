@@ -27,7 +27,7 @@
 use crate::clustering::Clustering;
 use geom::{dist_sq, Dataset, DbscanParams, PointId};
 use mcs::{build_micro_clusters, build_micro_clusters_par, BuildOptions, McKind, ParBuildStats};
-use metrics::{PhaseTimer, SharedCounters, Stopwatch};
+use metrics::{PhaseTimer, SharedCounters};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use unionfind::ConcurrentUnionFind;
@@ -134,14 +134,13 @@ impl ParMuDbscan {
         let params = self.params;
         let counters = SharedCounters::new();
         let mut phases = PhaseTimer::new();
-        let mut sw = Stopwatch::start();
         let run_span = obs::span!("par_mudbscan");
 
         // Step 1: μR-tree — tiled parallel construction by default, the
         // sequential Algorithm-3 scan when `opts.parallel` is off. Both
         // paths count through a sequential `Counters` absorbed once, so
         // t1 snapshots stay comparable with `MuDbscan`.
-        let step1 = obs::span!("tree_construction");
+        let step1 = phases.phase("tree_construction");
         let seq_counters = metrics::Counters::new();
         let (mut tree, build_stats) = if self.opts.parallel {
             let (tree, stats) =
@@ -152,12 +151,11 @@ impl ParMuDbscan {
         };
         counters.absorb(&seq_counters);
         drop(step1);
-        phases.add_secs("tree_construction", sw.lap());
 
         // Step 2 (parallel): reachable lists (independent per MC — but
         // computed via &mut self in the sequential API, so parallelise by
         // computing into a side vector).
-        let step2 = obs::span!("finding_reachable");
+        let step2 = phases.phase("finding_reachable");
         let reach: Vec<Vec<mcs::McId>> = {
             let level1 = tree.level1();
             let r = 3.0 * params.eps;
@@ -180,11 +178,10 @@ impl ParMuDbscan {
             mc.reach = list;
         }
         drop(step2);
-        phases.add_secs("finding_reachable", sw.lap());
 
         // Step 1b (parallel-safe, run after reach for better locality):
         // classify MCs, label wndq-cores, preliminary unions.
-        let step3 = obs::span!("clustering");
+        let step3 = phases.phase("clustering");
         let uf = ConcurrentUnionFind::new(n);
         let flags = Flags::new(n);
         let wndq_list: Mutex<Vec<PointId>> = Mutex::new(Vec::new());
@@ -332,10 +329,9 @@ impl ParMuDbscan {
             });
         }
         drop(step3);
-        phases.add_secs("clustering", sw.lap());
 
         // Step 4 (parallel): post-processing.
-        let step4 = obs::span!("post_processing");
+        let step4 = phases.phase("post_processing");
         let wndq_list = wndq_list.into_inner().expect("poisoned");
         let eps_sq = params.eps_sq();
         {
@@ -424,7 +420,6 @@ impl ParMuDbscan {
             });
         }
         drop(step4);
-        phases.add_secs("post_processing", sw.lap());
 
         if obs::enabled() {
             let (dense, core, sparse) = tree.kind_histogram(&params);

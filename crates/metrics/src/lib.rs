@@ -27,4 +27,4 @@ pub mod timer;
 pub use counters::{Counters, SharedCounters};
 pub use mem::{slice_bytes, vec_bytes, MemUsage};
 pub use table::Table;
-pub use timer::{thread_cpu_secs, BusyTimer, PhaseTimer, Stopwatch};
+pub use timer::{thread_cpu_secs, BusyTimer, Phase, PhaseTimer, Stopwatch};

@@ -135,6 +135,22 @@ impl PhaseTimer {
         out
     }
 
+    /// Open phase `name`: until the returned guard drops, the phase
+    /// runs inside the `obs` span of the same name, and the drop adds
+    /// the phase's wall time to this timer. One call both traces and
+    /// times a phase, so the two can never disagree on its name.
+    ///
+    /// ```
+    /// let mut phases = metrics::PhaseTimer::new();
+    /// let build = phases.phase("build");
+    /// // ... the phase's work ...
+    /// drop(build);
+    /// assert_eq!(phases.iter().next().map(|(name, _)| name), Some("build"));
+    /// ```
+    pub fn phase(&mut self, name: &'static str) -> Phase<'_> {
+        Phase { _span: obs::span(name), start: Instant::now(), name, timer: self }
+    }
+
     /// Seconds recorded for `name` (0 when absent).
     pub fn secs(&self, name: &str) -> f64 {
         self.phases.iter().find(|(n, _)| n == name).map(|(_, d)| d.as_secs_f64()).unwrap_or(0.0)
@@ -178,6 +194,23 @@ impl PhaseTimer {
     }
 }
 
+/// An open phase of a [`PhaseTimer`], made by [`PhaseTimer::phase`].
+#[must_use = "binding to `_` ends the phase at once; use `let p = timer.phase(..)`"]
+#[derive(Debug)]
+pub struct Phase<'a> {
+    timer: &'a mut PhaseTimer,
+    name: &'static str,
+    start: Instant,
+    /// Closes after the timer is charged, so the span covers the phase.
+    _span: obs::Span,
+}
+
+impl Drop for Phase<'_> {
+    fn drop(&mut self) {
+        self.timer.add(self.name, self.start.elapsed());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,6 +249,26 @@ mod tests {
         assert_eq!(v, 42);
         assert!(t.secs("work") >= 0.0);
         assert_eq!(t.iter().count(), 1);
+    }
+
+    #[test]
+    fn phase_is_one_span_and_one_timed_phase() {
+        obs::reset();
+        obs::enable();
+        let mut t = PhaseTimer::new();
+        {
+            let _run = obs::span("run");
+            let build = t.phase("build");
+            drop(build);
+            let _query = t.phase("query");
+        }
+        obs::disable();
+        let r = obs::take_report();
+        assert_eq!(r.span_count("run/build"), 1);
+        assert_eq!(r.span_count("run/query"), 1);
+        let names: Vec<&str> = t.iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["build", "query"]);
+        assert!(t.secs("build") <= r.span_secs("run/build"), "the span encloses the timed phase");
     }
 
     #[test]

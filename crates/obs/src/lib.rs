@@ -25,15 +25,18 @@
 //!   trace-event JSON (Perfetto-loadable) or rendered as an ASCII
 //!   timeline/flamegraph ([`render`]).
 //!
-//! On top of these sits the **live layer** for long-running serving
-//! engines: [`live`] provides an instantiable windowed metrics registry
+//! All aggregates live in one kind of store, the [`Registry`]: the
+//! process-global collector behind [`span()`], [`record_count`] and
+//! [`take_report`] is a `static` registry, and a serving engine owns
+//! registries of its own. On top of it sits the **live layer** for
+//! long-running serving engines: [`live`] provides windowed polling
 //! (cumulative + per-window snapshots without draining, JSON
 //! time-series and a Prometheus-style text exposition via
 //! [`live::render_prom`]), and [`recorder`] a bounded flight-recorder
 //! ring of recent serve epochs that dumps a schema'd postmortem
 //! artifact on faults. The one-shot [`take_report`] is the degenerate
 //! case: a single window, polled once, that also clears the state;
-//! [`snapshot_report`] is the non-draining variant it is built from.
+//! [`snapshot_report`] is the non-draining variant.
 //!
 //! A dependency-free **JSON emitter and parser** ([`json`]) underpins the
 //! exports; the `bench` crate's `emit_bench` driver uses it to write the
@@ -46,8 +49,8 @@
 //! a second switch ([`trace::enable_tracing`]) checked only inside the
 //! already-enabled branch, so it costs nothing when off. The spans
 //! themselves are *phase-level* (a handful to a few thousand per run, not
-//! one per point), which keeps the enabled overhead under the 5 % budget
-//! recorded in EXPERIMENTS.md.
+//! one per point); the enabled overhead of a whole run is the
+//! `obs.enabled_overhead_pct` layer of the repository benchmark.
 //!
 //! ## Recording spans
 //!
@@ -130,7 +133,7 @@ macro_rules! span {
     };
 }
 
-/// The collector, trace sink and drop counter are process-global, so
+/// The global registry, trace sink and drop counter are process-global, so
 /// unit tests that toggle or drain them must not interleave — every
 /// such test (across modules) serialises on this one lock.
 #[cfg(test)]

@@ -1,19 +1,20 @@
 //! Live telemetry: windowed metrics snapshots over cumulative state.
 //!
-//! The one-shot collector ([`crate::take_report`]) is batch-shaped:
-//! counters accumulate globally and are drained exactly once at
-//! end-of-run. A long-running serving writer needs the opposite — poll
-//! the metrics *while they keep accumulating*, without draining or
-//! perturbing anything. This module provides that in three pieces:
+//! A long-running serving writer needs to poll its metrics *while they
+//! keep accumulating*, without draining or perturbing anything. This
+//! module provides that in three pieces:
 //!
-//! * [`Registry`] — an instantiable, engine-local metrics store
-//!   (counters, additive values, histograms) behind one mutex. Unlike
-//!   the process-global collector it has no on/off switch: an engine
-//!   that owns a registry is always observable, independent of whether
-//!   the global `obs` layer is collecting. [`Registry::add_counts`]
-//!   records a *batch* of counter increments under a single lock
-//!   acquisition, so logically paired counters (e.g. an epoch's op
-//!   census) can never be observed torn by a concurrent poller.
+//! * [`Registry`] — the one keyed metrics store of the crate: span
+//!   statistics, counters, additive values and histograms behind one
+//!   mutex, in ordered maps so a snapshot needs no sort pass. The
+//!   process-global collector behind [`crate::record_count`],
+//!   [`crate::span()`] and [`crate::take_report`] is a `static` registry
+//!   gated by the crate's on/off switch; an engine may also own a
+//!   registry of its own, which has no switch and so is always
+//!   observable. [`Registry::add_counts`] records a *batch* of counter
+//!   increments under a single lock acquisition, so logically paired
+//!   counters (e.g. an epoch's op census) can never be observed torn by
+//!   a concurrent poller.
 //! * [`WindowCursor`] — turns cumulative snapshots into per-window
 //!   deltas ([`Report::delta_since`]). The **window algebra** is the
 //!   contract: every poll advances the cursor's baseline, so the
@@ -26,19 +27,22 @@
 //!   time-series, and [`render_prom`] renders any [`Report`] as a
 //!   dependency-free Prometheus-style text exposition.
 //!
-//! The existing one-shot report is the degenerate case of all this: a
-//! single window polled once, from the beginning of time, that also
-//! clears the state (`take_report` ≡ snapshot + clear).
+//! The one-shot report is the degenerate case of all this: a single
+//! window polled once, from the beginning of time, that also clears the
+//! state (`take_report` ≡ snapshot + clear).
 
 use crate::hist::Histogram;
 use crate::json::Json;
-use crate::report::Report;
-use std::collections::HashMap;
-use std::sync::{Mutex, PoisonError};
+use crate::report::{Report, SpanStat};
+use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
-/// An instantiable live-metrics store: cumulative counters, additive
-/// values and log-bucketed histograms behind one mutex, snapshotted on
-/// demand without draining.
+/// A keyed metrics store: cumulative span statistics, counters,
+/// additive values and log-bucketed histograms behind one mutex,
+/// snapshotted on demand without draining. Recording on a key that
+/// already exists allocates nothing; a key's `String` is allocated on
+/// its first use only.
 ///
 /// ```
 /// use obs::live::{Registry, WindowCursor};
@@ -58,28 +62,59 @@ pub struct Registry {
     inner: Mutex<State>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct State {
-    counts: HashMap<String, u64>,
-    values: HashMap<String, f64>,
-    hists: HashMap<String, Histogram>,
+    spans: BTreeMap<String, SpanStat>,
+    counts: BTreeMap<String, u64>,
+    values: BTreeMap<String, f64>,
+    hists: BTreeMap<String, Histogram>,
+}
+
+impl State {
+    /// The maps are ordered, so the report comes out sorted by name.
+    fn into_report(self) -> Report {
+        Report {
+            spans: self.spans.into_iter().collect(),
+            counts: self.counts.into_iter().collect(),
+            values: self.values.into_iter().collect(),
+            hists: self.hists.into_iter().collect(),
+        }
+    }
+}
+
+/// Apply `f` to the entry `name` of `map`, creating it on first use.
+/// The lookup comes first, so only a new key allocates its `String`.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_owned()).or_default()),
+    }
 }
 
 impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty registry. `const`, so a registry can be a `static`.
+    pub const fn new() -> Self {
+        let state = State {
+            spans: BTreeMap::new(),
+            counts: BTreeMap::new(),
+            values: BTreeMap::new(),
+            hists: BTreeMap::new(),
+        };
+        Self { inner: Mutex::new(state) }
     }
 
-    /// Lock the store, recovering from poisoning (the critical sections
-    /// below are short and panic-free, so the maps stay consistent).
-    fn state(&self) -> std::sync::MutexGuard<'_, State> {
+    /// Lock the store, recovering from poisoning: the critical sections
+    /// below are short and panic-free, so a poisoned lock (a panic
+    /// elsewhere while a span guard was live) leaves the maps
+    /// consistent. This is what keeps `obs` usable after a
+    /// `catch_unwind` — see the `unwind_safety` tests.
+    fn state(&self) -> MutexGuard<'_, State> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Add `n` to the named monotone counter.
     pub fn add_count(&self, name: &str, n: u64) {
-        *self.state().counts.entry(name.to_string()).or_insert(0) += n;
+        update(&mut self.state().counts, name, |c| *c += n);
     }
 
     /// Add a batch of counter increments under **one** lock
@@ -87,35 +122,38 @@ impl Registry {
     /// them, so logically paired counters can never tear.
     pub fn add_counts(&self, pairs: &[(&str, u64)]) {
         let mut s = self.state();
-        for (name, n) in pairs {
-            *s.counts.entry((*name).to_string()).or_insert(0) += n;
+        for &(name, n) in pairs {
+            update(&mut s.counts, name, |c| *c += n);
         }
     }
 
     /// Add `v` to the named additive value.
     pub fn add_value(&self, name: &str, v: f64) {
-        *self.state().values.entry(name.to_string()).or_insert(0.0) += v;
+        update(&mut self.state().values, name, |x| *x += v);
     }
 
     /// Record one sample into the named histogram.
     pub fn record_hist(&self, name: &str, v: u64) {
-        self.state().hists.entry(name.to_string()).or_default().record(v);
+        update(&mut self.state().hists, name, |h| h.record(v));
     }
 
-    /// A sorted, non-draining snapshot of the cumulative state (the
-    /// registry has no spans, so `spans` is always empty).
+    /// Charge one closed span of length `elapsed` to `path`.
+    pub(crate) fn record_span(&self, path: &str, elapsed: Duration) {
+        update(&mut self.state().spans, path, |stat| {
+            stat.secs += elapsed.as_secs_f64();
+            stat.count += 1;
+            stat.dur_ns.record(elapsed.as_nanos() as u64);
+        });
+    }
+
+    /// A sorted, non-draining snapshot of the cumulative state.
     pub fn cumulative(&self) -> Report {
-        let s = self.state();
-        let mut counts: Vec<(String, u64)> =
-            s.counts.iter().map(|(k, &v)| (k.clone(), v)).collect();
-        let mut values: Vec<(String, f64)> =
-            s.values.iter().map(|(k, &v)| (k.clone(), v)).collect();
-        let mut hists: Vec<(String, Histogram)> =
-            s.hists.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        counts.sort_by(|a, b| a.0.cmp(&b.0));
-        values.sort_by(|a, b| a.0.cmp(&b.0));
-        hists.sort_by(|a, b| a.0.cmp(&b.0));
-        Report { spans: Vec::new(), counts, values, hists }
+        self.state().clone().into_report()
+    }
+
+    /// Swap the state out into a sorted report, leaving the store empty.
+    pub(crate) fn take(&self) -> Report {
+        std::mem::take(&mut *self.state()).into_report()
     }
 }
 

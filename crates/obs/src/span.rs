@@ -1,5 +1,5 @@
-//! The span collector: a process-global switch, a thread-local span
-//! stack, and mutex-protected aggregation maps.
+//! The span layer: a process-global switch, a thread-local span stack,
+//! and the global [`Registry`] every record lands in.
 //!
 //! Design constraints (in priority order):
 //!
@@ -10,11 +10,11 @@
 //!    to its own maps — it never touches algorithm state. The
 //!    `conformance` crate pins this with a differential test (identical
 //!    clustering with collection on and off).
-//! 3. **Thread-safe.** Spans may be opened and dropped on any thread; the
-//!    aggregation maps are shared behind a [`Mutex`]. Spans are
-//!    *phase-level* (coarse), so the lock is uncontended in practice —
-//!    the measured overhead on the repro_table2 workload is recorded in
-//!    EXPERIMENTS.md.
+//! 3. **Thread-safe.** Spans may be opened and dropped on any thread;
+//!    every record goes to one `static` [`Registry`], whose maps sit
+//!    behind one mutex. What that lock costs per record, on one thread
+//!    and on all of them at once, is the `obs.registry_record_ns_t1` /
+//!    `obs.registry_record_ns_tN` layer of the repository benchmark.
 //!
 //! Hierarchy comes from a thread-local stack of open span names: a span
 //! opened while another is open on the *same thread* is charged to the
@@ -23,52 +23,23 @@
 //! phases therefore appear as their own top-level paths, which is what
 //! the per-rank/per-thread breakdowns want anyway.
 
-use crate::hist::Histogram;
-use crate::report::{Report, SpanStat};
+use crate::live::Registry;
+use crate::report::Report;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// The global aggregation state. One mutex guards all four maps: span
-/// drops, counter adds, value adds and histogram records are all
-/// phase-level (or at most per-query) events.
-struct Collector {
-    spans: HashMap<String, SpanStat>,
-    counts: HashMap<String, u64>,
-    values: HashMap<String, f64>,
-    hists: HashMap<String, Histogram>,
-}
-
-impl Collector {
-    fn new() -> Self {
-        Self {
-            spans: HashMap::new(),
-            counts: HashMap::new(),
-            values: HashMap::new(),
-            hists: HashMap::new(),
-        }
-    }
-}
-
-static COLLECTOR: std::sync::LazyLock<Mutex<Collector>> =
-    std::sync::LazyLock::new(|| Mutex::new(Collector::new()));
-
-/// Lock the collector, recovering from poisoning: the maps are only ever
-/// mutated by short, panic-free sections, so a poisoned lock (a panic
-/// elsewhere while a span guard was live) leaves them consistent. This
-/// is what keeps `obs` usable after a `catch_unwind` — see the
-/// `unwind_safety` tests.
-fn collector() -> MutexGuard<'static, Collector> {
-    COLLECTOR.lock().unwrap_or_else(PoisonError::into_inner)
-}
+/// The process-global store behind the free functions of this module.
+static GLOBAL: Registry = Registry::new();
 
 thread_local! {
-    /// Names of the spans currently open on this thread, outermost first.
-    static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    /// Names of the spans currently open on this thread, outermost
+    /// first, and the buffer their slash-joined path is built in (reused,
+    /// so closing a span on a known path allocates nothing).
+    static STACK: RefCell<(Vec<&'static str>, String)> =
+        const { RefCell::new((Vec::new(), String::new())) };
 }
 
 /// Turn collection on. Instrumented code starts recording at the next
@@ -93,33 +64,20 @@ pub fn enabled() -> bool {
 /// Discard all collected data (spans, counts, values, histograms) and
 /// any buffered trace events. Open spans will still record on drop.
 pub fn reset() {
-    let mut c = collector();
-    c.spans.clear();
-    c.counts.clear();
-    c.values.clear();
-    c.hists.clear();
-    drop(c);
+    GLOBAL.take();
     crate::trace::clear();
 }
 
-/// Sorted [`Report`] of the collector's current contents, plus the
-/// trace-layer drop counter folded in as `obs/trace_dropped_events`
-/// (only when non-zero, so clean runs keep their exact key set).
-fn report_of(c: &Collector, dropped: u64) -> Report {
-    let mut spans: Vec<(String, SpanStat)> =
-        c.spans.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-    let mut counts: Vec<(String, u64)> = c.counts.iter().map(|(k, &v)| (k.clone(), v)).collect();
-    let mut values: Vec<(String, f64)> = c.values.iter().map(|(k, &v)| (k.clone(), v)).collect();
-    let mut hists: Vec<(String, Histogram)> =
-        c.hists.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+/// Fold the trace-layer drop counter into `r` as
+/// `obs/trace_dropped_events`, in sorted position (only when non-zero,
+/// so clean runs keep their exact key set).
+fn with_dropped(mut r: Report, dropped: u64) -> Report {
     if dropped > 0 {
-        counts.push(("obs/trace_dropped_events".to_string(), dropped));
+        const KEY: &str = "obs/trace_dropped_events";
+        let at = r.counts.partition_point(|(k, _)| k.as_str() < KEY);
+        r.counts.insert(at, (KEY.to_string(), dropped));
     }
-    spans.sort_by(|a, b| a.0.cmp(&b.0));
-    counts.sort_by(|a, b| a.0.cmp(&b.0));
-    values.sort_by(|a, b| a.0.cmp(&b.0));
-    hists.sort_by(|a, b| a.0.cmp(&b.0));
-    Report { spans, counts, values, hists }
+    r
 }
 
 /// Swap the collected data out into a [`Report`], leaving the collector
@@ -128,13 +86,7 @@ fn report_of(c: &Collector, dropped: u64) -> Report {
 /// [`crate::trace::take_trace`]). With [`snapshot_report`] this is the
 /// "window from the beginning" special case: drain ≡ snapshot + clear.
 pub fn take_report() -> Report {
-    let mut c = collector();
-    let report = report_of(&c, crate::trace::take_dropped());
-    c.spans.clear();
-    c.counts.clear();
-    c.values.clear();
-    c.hists.clear();
-    report
+    with_dropped(GLOBAL.take(), crate::trace::take_dropped())
 }
 
 /// Clone the collected data into a [`Report`] **without draining it** —
@@ -144,7 +96,7 @@ pub fn take_report() -> Report {
 /// [`Report::delta_since`] between them yields exact per-window deltas;
 /// a later [`take_report`] still returns the full cumulative state.
 pub fn snapshot_report() -> Report {
-    report_of(&collector(), crate::trace::dropped_events())
+    with_dropped(GLOBAL.cumulative(), crate::trace::dropped_events())
 }
 
 /// Add `n` to the named monotone counter. No-op while disabled.
@@ -161,7 +113,7 @@ pub fn record_count(name: &str, n: u64) {
     if !enabled() {
         return;
     }
-    *collector().counts.entry(name.to_string()).or_insert(0) += n;
+    GLOBAL.add_count(name, n);
 }
 
 /// Add `v` to the named additive value (virtual seconds, ratios, bytes
@@ -170,10 +122,10 @@ pub fn record_value(name: &str, v: f64) {
     if !enabled() {
         return;
     }
-    *collector().values.entry(name.to_string()).or_insert(0.0) += v;
+    GLOBAL.add_value(name, v);
 }
 
-/// Record one sample into the named log-bucketed [`Histogram`]
+/// Record one sample into the named log-bucketed [`crate::Histogram`]
 /// (per-query node visits, candidate counts, per-superstep comm bytes).
 /// No-op while disabled.
 ///
@@ -190,7 +142,7 @@ pub fn record_hist(name: &str, v: u64) {
     if !enabled() {
         return;
     }
-    collector().hists.entry(name.to_string()).or_default().record(v);
+    GLOBAL.record_hist(name, v);
 }
 
 /// An open phase span. Created by [`span`] / the `span!` macro; records
@@ -217,7 +169,7 @@ pub fn span(name: &'static str) -> Span {
     if !enabled() {
         return Span { start: None, traced: false, _not_send: std::marker::PhantomData };
     }
-    STACK.with(|s| s.borrow_mut().push(name));
+    STACK.with(|s| s.borrow_mut().0.push(name));
     let traced = crate::trace::tracing_enabled();
     if traced {
         crate::trace::span_begin(name);
@@ -232,17 +184,18 @@ impl Drop for Span {
         if self.traced {
             crate::trace::span_end();
         }
-        let path = STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            let path = stack.join("/");
+        STACK.with(|s| {
+            let (stack, path) = &mut *s.borrow_mut();
+            path.clear();
+            for (i, name) in stack.iter().enumerate() {
+                if i > 0 {
+                    path.push('/');
+                }
+                path.push_str(name);
+            }
             stack.pop();
-            path
+            GLOBAL.record_span(path, elapsed);
         });
-        let mut c = collector();
-        let stat = c.spans.entry(path).or_default();
-        stat.secs += elapsed.as_secs_f64();
-        stat.count += 1;
-        stat.dur_ns.record(elapsed.as_nanos() as u64);
     }
 }
 
@@ -389,6 +342,66 @@ mod tests {
         let (_, stat) = r.spans.iter().find(|(p, _)| p == "timed").unwrap();
         assert_eq!(stat.dur_ns.count(), 5);
         assert!(stat.dur_ns.percentile(0.5) <= stat.dur_ns.max());
+    }
+
+    /// Records racing a drain: workers record counts and histogram
+    /// samples while another thread calls `take_report` over and over.
+    /// A barrier forces one drain between the workers' two halves; the
+    /// rest race freely. Every record lands in exactly one drained
+    /// report, so the drains plus one final report add up to exactly
+    /// what was recorded.
+    #[test]
+    fn drains_racing_records_lose_and_duplicate_nothing() {
+        const WORKERS: u64 = 4;
+        const HALF: u64 = 2_500;
+        let _g = locked();
+        reset();
+        enable();
+        let done = &AtomicBool::new(false);
+        let halfway = std::sync::Barrier::new(WORKERS as usize + 1);
+        let record = |w: u64, range: std::ops::Range<u64>| {
+            for i in range {
+                record_count("race/n", 1);
+                record_hist("race/h", w * 2 * HALF + i);
+            }
+        };
+        let mut total = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..WORKERS)
+                .map(|w| {
+                    let (halfway, record) = (&halfway, &record);
+                    s.spawn(move || {
+                        record(w, 0..HALF);
+                        halfway.wait(); // the first halves are in ...
+                        halfway.wait(); // ... and drained
+                        record(w, HALF..2 * HALF);
+                    })
+                })
+                .collect();
+            halfway.wait();
+            let mut drained = take_report();
+            assert_eq!(drained.count("race/n"), WORKERS * HALF, "the forced drain sees the halves");
+            halfway.wait();
+            let drainer = s.spawn(move || {
+                while !done.load(Ordering::Relaxed) {
+                    drained.merge(&take_report());
+                    std::thread::yield_now();
+                }
+                drained
+            });
+            for w in workers {
+                w.join().expect("worker panicked");
+            }
+            done.store(true, Ordering::Relaxed);
+            drainer.join().expect("drainer panicked")
+        });
+        disable();
+        total.merge(&take_report());
+        let mut expected = crate::Histogram::new();
+        for v in 0..WORKERS * 2 * HALF {
+            expected.record(v);
+        }
+        assert_eq!(total.count("race/n"), WORKERS * 2 * HALF);
+        assert_eq!(total.hist("race/h"), Some(&expected), "drained histograms must add up exactly");
     }
 
     /// Satellite: a panic inside a nested span (caught with

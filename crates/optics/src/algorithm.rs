@@ -2,7 +2,7 @@
 
 use geom::{dist_euclidean, Dataset, DbscanParams, PointId};
 use mcs::{build_micro_clusters, build_micro_clusters_par, BuildOptions};
-use metrics::{Counters, PhaseTimer, Stopwatch};
+use metrics::{Counters, PhaseTimer};
 use mudbscan::{Clustering, NOISE};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -91,8 +91,8 @@ impl Optics {
         let params = self.params;
         let counters = Counters::new();
         let mut phases = PhaseTimer::new();
-        let mut sw = Stopwatch::start();
 
+        let build = phases.phase("tree_construction");
         let mut tree = if self.opts.parallel {
             let threads = std::thread::available_parallelism().map_or(4, |p| p.get());
             build_micro_clusters_par(data, params.eps, &self.opts, threads, &counters).0
@@ -100,8 +100,9 @@ impl Optics {
             build_micro_clusters(data, params.eps, &self.opts, &counters)
         };
         tree.compute_reachable(data, &counters);
-        phases.add_secs("tree_construction", sw.lap());
+        drop(build);
 
+        let ordering = phases.phase("ordering");
         let mut order = Vec::with_capacity(n);
         let mut reachability = vec![f64::INFINITY; n];
         let mut core_distance = vec![f64::INFINITY; n];
@@ -159,7 +160,7 @@ impl Optics {
                 }
             }
         }
-        phases.add_secs("ordering", sw.lap());
+        drop(ordering);
         debug_assert_eq!(order.len(), n);
 
         OpticsOutput { order, reachability, core_distance, params, counters, phases }

@@ -115,7 +115,6 @@ fn non_finite_input_is_a_typed_error_on_every_batch_family() {
             Runner::new(params).shards(2),
             Runner::new(params).family(Family::Streaming),
             Runner::new(params).family(Family::Optics),
-            Runner::new(params).family(Family::Serving),
         ]
     };
     for bad in [f64::NAN, f64::INFINITY] {
