@@ -157,19 +157,17 @@ impl ParMuDbscan {
         // computing into a side vector).
         let step2 = phases.phase("finding_reachable");
         let reach: Vec<Vec<mcs::McId>> = {
-            let level1 = tree.level1();
-            let r = 3.0 * params.eps;
-            let mcs_ref = &tree.mcs;
+            let tree = &tree;
             let counters = &counters;
-            parallel_map_chunks(self.threads, mcs_ref.len(), |range| {
+            parallel_map_chunks(self.threads, tree.mcs.len(), |range| {
                 let mut out = Vec::with_capacity(range.len());
+                let mut scratch = Vec::new();
                 for i in range {
-                    let mut list = Vec::new();
-                    let cost =
-                        level1.search_sphere(data.point(mcs_ref[i].center), r, |mc| list.push(mc));
+                    scratch.clear();
+                    let cost = tree.reachable_from(data, i as mcs::McId, &mut scratch);
                     counters.count_dists(cost.mbr_tests);
                     counters.count_node_visits(cost.nodes_visited.max(1));
-                    out.push(list);
+                    out.push(scratch.clone());
                 }
                 out
             })

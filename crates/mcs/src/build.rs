@@ -3,7 +3,8 @@
 //! Single scan over the points:
 //!
 //! 1. if some MC center lies strictly within ε of the point, the point
-//!    joins that MC (first found);
+//!    joins that MC — the minimum-id one when level 1 is the grid
+//!    ([`crate::level1`]), the first one found when it is an R-tree;
 //! 2. otherwise, if some center lies within 2ε, the point is *deferred* to
 //!    an `unassignedList` — creating a center here would produce a heavily
 //!    overlapping MC, and the paper's 2ε rule keeps the MC count low;
@@ -13,6 +14,7 @@
 //! exists by now, else become a new center. Finally each MC gets an STR
 //! bulk-loaded auxiliary R-tree.
 
+use crate::level1::Level1;
 use crate::micro::{McId, MicroCluster, NO_MC};
 use crate::murtree::MuRTree;
 use geom::{Dataset, PointId};
@@ -28,8 +30,6 @@ pub struct BuildOptions {
     /// Build auxiliary R-trees with STR bulk loading (default) instead of
     /// repeated insertion.
     pub str_aux: bool,
-    /// Fan-out of the level-1 tree over MC centers.
-    pub level1_cfg: RTreeConfig,
     /// Fan-out of the per-MC auxiliary trees.
     pub aux_cfg: RTreeConfig,
     /// Use the tiled parallel construction path
@@ -46,7 +46,6 @@ impl Default for BuildOptions {
         Self {
             two_eps_deferral: true,
             str_aux: true,
-            level1_cfg: RTreeConfig::default(),
             aux_cfg: RTreeConfig::default(),
             parallel: false,
         }
@@ -62,29 +61,28 @@ pub fn build_micro_clusters(
 ) -> MuRTree {
     let _span = obs::span!("mc_build");
     let dim = data.dim();
-    let mut level1 = RTree::with_config(dim, opts.level1_cfg);
+    let mut level1 = Level1::for_dim(dim, eps);
     let mut mcs: Vec<MicroCluster> = Vec::new();
     let mut assignment: Vec<McId> = vec![NO_MC; data.len()];
     let mut unassigned: Vec<PointId> = Vec::new();
 
     let create_mc = |p: PointId,
                      coords: &[f64],
-                     level1: &mut RTree,
+                     level1: &mut Level1,
                      mcs: &mut Vec<MicroCluster>,
                      assignment: &mut Vec<McId>| {
         let id = mcs.len() as McId;
         mcs.push(MicroCluster::new(p, coords));
-        level1.insert_point(id, coords);
+        level1.insert(id, coords);
         assignment[p as usize] = id;
     };
 
     // First scan (Algorithm 3, PROCESS-POINT). Each probe charges the real
-    // traversal cost `first_in_sphere` paid — the old code guessed (a flat
-    // node visit per point, 1–2 dists per hit), skewing every downstream
-    // query-save percentage.
+    // cost the level-1 index paid: cells or nodes visited, and centers or
+    // boxes tested.
     let scan1 = obs::span!("scan_assign");
     for (p, coords) in data.iter() {
-        let (hit, cost) = level1.first_in_sphere(coords, eps);
+        let (hit, cost) = level1.join(coords, eps);
         counters.count_node_visits(cost.nodes_visited.max(1));
         counters.count_dists(cost.mbr_tests);
         if let Some(mc) = hit {
@@ -92,10 +90,10 @@ pub fn build_micro_clusters(
             mcs[mc as usize].insert(p, coords, data.point(center), eps);
             assignment[p as usize] = mc;
         } else if opts.two_eps_deferral {
-            let (near, cost2) = level1.first_in_sphere(coords, 2.0 * eps);
+            let (near, cost2) = level1.any_within(coords, 2.0 * eps);
             counters.count_node_visits(cost2.nodes_visited.max(1));
             counters.count_dists(cost2.mbr_tests);
-            if near.is_some() {
+            if near {
                 unassigned.push(p);
             } else {
                 create_mc(p, coords, &mut level1, &mut mcs, &mut assignment);
@@ -112,7 +110,7 @@ pub fn build_micro_clusters(
     let scan2 = obs::span!("scan_unassigned");
     for p in unassigned {
         let coords = data.point(p);
-        let (hit, cost) = level1.first_in_sphere(coords, eps);
+        let (hit, cost) = level1.join(coords, eps);
         counters.count_node_visits(cost.nodes_visited.max(1));
         counters.count_dists(cost.mbr_tests);
         if let Some(mc) = hit {
@@ -250,6 +248,19 @@ mod tests {
             nb.sort_unstable();
             assert_eq!(na, nb);
         }
+    }
+
+    #[test]
+    fn a_point_within_eps_of_two_centers_joins_the_minimum_id() {
+        // Without deferral, 0 and 1 both become centers (exactly ε apart);
+        // point 2 lies within ε of both. The grid probes center 1's cell
+        // first, and the point still joins center 0.
+        let data = Dataset::from_rows(&[vec![2.5, 0.0], vec![1.5, 0.0], vec![2.0, 0.0]]);
+        let opts = BuildOptions { two_eps_deferral: false, ..Default::default() };
+        let t = build_micro_clusters(&data, 1.0, &opts, &Counters::new());
+        assert_eq!(t.mcs.len(), 2);
+        assert_eq!((t.mcs[0].center, t.mcs[1].center), (0, 1));
+        assert_eq!(t.assignment[2], 0);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! A **micro-cluster** `MC(p)` is the set of points lying strictly within
 //! ε of a chosen *center point* `p` (including `p` itself); every point
 //! belongs to exactly one MC. The **μR-tree** indexes MC centers in a
-//! level-1 R-tree and each MC's member points in a per-MC auxiliary
+//! level-1 index — a hashed grid of cell side 2ε at `dim ≤ 3`, an R-tree
+//! above ([`level1`]) — and each MC's member points in a per-MC auxiliary
 //! R-tree, so an ε-query only ever descends small trees.
 //!
 //! Classification (with `MinPts`):
@@ -44,11 +45,13 @@
 //! ```
 
 pub mod build;
+pub mod level1;
 pub mod micro;
 pub mod murtree;
 pub mod par_build;
 
 pub use build::{build_micro_clusters, BuildOptions};
+pub use level1::{CenterGrid, Level1};
 pub use micro::{McId, McKind, MicroCluster, NO_MC};
 pub use murtree::MuRTree;
 pub use par_build::{build_micro_clusters_par, ParBuildStats};

@@ -103,7 +103,7 @@ impl MicroCluster {
 
     /// Build the auxiliary R-tree over the member points via STR packing.
     pub fn build_aux(&mut self, data: &Dataset, cfg: RTreeConfig) {
-        let pts = self.members.iter().map(|&m| (m, data.point(m).to_vec()));
+        let pts = self.members.iter().map(|&m| (m, data.point(m)));
         self.aux = Some(RTree::bulk_load_points(data.dim(), cfg, pts));
     }
 

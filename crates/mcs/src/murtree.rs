@@ -1,19 +1,20 @@
-//! The μR-tree: level-1 R-tree over MC centers + per-MC auxiliary trees,
+//! The μR-tree: level-1 index over MC centers + per-MC auxiliary trees,
 //! reachable-MC lists (Lemma 3) and the restricted ε-neighbourhood query
 //! (paper Algorithm 6, FIND-NBHD).
 
+use crate::level1::Level1;
 use crate::micro::{McId, MicroCluster};
 use geom::{Dataset, PointId};
 use metrics::Counters;
-use rtree::{QueryCost, RTree};
+use rtree::QueryCost;
 
 /// The two-level spatial index of μDBSCAN plus the point→MC assignment.
 #[derive(Debug, Clone)]
 pub struct MuRTree {
     /// The ε the structure was built for (all queries use this radius).
     pub eps: f64,
-    /// Level-1 R-tree; items are [`McId`]s located at their center points.
-    level1: RTree,
+    /// Level-1 index; items are [`McId`]s located at their center points.
+    level1: Level1,
     /// All micro-clusters.
     pub mcs: Vec<MicroCluster>,
     /// `assignment[p]` is the MC that point `p` belongs to.
@@ -22,9 +23,9 @@ pub struct MuRTree {
 
 impl MuRTree {
     /// Assemble from construction output (see [`crate::build_micro_clusters`]).
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         eps: f64,
-        level1: RTree,
+        level1: Level1,
         mcs: Vec<MicroCluster>,
         assignment: Vec<McId>,
     ) -> Self {
@@ -45,11 +46,6 @@ impl MuRTree {
         }
     }
 
-    /// The level-1 tree (read-only; exposed for diagnostics/benches).
-    pub fn level1(&self) -> &RTree {
-        &self.level1
-    }
-
     /// Compute every MC's reachable list — all MCs whose center lies
     /// strictly within 3ε (paper Algorithm 5; strict `<` is sufficient
     /// because all distances in Lemma 3's chain are strict).
@@ -57,21 +53,31 @@ impl MuRTree {
     /// The list always contains the MC itself.
     pub fn compute_reachable(&mut self, data: &Dataset, counters: &Counters) {
         let _span = obs::span!("find_reachable");
-        let r = 3.0 * self.eps;
         let mut reach_total = 0u64;
+        let mut scratch = Vec::new();
         for i in 0..self.mcs.len() {
-            let center = self.mcs[i].center;
-            let mut reach = Vec::new();
-            let cost = self.level1.search_sphere(data.point(center), r, |mc| reach.push(mc));
+            scratch.clear();
+            let cost = self.reachable_from(data, i as McId, &mut scratch);
             counters.count_dists(cost.mbr_tests);
             counters.count_node_visits(cost.nodes_visited.max(1));
-            debug_assert!(reach.contains(&(i as McId)));
-            reach_total += reach.len() as u64;
-            self.mcs[i].reach = reach;
+            reach_total += scratch.len() as u64;
+            self.mcs[i].reach = scratch.clone();
         }
         if obs::enabled() {
             obs::record_count("mc/reach_list_entries", reach_total);
         }
+    }
+
+    /// Append MC `mc`'s reachable list — every MC whose center lies
+    /// strictly within 3ε of its center, itself included — to `out`, and
+    /// return the level-1 probe's cost. [`Self::compute_reachable`] calls
+    /// this for every MC; parallel callers call it per MC themselves.
+    pub fn reachable_from(&self, data: &Dataset, mc: McId, out: &mut Vec<McId>) -> QueryCost {
+        let start = out.len();
+        let center = data.point(self.mcs[mc as usize].center);
+        let cost = self.level1.within(center, 3.0 * self.eps, out);
+        debug_assert!(out[start..].contains(&mc));
+        cost
     }
 
     /// Restricted ε-neighbourhood query for dataset point `p`
@@ -115,7 +121,7 @@ impl MuRTree {
         h
     }
 
-    /// Estimated heap footprint in bytes (level-1 tree, MC records,
+    /// Estimated heap footprint in bytes (level-1 index, MC records,
     /// assignment vector).
     pub fn heap_bytes(&self) -> usize {
         self.level1.heap_bytes()
@@ -220,7 +226,7 @@ mod tests {
         assert!(t.mc_count() > 0);
         assert!(t.avg_mc_size() >= 1.0);
         assert!(t.heap_bytes() > 0);
-        assert_eq!(t.level1().len(), t.mc_count());
+        assert_eq!(t.level1.len(), t.mc_count());
     }
 
     #[test]

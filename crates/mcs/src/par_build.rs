@@ -57,8 +57,9 @@
 //!    kept-center tree (join within ε, 2ε-defer, else found a new
 //!    center). The orphan probes run in parallel too; only the apply
 //!    pass (which may create new centers) stays sequential.
-//! 4. **Canonicalise and bulk-load**: sort MCs by center id, STR-pack the
-//!    level-1 tree, then build every per-MC aux tree on worker threads
+//! 4. **Canonicalise and bulk-load**: sort MCs by center id, index the
+//!    final centers in level 1 ([`crate::level1::Level1::from_centers`]),
+//!    then build every per-MC aux tree on worker threads
 //!    (stride-assigned again; they are embarrassingly independent).
 //!
 //! The resulting partition need not equal the sequential one bit-for-bit
@@ -79,11 +80,12 @@
 //! [`ParMuDbscan`]: ../mudbscan/struct.ParMuDbscan.html
 
 use crate::build::BuildOptions;
+use crate::level1::{Level1, GRID_MAX_DIM};
 use crate::micro::{McId, MicroCluster, NO_MC};
 use crate::murtree::MuRTree;
 use geom::{Dataset, PointId};
 use metrics::{BusyTimer, Counters, Stopwatch};
-use rtree::RTree;
+use rtree::{RTree, RTreeConfig};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -160,7 +162,7 @@ pub fn build_micro_clusters_par(
 
     let Some((lo, _hi)) = data.bounding_box() else {
         // Empty dataset: empty tree, nothing to do.
-        let level1 = RTree::with_config(dim, opts.level1_cfg);
+        let level1 = Level1::for_dim(dim, eps);
         return (MuRTree::from_parts(eps, level1, Vec::new(), Vec::new()), stats);
     };
 
@@ -325,11 +327,11 @@ pub fn build_micro_clusters_par(
     stats.boundary_candidates = boundary.len();
     let boundary_tree = RTree::bulk_load_points(
         dim,
-        opts.level1_cfg,
+        RTreeConfig::default(),
         boundary
             .iter()
             .enumerate()
-            .map(|(bi, &ci)| (bi as u32, data.point(candidates[ci].1.center).to_vec())),
+            .map(|(bi, &ci)| (bi as u32, data.point(candidates[ci].1.center))),
     );
     drop(rec);
     let classify_wall = sw.lap();
@@ -429,8 +431,8 @@ pub fn build_micro_clusters_par(
     // fallback runs against the full kept set, STR-packed in one go.
     let kept_tree = RTree::bulk_load_points(
         dim,
-        opts.level1_cfg,
-        kept.iter().enumerate().map(|(id, mc)| (id as McId, data.point(mc.center).to_vec())),
+        RTreeConfig::default(),
+        kept.iter().enumerate().map(|(id, mc)| (id as McId, data.point(mc.center))),
     );
     drop(keep_span);
     let keep_wall = sw.lap();
@@ -488,7 +490,7 @@ pub fn build_micro_clusters_par(
     // orphans that missed everything consult `new_tree` — the centers
     // created during this very pass, which the static probes cannot see.
     let apply = obs::span!("reconcile_apply");
-    let mut new_tree = RTree::with_config(dim, opts.level1_cfg);
+    let mut new_tree = RTree::new(dim);
     let mut deferred: Vec<PointId> = Vec::new();
     for (j, &(p, victor)) in orphans.iter().enumerate() {
         let probe = probes[j].lock().expect("poisoned").take().expect("orphan probed");
@@ -555,8 +557,9 @@ pub fn build_micro_clusters_par(
 
     // Canonical order: ascending center id, independent of tile layout.
     // The kept list is already sorted unless the orphan pass appended new
-    // centers, and when it did not, `kept_tree` already indexes exactly
-    // the final MC ids, so the level-1 bulk load can be skipped too.
+    // centers. When it did not, `kept_tree` already indexes exactly the
+    // final MC ids, so above the grid's dimensions it becomes level 1;
+    // otherwise level 1 is built over the final centers.
     let created_new = !new_tree.is_empty();
     if created_new {
         kept.sort_unstable_by_key(|mc| mc.center);
@@ -567,14 +570,10 @@ pub fn build_micro_clusters_par(
             assignment[m as usize] = id as McId;
         }
     }
-    let level1 = if created_new {
-        RTree::bulk_load_points(
-            dim,
-            opts.level1_cfg,
-            kept.iter().enumerate().map(|(id, mc)| (id as McId, data.point(mc.center).to_vec())),
-        )
+    let level1 = if created_new || dim <= GRID_MAX_DIM {
+        Level1::from_centers(dim, eps, kept.iter().map(|mc| data.point(mc.center)))
     } else {
-        kept_tree
+        Level1::Tree(kept_tree)
     };
     drop(apply);
     let apply_wall = sw.lap();
@@ -649,7 +648,7 @@ fn scan_tile(
     pts: &[PointId],
     counters: &Counters,
 ) -> Vec<MicroCluster> {
-    let mut local = RTree::with_config(data.dim(), opts.level1_cfg);
+    let mut local = RTree::new(data.dim());
     let mut mcs: Vec<MicroCluster> = Vec::new();
     let mut deferred: Vec<PointId> = Vec::new();
     let create = |p: PointId, coords: &[f64], local: &mut RTree, mcs: &mut Vec<MicroCluster>| {
@@ -699,7 +698,7 @@ fn build_one_aux(data: &Dataset, mc: &MicroCluster, opts: &BuildOptions) -> RTre
         RTree::bulk_load_points(
             data.dim(),
             opts.aux_cfg,
-            mc.members.iter().map(|&m| (m, data.point(m).to_vec())),
+            mc.members.iter().map(|&m| (m, data.point(m))),
         )
     } else {
         let mut t = RTree::with_config(data.dim(), opts.aux_cfg);

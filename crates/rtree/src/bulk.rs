@@ -8,6 +8,7 @@
 
 use crate::node::{Entry, LeafData, Node};
 use crate::tree::{RTree, RTreeConfig};
+use geom::soa::PointBlock;
 use geom::Mbr;
 
 impl RTree {
@@ -19,7 +20,7 @@ impl RTree {
             return tree;
         }
         let len = entries.len();
-        str_order(&mut entries, 0, dim, cfg.max_entries);
+        str_order(&mut entries, &|e: &Entry, k| e.mbr.center(k), 0, dim, cfg.max_entries);
 
         // Pack leaves. Blocks get the same capacity insertion-built leaves
         // use (max + 1) so later incremental pushes behave identically.
@@ -39,72 +40,118 @@ impl RTree {
             tree.nodes.push(Node::Leaf { mbr, data: LeafData::from_entries(dim, leaf_cap, buf) });
             level.push(id);
         }
-        let mut height = 1;
+        tree.pack_levels(level, len);
+        tree
+    }
 
-        // Pack internal levels until a single root remains.
+    /// Bulk load point items from `(item, coords)` pairs. Builds the same
+    /// tree as [`Self::bulk_load`] over [`Entry::point`]s, but packs the
+    /// coordinates straight into leaf blocks: the allocations grow with
+    /// the number of leaves, not of points.
+    pub fn bulk_load_points<C: AsRef<[f64]>>(
+        dim: usize,
+        cfg: RTreeConfig,
+        points: impl IntoIterator<Item = (u32, C)>,
+    ) -> RTree {
+        let points = points.into_iter();
+        let mut items: Vec<u32> = Vec::with_capacity(points.size_hint().0);
+        let mut coords: Vec<f64> = Vec::with_capacity(points.size_hint().0 * dim);
+        for (item, c) in points {
+            items.push(item);
+            coords.extend_from_slice(c.as_ref());
+        }
+        RTree::pack_points(dim, cfg, &items, &coords)
+    }
+
+    /// STR-pack `items[i]` at `coords[i * dim..]` into point leaves. Kept
+    /// apart from the generic [`Self::bulk_load_points`] so that the sort
+    /// is compiled once.
+    fn pack_points(dim: usize, cfg: RTreeConfig, items: &[u32], coords: &[f64]) -> RTree {
+        let _span = obs::span!("rtree_bulk_load");
+        let mut tree = RTree::with_config(dim, cfg);
+        if items.is_empty() {
+            return tree;
+        }
+        let point = |i: usize| &coords[i * dim..(i + 1) * dim];
+        let mut order: Vec<usize> = (0..items.len()).collect();
+        str_order(&mut order, &|&i: &usize, k| coords[i * dim + k], 0, dim, cfg.max_entries);
+
+        let leaf_cap = tree.leaf_cap();
+        let mut level: Vec<u32> = Vec::with_capacity(items.len().div_ceil(cfg.max_entries));
+        for run in order.chunks(cfg.max_entries) {
+            let mut block = PointBlock::with_capacity(dim, leaf_cap);
+            for &i in run {
+                block.push(items[i], point(i));
+            }
+            let mut mbr = Mbr::point(point(run[0]));
+            block.bound_into(&mut mbr);
+            let id = tree.nodes.len() as u32;
+            tree.nodes.push(Node::Leaf { mbr, data: LeafData::Points(block) });
+            level.push(id);
+        }
+        tree.pack_levels(level, items.len());
+        tree
+    }
+
+    /// Pack internal levels over the leaf ids in `level` until a single
+    /// root remains, and finish the tree's bookkeeping.
+    fn pack_levels(&mut self, mut level: Vec<u32>, len: usize) {
+        let max = self.config().max_entries;
+        let mut height = 1;
         while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len() / cfg.max_entries + 1);
-            for chunk in level.chunks(cfg.max_entries) {
-                let mut m = tree.nodes[chunk[0] as usize].mbr().clone();
+            let mut next = Vec::with_capacity(level.len() / max + 1);
+            for chunk in level.chunks(max) {
+                let mut m = self.nodes[chunk[0] as usize].mbr().clone();
                 for &c in &chunk[1..] {
-                    m.merge(tree.nodes[c as usize].mbr());
+                    m.merge(self.nodes[c as usize].mbr());
                 }
-                let id = tree.nodes.len() as u32;
-                tree.nodes.push(Node::Internal { mbr: m, children: chunk.to_vec() });
+                let id = self.nodes.len() as u32;
+                self.nodes.push(Node::Internal { mbr: m, children: chunk.to_vec() });
                 next.push(id);
             }
             level = next;
             height += 1;
         }
 
-        tree.root = Some(level[0]);
-        tree.len = len;
-        tree.height = height;
+        self.root = Some(level[0]);
+        self.len = len;
+        self.height = height;
         if obs::enabled() {
             obs::record_count("rtree/bulk_loaded_entries", len as u64);
-            obs::record_count("rtree/bulk_loaded_nodes", tree.nodes.len() as u64);
+            obs::record_count("rtree/bulk_loaded_nodes", self.nodes.len() as u64);
             // Distribution of bulk-load sizes: one sample per tree, so the
             // μR-tree's many small auxiliary trees vs the one level-1 tree
             // show up as separate modes.
             obs::record_hist("rtree/bulk_load_entries", len as u64);
         }
-        tree
-    }
-
-    /// Bulk load point items from `(item, coords)` pairs.
-    pub fn bulk_load_points(
-        dim: usize,
-        cfg: RTreeConfig,
-        points: impl IntoIterator<Item = (u32, Vec<f64>)>,
-    ) -> RTree {
-        let entries = points
-            .into_iter()
-            .map(|(item, coords)| Entry { mbr: Mbr::point(&coords), item })
-            .collect();
-        RTree::bulk_load(dim, cfg, entries)
     }
 }
 
-/// Recursively order entries by STR tiling so that consecutive runs of
-/// `leaf_cap` entries are spatially coherent.
-fn str_order(entries: &mut [Entry], axis: usize, dim: usize, leaf_cap: usize) {
-    if entries.len() <= leaf_cap || axis >= dim {
+/// Recursively order `xs` by STR tiling so that consecutive runs of
+/// `leaf_cap` elements are spatially coherent; `key(x, k)` is the
+/// coordinate of `x`'s box center on axis `k`.
+fn str_order<T>(
+    xs: &mut [T],
+    key: &impl Fn(&T, usize) -> f64,
+    axis: usize,
+    dim: usize,
+    leaf_cap: usize,
+) {
+    if xs.len() <= leaf_cap || axis >= dim {
         return;
     }
-    entries.sort_by(|a, b| {
-        a.mbr.center(axis).partial_cmp(&b.mbr.center(axis)).unwrap_or(std::cmp::Ordering::Equal)
-    });
+    xs.sort_by(|a, b| key(a, axis).partial_cmp(&key(b, axis)).unwrap_or(std::cmp::Ordering::Equal));
     if axis + 1 == dim {
         return;
     }
     // Number of slabs along this axis: ceil(P^(1/r)) with P = #leaves,
     // r = remaining axes.
-    let p = entries.len().div_ceil(leaf_cap);
+    let p = xs.len().div_ceil(leaf_cap);
     let r = (dim - axis) as f64;
     let slabs = (p as f64).powf(1.0 / r).ceil() as usize;
-    let slab_size = entries.len().div_ceil(slabs.max(1));
-    for chunk in entries.chunks_mut(slab_size.max(1)) {
-        str_order(chunk, axis + 1, dim, leaf_cap);
+    let slab_size = xs.len().div_ceil(slabs.max(1));
+    for chunk in xs.chunks_mut(slab_size.max(1)) {
+        str_order(chunk, key, axis + 1, dim, leaf_cap);
     }
 }
 
@@ -143,6 +190,33 @@ mod tests {
         let mut seen = vec![false; 1000];
         t.for_each_item(|i, _| seen[i as usize] = true);
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn points_build_the_same_tree_as_point_entries() {
+        let cfg = RTreeConfig::default();
+        let items = |t: &RTree| {
+            let mut v = Vec::new();
+            t.for_each_item(|i, m| v.push((i, m.lo().to_vec(), m.hi().to_vec())));
+            v
+        };
+        for n in [1, 10, 33, 1000, 5000] {
+            let points = pts(n);
+            let a = RTree::bulk_load_points(3, cfg, points.iter().map(|(i, p)| (*i, p)));
+            let entries = points.iter().map(|(i, p)| Entry::point(*i, p)).collect();
+            let b = RTree::bulk_load(3, cfg, entries);
+            assert_eq!((a.height(), a.node_count()), (b.height(), b.node_count()), "n={n}");
+            assert_eq!(items(&a), items(&b), "n={n}");
+            for (_, q) in points.iter().step_by(97) {
+                let (mut ha, mut hb) = (Vec::new(), Vec::new());
+                let ca = a.search_sphere(q, 7.0, |i| ha.push(i));
+                let cb = b.search_sphere(q, 7.0, |i| hb.push(i));
+                assert_eq!(
+                    (ha, ca.nodes_visited, ca.mbr_tests),
+                    (hb, cb.nodes_visited, cb.mbr_tests)
+                );
+            }
+        }
     }
 
     #[test]

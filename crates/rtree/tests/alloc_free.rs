@@ -4,15 +4,16 @@
 //! reallocations) made on the calling thread. After a warm-up that sizes
 //! the per-thread traversal scratch, ε-queries and removals must not
 //! allocate at all, and an insertion may allocate only for the nodes a
-//! split creates (at most one allocation per insert, amortized). The
-//! μR-tree's restricted neighbourhood query may allocate only to grow its
-//! output vector.
+//! split creates (at most one allocation per insert, amortized). An STR
+//! bulk load of points allocates per leaf, not per point. The μR-tree's
+//! restricted neighbourhood query may allocate only to grow its output
+//! vector.
 //!
 //! Run with `-- --nocapture` to print the measured allocations per op.
 
 use geom::Dataset;
 use metrics::Counters;
-use rtree::RTree;
+use rtree::{RTree, RTreeConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -111,6 +112,24 @@ fn insert_allocates_only_for_split_nodes() {
     println!("insert_point: {per_op:.3} allocations per op");
     assert!(per_op <= 1.0, "insert_point made {per_op:.3} allocations per op");
     t.check_invariants();
+}
+
+#[test]
+fn bulk_load_allocates_per_leaf_not_per_point() {
+    let pts = points(N);
+    let cfg = RTreeConfig::default();
+    let (allocs, t) = allocs_in(|| {
+        RTree::bulk_load_points(3, cfg, pts.iter().enumerate().map(|(i, p)| (i as u32, p)))
+    });
+    let leaves = N.div_ceil(cfg.max_entries) as u64;
+    println!(
+        "bulk_load_points: {allocs} allocations for {N} points in {leaves} leaves \
+         ({:.2} per leaf)",
+        allocs as f64 / leaves as f64
+    );
+    assert_eq!(t.len(), N);
+    t.check_invariants();
+    assert!(allocs <= 8 * leaves, "bulk_load_points made {allocs} allocations for {leaves} leaves");
 }
 
 #[test]
