@@ -58,7 +58,7 @@ pub use dist::{DistError, FaultConfig, ShardedOutput};
 pub use geom::{
     gather_dense, Cols, DataSource, Dataset, DbscanParams, PointId, SourceChunk, DEFAULT_CHUNK_CAP,
 };
-pub use mcs::{BuildOptions, ParBuildStats};
+pub use mcs::BuildOptions;
 pub use metrics::{Counters, PhaseTimer};
 pub use mudbscan_core::{naive_dbscan, Clustering, NOISE};
 pub use stream::{
@@ -128,9 +128,6 @@ pub enum RunDetails {
     Parallel {
         /// Number of micro-clusters formed.
         mc_count: usize,
-        /// Tiled-construction diagnostics (`None` when the sequential
-        /// builder was pinned via options).
-        build_stats: Option<ParBuildStats>,
     },
     /// Distributed-run extras.
     Distributed {
@@ -637,7 +634,7 @@ impl Cluster for Par {
             clustering: out.clustering,
             counters: out.counters.snapshot(),
             phases: out.phases,
-            details: RunDetails::Parallel { mc_count: out.mc_count, build_stats: out.build_stats },
+            details: RunDetails::Parallel { mc_count: out.mc_count },
         })
     }
 }

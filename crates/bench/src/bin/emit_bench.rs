@@ -19,13 +19,11 @@
 //! emission), plus a k-distance sample summary and a live-polling arm
 //! in the overhead probe.
 //!
-//! Parallel runs use the tiled parallel micro-cluster builder and carry a
-//! `tree_construction_makespan` field: the construction critical path
-//! (sequential stage walls + per-worker busy maxima of the parallel
-//! stages, measured with thread-CPU clocks). On hosts with fewer cores
-//! than worker threads the *wall* `tree_construction` time cannot shrink
-//! with thread count — the makespan is the quantity that scales, the same
-//! convention the distributed simulator uses for per-rank phase maxima.
+//! Parallel runs carry a `tree_construction_makespan` field: the wall
+//! time of the `tree_construction` phase (Algorithm 3's scans plus the
+//! per-MC aux trees built on the worker threads), the minimum over
+//! `EMIT_BENCH_MAKESPAN_REPS` runs. It is a measured wall time, not a
+//! model.
 //!
 //! The JSON schema is documented in `docs/BENCH_SCHEMA.md`; the committed
 //! `BENCH_PR10.json` is validated by `crates/bench/tests/bench_schema.rs`
@@ -41,10 +39,10 @@
 //! * `EMIT_BENCH_OUT`   — output path (default `BENCH_PR10.json`)
 //! * `EMIT_BENCH_REPS`  — repetitions for the overhead measurement
 //!   (default 5)
-//! * `EMIT_BENCH_MAKESPAN_REPS` — constructions per parallel run for the
-//!   makespan statistic; the reported `tree_construction_makespan` is the
-//!   minimum over these, which strips scheduler noise from a quantity
-//!   measured in single-digit milliseconds (default 5)
+//! * `EMIT_BENCH_MAKESPAN_REPS` — runs per parallel arm for the
+//!   `tree_construction_makespan` statistic: the minimum `tree_construction`
+//!   phase wall time over these, which strips scheduler noise from a
+//!   quantity measured in single-digit milliseconds (default 5)
 //! * `EMIT_BENCH_TRACE_OUT` — when set, additionally run one fully traced
 //!   distributed run on the last workload and write the event trace as
 //!   Chrome trace-event JSON (Perfetto-loadable; viewable with the
@@ -76,8 +74,9 @@ use obs::Json;
 
 /// The JSON schema version written to the trajectory file. Bump when the
 /// structure changes and update `docs/BENCH_SCHEMA.md` in the same PR.
-/// v2: parallel runs gained `tree_construction_makespan` (the parallel
-/// MC-build critical path) next to the wall-clock phase times.
+/// v2: parallel runs gained `tree_construction_makespan` (since the
+/// single MC builder: the minimum `tree_construction` phase wall time)
+/// next to the wall-clock phase times.
 /// v3: every run carries a `histograms` block (log-bucketed percentile
 /// summaries of per-query costs, span durations and comm bytes),
 /// distributed runs carry a per-rank `bsp_timeline`, and the overhead
@@ -131,8 +130,8 @@ use obs::Json;
 /// sharded size: peak resident
 /// shard bytes within the budget, and the modelled t1→t4 makespan
 /// speedup ≥ 1.5× (on oversubscribed hosts the *wall* cannot shrink —
-/// the makespan is plan + max per-worker thread-CPU busy + merge, the
-/// same convention as `tree_construction_makespan`). The committed
+/// the makespan is plan + max per-worker thread-CPU busy + merge, a
+/// model reported next to the wall time). The committed
 /// trajectory file is `BENCH_PR10.json`.
 const SCHEMA_VERSION: i64 = 9;
 
@@ -214,7 +213,7 @@ struct RunMeta {
     phases: metrics::PhaseTimer,
     /// BSP virtual clock (distributed runs only).
     virtual_secs: Option<f64>,
-    /// Parallel MC-build critical path (parallel runs only).
+    /// `tree_construction` phase wall time (parallel runs only).
     tree_construction_makespan: Option<f64>,
     /// Per-rank virtual-clock summaries + superstep count (distributed
     /// runs only) — rendered as the schema-v3 `bsp_timeline` block.
@@ -241,8 +240,8 @@ impl RunMeta {
             RunDetails::Sequential { peak_heap_bytes, .. } => {
                 meta.peak_heap = *peak_heap_bytes as u64;
             }
-            RunDetails::Parallel { build_stats, .. } => {
-                meta.tree_construction_makespan = build_stats.as_ref().map(|s| s.makespan_secs);
+            RunDetails::Parallel { .. } => {
+                meta.tree_construction_makespan = Some(out.phases.secs("tree_construction"));
             }
             RunDetails::Distributed {
                 runtime_secs,
@@ -922,9 +921,8 @@ fn export_trace(path: &str, data: &Dataset, params: &DbscanParams) {
 /// [`SHARDED_GATE_MIN_N`] two more gates engage: peak resident shard
 /// bytes within the budget, and t1→t4 makespan speedup ≥
 /// [`SHARDED_MIN_SPEEDUP`] (makespan = plan wall + max per-worker
-/// thread-CPU busy + merge wall — the quantity that scales on
-/// oversubscribed hosts, same convention as
-/// `tree_construction_makespan`).
+/// thread-CPU busy + merge wall — a model of the quantity that scales
+/// on oversubscribed hosts).
 /// Cheap structural paper-exactness: identical core flags, identical
 /// noise set, identical core partition (label bijection over core
 /// points), and every label disagreement confined to border points.
@@ -1177,17 +1175,15 @@ fn main() {
             runs.push(run_one(&label, name, &data, &params, &reference, || {
                 let out = runner.run(&data).expect("parallel run");
                 let mut meta = RunMeta::from_output(&out);
-                // The makespan is a single-digit-millisecond quantity, so a
-                // single shot is at the mercy of the scheduler. Repeat the
-                // construction (observability paused: counters and obs must
+                // The construction is a single-digit-millisecond quantity,
+                // so a single shot is at the mercy of the scheduler. Repeat
+                // the run (observability paused: counters and obs must
                 // reflect exactly one run) and keep the minimum.
                 obs::disable();
                 for _ in 1..makespan_reps.max(1) {
                     let extra = runner.run(&data).expect("parallel run");
-                    if let (Some(m), RunDetails::Parallel { build_stats: Some(s), .. }) =
-                        (meta.tree_construction_makespan.as_mut(), &extra.details)
-                    {
-                        *m = m.min(s.makespan_secs);
+                    if let Some(m) = meta.tree_construction_makespan.as_mut() {
+                        *m = m.min(extra.phases.secs("tree_construction"));
                     }
                 }
                 obs::enable();

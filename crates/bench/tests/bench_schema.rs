@@ -27,13 +27,13 @@ const REQUIRED_ALGORITHMS: [&str; 9] = [
     "serve_delete_heavy_rebuild",
 ];
 
-/// Below this per-workload size the construction critical path is
-/// dominated by fixed costs (thread spawn, tiling) and the t1→t4 speedup
+/// Below this per-workload size the construction wall time is
+/// dominated by fixed costs (thread spawn) and the t1→t4 speedup
 /// assertion would be noise, so it is only enforced at or above it.
 const MAKESPAN_GATE_MIN_N: f64 = 4000.0;
 
 /// The acceptance bar for the parallel MC build: the t4 construction
-/// critical path must beat t1 by at least this factor.
+/// wall time must beat t1 by at least this factor.
 const MAKESPAN_MIN_SPEEDUP: f64 = 1.5;
 
 fn trajectory_path() -> std::path::PathBuf {
@@ -407,7 +407,7 @@ fn committed_trajectory_matches_schema() {
         }
 
         // The parallel build must actually scale: at bench-sized
-        // workloads, the t4 construction critical path beats t1 by the
+        // workloads, the t4 construction wall time beats t1 by the
         // acceptance factor. (Skipped for smoke-sized runs where fixed
         // costs dominate.)
         if points_per_workload >= MAKESPAN_GATE_MIN_N {

@@ -150,17 +150,11 @@ pub fn registry() -> Vec<Box<dyn ExactDbscan>> {
         }),
         // Parallel μDBSCAN across thread counts (1 pins the degenerate
         // single-worker path; 8 usually oversubscribes CI and stresses the
-        // border-claim/promotion interleavings). These use the default
-        // tiled parallel MC build; the /seq-build entry keeps the
-        // sequential-construction combination covered too.
+        // border-claim/promotion interleavings).
         Box::new(Facade { name: "mu-par/t1", configure: |r| r.family(Family::Parallel) }),
         Box::new(Facade { name: "mu-par/t2", configure: |r| r.threads(2) }),
         Box::new(Facade { name: "mu-par/t4", configure: |r| r.threads(4) }),
         Box::new(Facade { name: "mu-par/t8", configure: |r| r.threads(8) }),
-        Box::new(Facade {
-            name: "mu-par/t4/seq-build",
-            configure: |r| r.threads(4).options(BuildOptions::default()),
-        }),
         // Sequential baselines.
         Box::new(RBaseline),
         Box::new(GBaseline),

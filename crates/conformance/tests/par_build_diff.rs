@@ -1,25 +1,24 @@
-//! Differential suite for the tiled parallel micro-cluster builder
-//! (`mcs::build_micro_clusters_par`), over the same randomized dataset
-//! families the main conformance sweep uses. Three properties per case:
+//! Differential suite for the micro-cluster builder with its aux trees
+//! on worker threads (`mcs::build_micro_clusters_par`), over the same
+//! randomized dataset families the main conformance sweep uses. Three
+//! properties per case:
 //!
 //! 1. **partition invariants** — exclusive membership, every member
 //!    strictly within ε of its center, centers pairwise ≥ ε apart,
 //!    `center == members[0]`, no point unassigned;
-//! 2. **thread-count determinism** — the MC set (centers + member lists)
-//!    and the construction counters are bit-identical for threads ∈
-//!    {1, 2, 4, 8};
+//! 2. **one builder** — at threads ∈ {1, 2, 4, 8} the result equals
+//!    `build_micro_clusters`'s: the same centers, member lists,
+//!    `assignment` and `inner_count`, the same aux-tree answers, and the
+//!    same construction counters;
 //! 3. **downstream exactness** — `ParMuDbscan` running on top of the
-//!    parallel build still matches the O(n²) `naive_dbscan` oracle.
+//!    build still matches the O(n²) `naive_dbscan` oracle.
 //!
-//! Plus two non-proptest anchors: a counter-consistency test pinning the
-//! acceptance criterion that sequential and parallel t1 runs (sequential
-//! build path) report identical `node_visits`/`range_queries` after the
-//! accounting fixes, and a `PROPTEST_CASES`-scaled stress loop for the
-//! tile-boundary reconciliation pass.
+//! Plus a non-proptest anchor pinning that sequential and parallel t1
+//! runs report identical work counters.
 
 use conformance::{DatasetSpec, Family, FAMILIES};
 use geom::{dist_euclidean, Dataset, DbscanParams};
-use mcs::{build_micro_clusters_par, BuildOptions, McId, MuRTree};
+use mcs::{build_micro_clusters, build_micro_clusters_par, BuildOptions, McId, MuRTree};
 use metrics::Counters;
 use mudbscan::{check_exact, naive_dbscan, MuDbscan, ParMuDbscan};
 use proptest::prelude::*;
@@ -50,11 +49,28 @@ fn assert_partition(label: &str, data: &Dataset, t: &MuRTree, eps: f64) {
     }
 }
 
-/// (center, members) per MC — the canonical identity of a build result.
-type Fingerprint = Vec<(u32, Vec<u32>)>;
+/// Per MC: center, member list, `inner_count`, and the sorted answer of
+/// its aux tree to an ε-query around every member — the identity of a
+/// build result as the clustering steps see it.
+type Fingerprint = Vec<(u32, Vec<u32>, u32, Vec<Vec<u32>>)>;
 
-fn fingerprint(t: &MuRTree) -> Fingerprint {
-    t.mcs.iter().map(|mc| (mc.center, mc.members.clone())).collect()
+fn fingerprint(data: &Dataset, t: &MuRTree, eps: f64) -> Fingerprint {
+    t.mcs
+        .iter()
+        .map(|mc| {
+            let aux = mc.aux.as_ref().expect("every MC has an aux tree");
+            let answers = mc
+                .members
+                .iter()
+                .map(|&m| {
+                    let mut hits = aux.sphere_neighbors(data.point(m), eps);
+                    hits.sort_unstable();
+                    hits
+                })
+                .collect();
+            (mc.center, mc.members.clone(), mc.inner_count, answers)
+        })
+        .collect()
 }
 
 fn check_case(
@@ -70,27 +86,31 @@ fn check_case(
     let data = Dataset::from_rows(&spec.rows());
     let params = DbscanParams::new(eps, min_pts);
 
-    let mut baseline: Option<(Fingerprint, (u64, u64, u64))> = None;
+    let counts = |c: &Counters| (c.node_visits(), c.dist_computations(), c.range_queries());
+    let c = Counters::new();
+    let seq = build_micro_clusters(&data, eps, &BuildOptions::default(), &c);
+    let want = (fingerprint(&data, &seq, eps), seq.assignment.clone(), counts(&c));
     for threads in [1usize, 2, 4, 8] {
         let c = Counters::new();
-        let (t, _) = build_micro_clusters_par(&data, eps, &BuildOptions::default(), threads, &c);
+        let t = build_micro_clusters_par(&data, eps, &BuildOptions::default(), threads, &c);
         assert_partition(&format!("{test}/t{threads}"), &data, &t, eps);
-        let fp = fingerprint(&t);
-        let cc = (c.node_visits(), c.dist_computations(), c.range_queries());
-        match &baseline {
-            None => baseline = Some((fp, cc)),
-            Some((bfp, bcc)) => {
-                prop_assert_eq!(&fp, bfp, "{}: MC set drifted at t{}", test, threads);
-                prop_assert_eq!(&cc, bcc, "{}: counters drifted at t{}", test, threads);
-            }
-        }
+        let got = (fingerprint(&data, &t, eps), t.assignment.clone(), counts(&c));
+        prop_assert_eq!(
+            &got.0,
+            &want.0,
+            "{}: MCs differ from build_micro_clusters at t{}",
+            test,
+            threads
+        );
+        prop_assert_eq!(&got.1, &want.1, "{}: assignment differs at t{}", test, threads);
+        prop_assert_eq!(&got.2, &want.2, "{}: counters differ at t{}", test, threads);
     }
 
     // Downstream exactness on top of the parallel build.
     let reference = naive_dbscan(&data, &params);
     let out = ParMuDbscan::from_params(params, 2).run(&data);
     let rep = check_exact(&out.clustering, &reference, &data, &params);
-    prop_assert!(rep.is_exact(), "{}: parallel-build clustering inexact: {:?}", test, rep);
+    prop_assert!(rep.is_exact(), "{}: parallel clustering inexact: {:?}", test, rep);
     Ok(())
 }
 
@@ -133,11 +153,9 @@ proptest! {
     }
 }
 
-/// Acceptance criterion: after the query-accounting fixes, a sequential
-/// `MuDbscan` run and a `ParMuDbscan` t1 run over the *same construction
-/// path* (sequential build pinned) execute the identical counting
-/// sequence — `node_visits` and `range_queries` must agree exactly, on a
-/// fixed seed, across every family.
+/// A sequential `MuDbscan` run and a `ParMuDbscan` t1 run execute the
+/// identical counting sequence — `node_visits` and `range_queries` must
+/// agree exactly, on a fixed seed, across every family.
 #[test]
 fn seq_and_par_t1_counters_agree() {
     for family in FAMILIES {
@@ -146,8 +164,7 @@ fn seq_and_par_t1_counters_agree() {
         let params = DbscanParams::new(0.6, 5);
 
         let seq = MuDbscan::from_params(params).run(&data);
-        let par =
-            ParMuDbscan::from_params(params, 1).with_options(BuildOptions::default()).run(&data);
+        let par = ParMuDbscan::from_params(params, 1).run(&data);
         let par_counters = par.counters.snapshot();
 
         let label = family.as_str();
@@ -183,37 +200,14 @@ fn seq_and_par_t1_counters_agree() {
     }
 }
 
-/// Repeated-stress variant of the tile-boundary reconciliation test: a
-/// near-ε-spaced line crosses every tile boundary (maximising candidate
-/// conflicts), jittered per repetition. Scaled by `PROPTEST_CASES` so the
-/// CI stress job can turn it up without a code change.
+/// The proptest cases hold fewer than 64 points, so their aux trees are
+/// all built on the calling thread. This anchor runs every family at a
+/// size whose MCs fill several worker chunks (all but `duplicates`, whose
+/// few distinct points form few MCs).
 #[test]
-fn tile_boundary_reconciliation_stress() {
-    let reps: usize =
-        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(8);
-    let eps = 1.0;
-    for rep in 0..reps.max(1) {
-        // Deterministic per-rep jitter (no RNG: keep replays trivial).
-        let jitter = (rep as f64 * 0.017) % 0.09;
-        let rows: Vec<Vec<f64>> =
-            (0..300).map(|i| vec![i as f64 * (0.11 + jitter), (i % 7) as f64 * 0.05]).collect();
-        let data = Dataset::from_rows(&rows);
-
-        let mut baseline: Option<Fingerprint> = None;
-        for threads in [1usize, 2, 4, 8] {
-            let c = Counters::new();
-            let (t, stats) =
-                build_micro_clusters_par(&data, eps, &BuildOptions::default(), threads, &c);
-            assert_partition(&format!("stress rep {rep} t{threads}"), &data, &t, eps);
-            assert!(stats.tiles > 5, "rep {rep}: the line must cross many tiles");
-            match &baseline {
-                None => baseline = Some(fingerprint(&t)),
-                Some(b) => assert_eq!(
-                    &fingerprint(&t),
-                    b,
-                    "rep {rep} t{threads}: reconciliation outcome drifted"
-                ),
-            }
-        }
+fn every_family_at_worker_scale() {
+    for family in FAMILIES {
+        let label = format!("{}_worker_scale", family.as_str());
+        check_case(&label, family, 2_000, 2, 2019, 0.05, 5).expect(&label);
     }
 }

@@ -1,11 +1,10 @@
-//! The `stream` and `optics` front-ends now build their μR-tree with the
-//! tiled parallel constructor when the full dataset is available up
-//! front. Neither algorithm's *output* may depend on which construction
-//! ran: OPTICS only consumes exact ε-neighbourhoods (identical under
-//! either build), and the streaming bulk loader replays the same union
-//! rules the incremental path applies. These tests pin that equality —
-//! and that the sequential paths stay reachable under `with_options` /
-//! point-at-a-time ingestion.
+//! The `stream` and `optics` front-ends build their μR-tree with its aux
+//! trees on worker threads when the full dataset is available up front.
+//! Neither algorithm's *output* may depend on how the aux trees were
+//! built: OPTICS only consumes exact ε-neighbourhoods, and the streaming
+//! bulk loader replays the same union rules the incremental path
+//! applies. These tests pin that equality, and that point-at-a-time
+//! ingestion stays exact.
 
 use conformance::{DatasetSpec, FAMILIES};
 use geom::{Dataset, DbscanParams};
@@ -15,17 +14,19 @@ use optics::Optics;
 use stream::StreamingMuDbscan;
 
 #[test]
-fn optics_parallel_build_output_equals_sequential_build() {
+fn optics_output_is_independent_of_the_aux_build() {
     for family in FAMILIES {
         let spec = DatasetSpec { family, n: 250, dim: 3, seed: 2019 };
         let data = Dataset::from_rows(&spec.rows());
         let params = DbscanParams::new(0.6, 5);
 
-        let par = Optics::from_params(params).run(&data); // parallel build default
-        let seq = Optics::from_params(params).with_options(BuildOptions::default()).run(&data);
+        // STR-packed aux trees (default) against trees built by insertion.
+        let par = Optics::from_params(params).run(&data);
+        let inserted = BuildOptions { str_aux: false, ..BuildOptions::default() };
+        let seq = Optics::from_params(params).with_options(inserted).run(&data);
 
         let label = family.as_str();
-        assert_eq!(par.order, seq.order, "{label}: OPTICS order depends on the build path");
+        assert_eq!(par.order, seq.order, "{label}: OPTICS order depends on the aux build");
         assert_eq!(par.reachability, seq.reachability, "{label}: reachability drifted");
         assert_eq!(par.core_distance, seq.core_distance, "{label}: core distances drifted");
     }

@@ -4,13 +4,10 @@
 //!
 //! The sequential algorithm's steps parallelise as follows:
 //!
-//! * μR-tree construction uses the tiled deterministic parallel builder
-//!   ([`mcs::build_micro_clusters_par`]) by default — the sequential scan
-//!   is inherently ordered, so the parallel path tiles space into 2ε
-//!   cells, scans tiles on workers and reconciles boundary conflicts
-//!   sequentially (pin `BuildOptions::default()` via
-//!   [`ParMuDbscan::with_options`] to recover the paper's exact
-//!   construction order);
+//! * μR-tree construction runs Algorithm 3's ordered scans on the calling
+//!   thread and builds the per-MC aux trees on the workers
+//!   ([`mcs::build_micro_clusters_par`]), so every thread count builds
+//!   exactly the micro-clusters [`crate::MuDbscan`] builds;
 //! * MC classification, `PROCESS-REM-POINTS` and `POST-PROCESSING-*` run
 //!   on a pool of worker threads over disjoint chunks, sharing a
 //!   lock-free [`ConcurrentUnionFind`] and per-point atomic flags.
@@ -26,7 +23,7 @@
 
 use crate::clustering::Clustering;
 use geom::{dist_sq, Dataset, DbscanParams, PointId};
-use mcs::{build_micro_clusters, build_micro_clusters_par, BuildOptions, McKind, ParBuildStats};
+use mcs::{build_micro_clusters_par, BuildOptions, McKind};
 use metrics::{PhaseTimer, SharedCounters};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -51,13 +48,6 @@ pub struct ParOutput {
     pub phases: PhaseTimer,
     /// Number of micro-clusters.
     pub mc_count: usize,
-    /// Diagnostics from the parallel construction path (`None` when the
-    /// sequential builder ran, i.e. `BuildOptions::parallel` was off).
-    /// `build_stats.makespan_secs` is the construction critical path:
-    /// sequential stage walls plus the per-worker busy maximum of each
-    /// parallel stage — the number that scales with threads even on
-    /// machines with fewer cores than workers.
-    pub build_stats: Option<ParBuildStats>,
 }
 
 struct Flags {
@@ -111,15 +101,14 @@ impl Flags {
 }
 
 impl ParMuDbscan {
-    /// New instance with `threads` worker threads. Uses the tiled parallel
-    /// micro-cluster builder; override with [`ParMuDbscan::with_options`]
-    /// (e.g. `BuildOptions::default()` for the sequential scan).
+    /// New instance with `threads` worker threads and the default
+    /// micro-cluster build options.
     ///
     /// Low-level entry point; applications should prefer
     /// `mudbscan::prelude::Runner::new(params).threads(threads)`.
     pub fn from_params(params: DbscanParams, threads: usize) -> Self {
         assert!(threads >= 1);
-        Self { params, opts: BuildOptions { parallel: true, ..Default::default() }, threads }
+        Self { params, opts: BuildOptions::default(), threads }
     }
 
     /// Override micro-cluster construction options.
@@ -136,19 +125,13 @@ impl ParMuDbscan {
         let mut phases = PhaseTimer::new();
         let run_span = obs::span!("par_mudbscan");
 
-        // Step 1: μR-tree — tiled parallel construction by default, the
-        // sequential Algorithm-3 scan when `opts.parallel` is off. Both
-        // paths count through a sequential `Counters` absorbed once, so
-        // t1 snapshots stay comparable with `MuDbscan`.
+        // Step 1: μR-tree — Algorithm 3's scans, aux trees on the workers.
+        // The builder counts through a sequential `Counters` absorbed
+        // once, so snapshots stay comparable with `MuDbscan`.
         let step1 = phases.phase("tree_construction");
         let seq_counters = metrics::Counters::new();
-        let (mut tree, build_stats) = if self.opts.parallel {
-            let (tree, stats) =
-                build_micro_clusters_par(data, params.eps, &self.opts, self.threads, &seq_counters);
-            (tree, Some(stats))
-        } else {
-            (build_micro_clusters(data, params.eps, &self.opts, &seq_counters), None)
-        };
+        let mut tree =
+            build_micro_clusters_par(data, params.eps, &self.opts, self.threads, &seq_counters);
         counters.absorb(&seq_counters);
         drop(step1);
 
@@ -440,7 +423,7 @@ impl ParMuDbscan {
             }
         }
         let clustering = Clustering::from_union_find(&mut seq_uf, is_core);
-        ParOutput { clustering, counters, phases, mc_count: tree.mc_count(), build_stats }
+        ParOutput { clustering, counters, phases, mc_count: tree.mc_count() }
     }
 }
 
@@ -539,31 +522,14 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_canon() {
-        // Pin the sequential construction path: with it, the MC partition
-        // (not just the clustering) must match `MuDbscan` exactly.
-        let data = blobs(9);
-        let params = DbscanParams::new(0.8, 4);
-        let seq = crate::MuDbscan::from_params(params).run(&data);
-        let par =
-            ParMuDbscan::from_params(params, 4).with_options(BuildOptions::default()).run(&data);
-        assert!(par.build_stats.is_none(), "default BuildOptions must select the sequential build");
-        assert_eq!(par.clustering.n_clusters, seq.clustering.n_clusters);
-        assert_eq!(par.clustering.is_core, seq.clustering.is_core);
-        assert_eq!(par.clustering.noise_count(), seq.clustering.noise_count());
-        assert_eq!(par.mc_count, seq.mc_count);
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential_clustering() {
-        // The tiled parallel build may partition MCs differently, but the
-        // clustering it feeds must still be canon-identical to MuDbscan.
+        // One builder: under the default options every thread count forms
+        // exactly the MCs `MuDbscan` forms, and the clustering is canon-
+        // identical.
         let data = blobs(9);
         let params = DbscanParams::new(0.8, 4);
         let seq = crate::MuDbscan::from_params(params).run(&data);
         let par = ParMuDbscan::from_params(params, 4).run(&data);
-        let stats =
-            par.build_stats.expect("ParMuDbscan::from_params must default to the parallel build");
-        assert!(stats.tiles > 0);
+        assert_eq!(par.mc_count, seq.mc_count);
         assert_eq!(par.clustering.n_clusters, seq.clustering.n_clusters);
         assert_eq!(par.clustering.is_core, seq.clustering.is_core);
         assert_eq!(par.clustering.noise_count(), seq.clustering.noise_count());

@@ -12,7 +12,11 @@
 //!
 //! A second scan assigns the deferred points: join an MC within ε if one
 //! exists by now, else become a new center. Finally each MC gets an STR
-//! bulk-loaded auxiliary R-tree.
+//! bulk-loaded auxiliary R-tree. The scans are ordered (every placement
+//! depends on the MCs created so far) and stay on the calling thread; the
+//! aux trees are independent per MC and are built on worker threads by
+//! [`build_micro_clusters_par`]. Every thread count builds the same
+//! μR-tree.
 
 use crate::level1::Level1;
 use crate::micro::{McId, MicroCluster, NO_MC};
@@ -20,6 +24,7 @@ use crate::murtree::MuRTree;
 use geom::{Dataset, PointId};
 use metrics::Counters;
 use rtree::{RTree, RTreeConfig};
+use std::sync::Mutex;
 
 /// Construction options (the knobs the ablation benches turn).
 #[derive(Debug, Clone, Copy)]
@@ -32,33 +37,39 @@ pub struct BuildOptions {
     pub str_aux: bool,
     /// Fan-out of the per-MC auxiliary trees.
     pub aux_cfg: RTreeConfig,
-    /// Use the tiled parallel construction path
-    /// ([`crate::build_micro_clusters_par`]) instead of the sequential
-    /// Algorithm-3 scan. Off by default so the sequential algorithms keep
-    /// the paper's exact construction order; [`ParMuDbscan`] turns it on.
-    ///
-    /// [`ParMuDbscan`]: ../mudbscan/struct.ParMuDbscan.html
-    pub parallel: bool,
 }
 
 impl Default for BuildOptions {
     fn default() -> Self {
-        Self {
-            two_eps_deferral: true,
-            str_aux: true,
-            aux_cfg: RTreeConfig::default(),
-            parallel: false,
-        }
+        Self { two_eps_deferral: true, str_aux: true, aux_cfg: RTreeConfig::default() }
     }
 }
 
-/// Build all micro-clusters and the μR-tree for `data`.
+/// MCs a worker takes from the queue at a time when building aux trees.
+const AUX_CHUNK: usize = 64;
+
+/// Build all micro-clusters and the μR-tree for `data` on the calling
+/// thread: [`build_micro_clusters_par`] at one thread.
 pub fn build_micro_clusters(
     data: &Dataset,
     eps: f64,
     opts: &BuildOptions,
     counters: &Counters,
 ) -> MuRTree {
+    build_micro_clusters_par(data, eps, opts, 1, counters)
+}
+
+/// Build all micro-clusters and the μR-tree for `data`, with the per-MC
+/// aux trees built on `threads` workers. The result and the counter
+/// totals do not depend on `threads`.
+pub fn build_micro_clusters_par(
+    data: &Dataset,
+    eps: f64,
+    opts: &BuildOptions,
+    threads: usize,
+    counters: &Counters,
+) -> MuRTree {
+    assert!(threads >= 1);
     let _span = obs::span!("mc_build");
     let dim = data.dim();
     let mut level1 = Level1::for_dim(dim, eps);
@@ -124,25 +135,44 @@ pub fn build_micro_clusters(
 
     drop(scan2);
 
-    // Level 2: auxiliary R-trees.
-    let _aux = obs::span!("aux_trees");
-    for mc in &mut mcs {
-        if opts.str_aux {
-            mc.build_aux(data, opts.aux_cfg);
-        } else {
-            let mut t = RTree::with_config(dim, opts.aux_cfg);
-            for &m in &mc.members {
-                t.insert_point(m, data.point(m));
+    // Level 2: auxiliary R-trees, independent per MC. Workers take
+    // chunks of MCs from a shared queue, so uneven MC sizes balance.
+    let aux = obs::span!("aux_trees");
+    let workers = threads.min(mcs.len().div_ceil(AUX_CHUNK));
+    if workers <= 1 {
+        mcs.iter_mut().for_each(|mc| build_aux(data, opts, mc));
+    } else {
+        let queue = Mutex::new(mcs.chunks_mut(AUX_CHUNK));
+        std::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(|| loop {
+                    let Some(chunk) = queue.lock().expect("poisoned").next() else { break };
+                    chunk.iter_mut().for_each(|mc| build_aux(data, opts, mc));
+                });
             }
-            mc.aux = Some(t);
-        }
+        });
     }
+    drop(aux);
 
     if obs::enabled() {
         obs::record_count("mc/count", mcs.len() as u64);
         obs::record_count("mc/deferred_points", deferred as u64);
     }
     MuRTree::from_parts(eps, level1, mcs, assignment)
+}
+
+/// Build one MC's aux tree: STR bulk load, or repeated insertion in
+/// member order when [`BuildOptions::str_aux`] is off.
+fn build_aux(data: &Dataset, opts: &BuildOptions, mc: &mut MicroCluster) {
+    if opts.str_aux {
+        mc.build_aux(data, opts.aux_cfg);
+    } else {
+        let mut t = RTree::with_config(data.dim(), opts.aux_cfg);
+        for &m in &mc.members {
+            t.insert_point(m, data.point(m));
+        }
+        mc.aux = Some(t);
+    }
 }
 
 #[cfg(test)]
@@ -261,6 +291,43 @@ mod tests {
         assert_eq!(t.mcs.len(), 2);
         assert_eq!((t.mcs[0].center, t.mcs[1].center), (0, 1));
         assert_eq!(t.assignment[2], 0);
+    }
+
+    #[test]
+    fn worker_threads_build_the_same_tree() {
+        // Enough MCs (eps small against the spacing) that the aux trees
+        // are split over several workers.
+        let data = grid(30, 0.4);
+        let c1 = Counters::new();
+        let one = build_micro_clusters(&data, 0.5, &BuildOptions::default(), &c1);
+        assert!(one.mcs.len() > 4 * AUX_CHUNK);
+        for threads in [2, 3, 8] {
+            let c = Counters::new();
+            let t = build_micro_clusters_par(&data, 0.5, &BuildOptions::default(), threads, &c);
+            assert_eq!(t.assignment, one.assignment, "t{threads}");
+            assert_eq!(c.node_visits(), c1.node_visits(), "t{threads}");
+            assert_eq!(c.dist_computations(), c1.dist_computations(), "t{threads}");
+            for (a, b) in t.mcs.iter().zip(&one.mcs) {
+                assert_eq!(
+                    (a.center, &a.members, a.inner_count),
+                    (b.center, &b.members, b.inner_count)
+                );
+                let q = data.point(a.center);
+                let mut na = a.aux.as_ref().unwrap().sphere_neighbors(q, 0.5);
+                let mut nb = b.aux.as_ref().unwrap().sphere_neighbors(q, 0.5);
+                na.sort_unstable();
+                nb.sort_unstable();
+                assert_eq!(na, nb, "t{threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_dataset() {
+        let data = Dataset::empty(2);
+        let t = build_micro_clusters_par(&data, 1.0, &BuildOptions::default(), 4, &Counters::new());
+        assert_eq!(t.mc_count(), 0);
+        assert!(t.assignment.is_empty());
     }
 
     #[test]

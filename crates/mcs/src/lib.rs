@@ -48,10 +48,8 @@ pub mod build;
 pub mod level1;
 pub mod micro;
 pub mod murtree;
-pub mod par_build;
 
-pub use build::{build_micro_clusters, BuildOptions};
+pub use build::{build_micro_clusters, build_micro_clusters_par, BuildOptions};
 pub use level1::{CenterGrid, Level1};
 pub use micro::{McId, McKind, MicroCluster, NO_MC};
 pub use murtree::MuRTree;
-pub use par_build::{build_micro_clusters_par, ParBuildStats};

@@ -1,7 +1,7 @@
 //! The OPTICS ordering algorithm and DBSCAN extraction.
 
 use geom::{dist_euclidean, Dataset, DbscanParams, PointId};
-use mcs::{build_micro_clusters, build_micro_clusters_par, BuildOptions};
+use mcs::{build_micro_clusters_par, BuildOptions};
 use metrics::{Counters, PhaseTimer};
 use mudbscan::{Clustering, NOISE};
 use std::cmp::Ordering;
@@ -66,20 +66,17 @@ impl Ord for Seed {
 
 impl Optics {
     /// New instance. OPTICS always sees the full dataset up front, so the
-    /// μR-tree is built with the tiled parallel constructor by default;
-    /// the ordering itself is unaffected because every ε-neighbourhood is
-    /// exact under either construction. Use
-    /// `with_options(BuildOptions::default())` to restore the sequential
-    /// Algorithm-3 scan.
+    /// μR-tree's aux trees are built on `available_parallelism` workers;
+    /// the micro-clusters are the ones Algorithm 3's scans form at any
+    /// thread count.
     ///
     /// Low-level entry point; applications should prefer
     /// `mudbscan::prelude::Runner::new(params).family(Family::Optics)`.
     pub fn from_params(params: DbscanParams) -> Self {
-        Self { params, opts: BuildOptions { parallel: true, ..BuildOptions::default() } }
+        Self { params, opts: BuildOptions::default() }
     }
 
-    /// Override μR-tree construction options (`opts.parallel` selects the
-    /// tiled parallel constructor vs the sequential scan).
+    /// Override μR-tree construction options.
     pub fn with_options(mut self, opts: BuildOptions) -> Self {
         self.opts = opts;
         self
@@ -93,12 +90,8 @@ impl Optics {
         let mut phases = PhaseTimer::new();
 
         let build = phases.phase("tree_construction");
-        let mut tree = if self.opts.parallel {
-            let threads = std::thread::available_parallelism().map_or(4, |p| p.get());
-            build_micro_clusters_par(data, params.eps, &self.opts, threads, &counters).0
-        } else {
-            build_micro_clusters(data, params.eps, &self.opts, &counters)
-        };
+        let threads = std::thread::available_parallelism().map_or(4, |p| p.get());
+        let mut tree = build_micro_clusters_par(data, params.eps, &self.opts, threads, &counters);
         tree.compute_reachable(data, &counters);
         drop(build);
 

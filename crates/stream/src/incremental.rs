@@ -1,18 +1,15 @@
 //! The insertion-incremental algorithm.
 
 use geom::{Dataset, DbscanParams, PointId};
-use mcs::{build_micro_clusters_par, BuildOptions};
+use mcs::{build_micro_clusters_par, BuildOptions, Level1};
 use metrics::Counters;
 use mudbscan::Clustering;
 use rtree::{RTree, RTreeConfig};
 use unionfind::UnionFind;
 
-/// One online micro-cluster: a center point and an incrementally built
-/// auxiliary R-tree over its members.
+/// One online micro-cluster: an incrementally built auxiliary R-tree over
+/// its members. Its center lives in the level-1 index.
 struct StreamMc {
-    /// Kept for diagnostics/debugging even though queries go through `aux`.
-    #[allow(dead_code)]
-    center: PointId,
     aux: RTree,
     members: u32,
 }
@@ -48,8 +45,9 @@ pub enum RemoveOutcome {
 pub struct StreamingMuDbscan {
     params: DbscanParams,
     data: Dataset,
-    /// Level-1 R-tree over MC centers (item = MC index).
-    level1: RTree,
+    /// Level-1 index over MC centers (item = MC index): a 2ε grid at
+    /// `dim ≤ 3`, an R-tree above.
+    level1: Level1,
     mcs: Vec<StreamMc>,
     /// `counts[p] = |N_ε(p)|` over the live points inserted so far (self
     /// included; 0 for tombstoned points).
@@ -85,7 +83,7 @@ impl StreamingMuDbscan {
         Self {
             params,
             data: Dataset::empty(dim),
-            level1: RTree::new(dim),
+            level1: Level1::for_dim(dim, params.eps),
             mcs: Vec::new(),
             counts: Vec::new(),
             uf: UnionFind::new(0),
@@ -100,8 +98,8 @@ impl StreamingMuDbscan {
     }
 
     /// Bulk-load a dataset that is fully available up front, then keep
-    /// streaming: the μR-tree is built with the tiled parallel
-    /// constructor ([`build_micro_clusters_par`]), every ε-neighbourhood
+    /// streaming: the μR-tree is built by [`build_micro_clusters_par`]
+    /// with its aux trees on worker threads, every ε-neighbourhood
     /// is computed in parallel against it, and the disjoint-set union
     /// rules are replayed sequentially in id order. The resulting
     /// structure is a valid streaming state — [`Self::snapshot`] is
@@ -120,9 +118,13 @@ impl StreamingMuDbscan {
         let dim = data.dim();
         let counters = Counters::new();
         let threads = std::thread::available_parallelism().map_or(4, |p| p.get());
-        let opts = BuildOptions { parallel: true, ..BuildOptions::default() };
-        let (mut tree, _stats) =
-            build_micro_clusters_par(data, params.eps, &opts, threads, &counters);
+        let mut tree = build_micro_clusters_par(
+            data,
+            params.eps,
+            &BuildOptions::default(),
+            threads,
+            &counters,
+        );
         tree.compute_reachable(data, &counters);
 
         // Exact ε-neighbourhoods (self included) for every point, in
@@ -183,15 +185,12 @@ impl StreamingMuDbscan {
         }
 
         // Convert the μR-tree into the online representation: the level-1
-        // tree maps to MC indices, each MC keeps its (STR-packed) aux
+        // index maps to MC indices, each MC keeps its (STR-packed) aux
         // tree, and both keep accepting incremental insertions. Every
         // member sits strictly within ε of its MC center, so the online
         // 2ε center-search invariant holds.
-        let level1 = RTree::bulk_load_points(
-            dim,
-            RTreeConfig::default(),
-            tree.mcs.iter().enumerate().map(|(i, mc)| (i as u32, data.point(mc.center).to_vec())),
-        );
+        let level1 =
+            Level1::from_centers(dim, params.eps, tree.mcs.iter().map(|mc| data.point(mc.center)));
         let mut mc_of = vec![u32::MAX; n];
         for (i, mc) in tree.mcs.iter().enumerate() {
             for &p in &mc.members {
@@ -210,7 +209,7 @@ impl StreamingMuDbscan {
                     }
                     t
                 });
-                StreamMc { center: mc.center, aux, members }
+                StreamMc { aux, members }
             })
             .collect();
 
@@ -312,7 +311,7 @@ impl StreamingMuDbscan {
     fn query(&self, coords: &[f64]) -> Vec<PointId> {
         let eps = self.params.eps;
         let mut mcs_hit: Vec<u32> = Vec::new();
-        self.level1.search_sphere(coords, 2.0 * eps, |mc| mcs_hit.push(mc));
+        self.level1.within(coords, 2.0 * eps, &mut mcs_hit);
         let mut out = Vec::new();
         for mc in mcs_hit {
             let cost = self.mcs[mc as usize].aux.search_sphere(coords, eps, |q| out.push(q));
@@ -339,11 +338,11 @@ impl StreamingMuDbscan {
         let slot = self.uf.push();
         self.uf_slot.push(slot);
 
-        // Micro-cluster maintenance: join the first MC whose center is
-        // strictly within ε, else start a new one. (A removed center
+        // Micro-cluster maintenance: join an MC whose center is strictly
+        // within ε (the minimum id on the grid), else start a new one. (A removed center
         // leaves its MC behind as a *virtual* center: the level-1 entry
         // and the members-within-ε invariant both stay valid.)
-        let (hit, probe_cost) = self.level1.first_in_sphere(coords, self.params.eps);
+        let (hit, probe_cost) = self.level1.join(coords, self.params.eps);
         self.counters.count_node_visits(probe_cost.nodes_visited.max(1));
         self.counters.count_dists(probe_cost.mbr_tests);
         match hit {
@@ -356,8 +355,8 @@ impl StreamingMuDbscan {
                 let id = self.mcs.len() as u32;
                 let mut aux = RTree::with_config(self.data.dim(), RTreeConfig::default());
                 aux.insert_point(p, coords);
-                self.mcs.push(StreamMc { center: p, aux, members: 1 });
-                self.level1.insert_point(id, coords);
+                self.mcs.push(StreamMc { aux, members: 1 });
+                self.level1.insert(id, coords);
                 self.mc_of.push(id);
             }
         }
