@@ -4,7 +4,7 @@
 //!
 //! This crate is the single front door to the μDBSCAN reproduction. It
 //! re-exports the whole core API (`mudbscan-core`: [`MuDbscan`],
-//! [`ParMuDbscan`], [`Clustering`], [`naive_dbscan`], …) so existing
+//! [`Clustering`], [`naive_dbscan`], …) so existing
 //! `use mudbscan::…` code keeps compiling unchanged, and adds:
 //!
 //! * [`prelude::Runner`] — one fluent builder that constructs any of the
@@ -20,8 +20,8 @@
 //!   returns (wrapping [`dist::DistError`], `stream::ServeError`,
 //!   `data::StoreError`, and configuration errors).
 //!
-//! The per-family constructors (`MuDbscan::from_params`,
-//! `ParMuDbscan::from_params`, `MuDbscanD::from_params`,
+//! The per-family constructors (`MuDbscan::from_params`, with
+//! `.threads(t)` for the parallel run, `MuDbscanD::from_params`,
 //! `StreamingMuDbscan::empty` / `from_dataset`, `Optics::from_params`)
 //! remain available as low-level entry points — the facade itself and
 //! crates that cannot depend on `mudbscan` (e.g. `dist`) build on them —

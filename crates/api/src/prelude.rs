@@ -67,7 +67,7 @@ pub use stream::{
 };
 
 use dist::{DistConfig, MuDbscanD, ShardedMuDbscan, ShardedOptions};
-use mudbscan_core::{MuDbscan, ParMuDbscan};
+use mudbscan_core::MuDbscan;
 use optics::{extract_dbscan, Optics};
 use stream::StreamingMuDbscan;
 
@@ -420,21 +420,14 @@ impl Runner {
         let family = self.batch_family()?;
 
         Ok(match family {
-            Family::Sequential => {
-                let mut algo = MuDbscan::from_params(self.params);
+            Family::Sequential | Family::Parallel => {
+                let mut algo = MuDbscan::from_params(self.params).threads(self.threads);
                 if let Some(opts) = self.opts {
                     algo = algo.with_options(opts);
                 }
                 algo.disable_dynamic_promotion = self.disable_dynamic_promotion;
                 algo.disable_post_core_mc_skip = self.disable_post_core_mc_skip;
-                Box::new(Seq { algo })
-            }
-            Family::Parallel => {
-                let mut algo = ParMuDbscan::from_params(self.params, self.threads);
-                if let Some(opts) = self.opts {
-                    algo = algo.with_options(opts);
-                }
-                Box::new(Par { algo })
+                Box::new(Engine { algo, parallel: family == Family::Parallel })
             }
             Family::Distributed => {
                 let cfg = DistConfig::new(self.ranks.unwrap_or(1)).with_local_threads(self.threads);
@@ -603,38 +596,30 @@ impl Cluster for Runner {
     }
 }
 
-struct Seq {
+/// The μDBSCAN engine under [`Family::Sequential`] or, with `parallel`,
+/// [`Family::Parallel`].
+struct Engine {
     algo: MuDbscan,
+    parallel: bool,
 }
 
-impl Cluster for Seq {
+impl Cluster for Engine {
     fn run(&self, data: &Dataset) -> Result<RunOutput, MuDbscanError> {
         let out = self.algo.run(data);
+        let details = if self.parallel {
+            RunDetails::Parallel { mc_count: out.mc_count }
+        } else {
+            RunDetails::Sequential {
+                mc_count: out.mc_count,
+                avg_mc_size: out.avg_mc_size,
+                peak_heap_bytes: out.peak_heap_bytes,
+            }
+        };
         Ok(RunOutput {
             clustering: out.clustering,
             counters: out.counters,
             phases: out.phases,
-            details: RunDetails::Sequential {
-                mc_count: out.mc_count,
-                avg_mc_size: out.avg_mc_size,
-                peak_heap_bytes: out.peak_heap_bytes,
-            },
-        })
-    }
-}
-
-struct Par {
-    algo: ParMuDbscan,
-}
-
-impl Cluster for Par {
-    fn run(&self, data: &Dataset) -> Result<RunOutput, MuDbscanError> {
-        let out = self.algo.run(data);
-        Ok(RunOutput {
-            clustering: out.clustering,
-            counters: out.counters.snapshot(),
-            phases: out.phases,
-            details: RunDetails::Parallel { mc_count: out.mc_count },
+            details,
         })
     }
 }

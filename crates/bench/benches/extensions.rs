@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use geom::DbscanParams;
-use mudbscan::{MuDbscan, ParMuDbscan};
+use mudbscan::MuDbscan;
 use optics::Optics;
 use std::hint::black_box;
 use stream::StreamingMuDbscan;
@@ -19,7 +19,7 @@ fn bench_extensions(c: &mut Criterion) {
     });
     g.bench_function("parallel_mudbscan_4t", |b| {
         b.iter(|| {
-            black_box(ParMuDbscan::from_params(params, 4).run(&dataset).clustering.n_clusters)
+            black_box(MuDbscan::from_params(params).threads(4).run(&dataset).clustering.n_clusters)
         })
     });
     g.bench_function("streaming_ingest_all", |b| {

@@ -10,7 +10,7 @@
 
 use data::paper_table2_specs;
 use dist::{DistConfig, MuDbscanD, ShardedMuDbscan, ShardedOptions};
-use mudbscan::{MuDbscan, ParMuDbscan};
+use mudbscan::MuDbscan;
 use std::collections::BTreeSet;
 
 /// `key` matches `entry` if they are equal segment-by-segment, with
@@ -48,14 +48,14 @@ fn every_emitted_key_is_documented() {
 
     // One instrumented run of each execution mode on a small workload
     // exercises every emission site: sequential, shared-memory parallel
-    // (tiling + reconcile paths), distributed (BSP + halo), and the
+    // (two workers), distributed (BSP + halo), and the
     // out-of-core sharded executor (shard planning, gather, merge).
     let spec = &paper_table2_specs()[0];
     let data = spec.generate_n(600, 2019);
     obs::reset();
     obs::enable();
     let _ = MuDbscan::from_params(spec.params).run(&data);
-    let _ = ParMuDbscan::from_params(spec.params, 2).run(&data);
+    let _ = MuDbscan::from_params(spec.params).threads(2).run(&data);
     let _ = MuDbscanD::from_params(spec.params, DistConfig::new(2)).run(&data).expect("dist run");
     let _ = ShardedMuDbscan::new(
         spec.params,

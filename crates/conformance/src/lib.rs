@@ -5,7 +5,7 @@
 //!
 //! Every algorithm that claims paper-exactness is registered behind the
 //! [`ExactDbscan`] trait ([`registry()`] enumerates them all: sequential
-//! μDBSCAN under every ablation-knob combination, `ParMuDbscan` at several
+//! μDBSCAN under every ablation-knob combination, `MuDbscan` at several
 //! thread counts, the three sequential baselines, and μDBSCAN-D at several
 //! simulated rank counts). The harness runs each of them against the O(n²)
 //! [`mudbscan::naive_dbscan`] oracle on randomized datasets drawn from the

@@ -1,6 +1,6 @@
 //! Degenerate-input audit: `n = 0`, `n < MinPts`, and all-points-identical
 //! at n ≥ 10⁴, pushed through micro-cluster construction (sequential and
-//! parallel), `MuDbscan`, `ParMuDbscan` and `MuDbscanD`.
+//! parallel), `MuDbscan` at one and four threads and `MuDbscanD`.
 //!
 //! These are the inputs where index construction historically panics
 //! (empty bounding boxes, `members[0]` on empty MC lists, zero distances
@@ -11,7 +11,7 @@ use dist::{DistConfig, MuDbscanD};
 use geom::{Dataset, DbscanParams};
 use mcs::{build_micro_clusters, build_micro_clusters_par, BuildOptions};
 use metrics::Counters;
-use mudbscan::{check_exact, naive_dbscan, Clustering, MuDbscan, ParMuDbscan};
+use mudbscan::{check_exact, naive_dbscan, Clustering, MuDbscan};
 
 fn params() -> DbscanParams {
     DbscanParams::new(0.5, 5)
@@ -23,7 +23,7 @@ fn all_algorithms(data: &Dataset, params: &DbscanParams, mut verify: impl FnMut(
     for threads in [1, 4] {
         verify(
             &format!("mu-par/t{threads}"),
-            ParMuDbscan::from_params(*params, threads).run(data).clustering,
+            MuDbscan::from_params(*params).threads(threads).run(data).clustering,
         );
     }
     for ranks in [1, 4] {

@@ -3,25 +3,21 @@
 //! The histogram layer promises *exact, order-independent merges*: every
 //! per-thread recording drains into the same fixed bucket layout, so the
 //! final buckets (and therefore every reported percentile) must be
-//! bit-identical no matter how work was interleaved. Three pins:
+//! bit-identical no matter how work was interleaved. Two pins:
 //!
 //! 1. concurrent per-thread recording of a fixed sample multiset equals
 //!    sequential recording of the same samples;
-//! 2. sequential `MuDbscan` and `ParMuDbscan` t=1 on the sequential build
-//!    path produce identical query-cost histograms (the histogram-level
-//!    extension of `seq_and_par_t1_counters_agree`);
-//! 3. `ParMuDbscan` at t ∈ {1, 2, 4} produces identical `query/*`
+//! 2. `MuDbscan` at t ∈ {1, 2, 4} produces identical `query/*`
 //!    histograms on a promotion-free dataset, where the step-3 query set
 //!    is thread-count-invariant by construction.
 //!
-//! (`postproc/node_visits` is deliberately excluded from pin 3: the
+//! (`postproc/node_visits` is deliberately excluded from pin 2: the
 //! post-processing aux queries' execution depends on the union order,
-//! which is interleaving-dependent at t > 1.)
+//! which is interleaving-dependent at t > 1.) The one-thread engine's
+//! histograms are pinned by `engine_golden`.
 
-use conformance::{DatasetSpec, FAMILIES};
 use geom::{Dataset, DbscanParams};
-use mcs::BuildOptions;
-use mudbscan::{MuDbscan, ParMuDbscan};
+use mudbscan::MuDbscan;
 use obs::Histogram;
 
 /// The obs collector is process-global and the test harness runs tests on
@@ -42,10 +38,6 @@ fn hists_of(f: impl FnOnce()) -> Vec<(String, Histogram)> {
 
 fn hist<'a>(hists: &'a [(String, Histogram)], key: &str) -> &'a Histogram {
     &hists.iter().find(|(k, _)| k == key).unwrap_or_else(|| panic!("missing hist {key}")).1
-}
-
-fn hist_opt<'a>(hists: &'a [(String, Histogram)], key: &str) -> Option<&'a Histogram> {
-    hists.iter().find(|(k, _)| k == key).map(|(_, h)| h)
 }
 
 #[test]
@@ -81,45 +73,6 @@ fn threaded_recording_matches_sequential_recording() {
     }
 }
 
-#[test]
-fn seq_and_par_t1_histograms_agree() {
-    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for family in FAMILIES {
-        let spec = DatasetSpec { family, n: 300, dim: 3, seed: 2019 };
-        let data = Dataset::from_rows(&spec.rows());
-        let params = DbscanParams::new(0.6, 5);
-
-        let seq = hists_of(|| {
-            MuDbscan::from_params(params).run(&data);
-        });
-        // `with_options(BuildOptions::default())` puts t=1 on the
-        // sequential build path, making the whole pipeline step-for-step
-        // comparable to `MuDbscan`.
-        let par = hists_of(|| {
-            ParMuDbscan::from_params(params, 1).with_options(BuildOptions::default()).run(&data);
-        });
-
-        let label = family.as_str();
-        for key in
-            ["query/node_visits", "query/candidates", "query/leaf_evals", "rtree/bulk_load_entries"]
-        {
-            assert_eq!(
-                hist(&seq, key),
-                hist(&par, key),
-                "{label}: histogram {key} drifted between seq and par t1"
-            );
-        }
-        // Post-processing aux queries only run when deferred points exist,
-        // so the key may legitimately be absent — but seq and par t1 must
-        // agree on that too.
-        assert_eq!(
-            hist_opt(&seq, "postproc/node_visits"),
-            hist_opt(&par, "postproc/node_visits"),
-            "{label}: histogram postproc/node_visits drifted between seq and par t1"
-        );
-    }
-}
-
 /// A 2-d grid with 0.45 spacing at ε = 0.6: axis neighbours are within ε,
 /// diagonals (≈0.636) are not, and **no** point other than itself lies
 /// within ε/2 = 0.3 — so the step-3 dynamic wndq promotion rule can never
@@ -144,7 +97,7 @@ fn par_query_histograms_identical_across_thread_counts() {
         .into_iter()
         .map(|threads| {
             let h = hists_of(|| {
-                ParMuDbscan::from_params(params, threads).run(&data);
+                MuDbscan::from_params(params).threads(threads).run(&data);
             });
             (threads, h)
         })

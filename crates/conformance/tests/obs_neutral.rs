@@ -7,7 +7,7 @@
 use conformance::{DatasetSpec, Family};
 use dist::{DistConfig, MuDbscanD};
 use geom::{Dataset, DbscanParams};
-use mudbscan::{Clustering, MuDbscan, ParMuDbscan};
+use mudbscan::{Clustering, MuDbscan};
 
 fn seeded_dataset() -> Dataset {
     let spec = DatasetSpec { family: Family::Blobs, n: 400, dim: 3, seed: 2019 };
@@ -72,7 +72,7 @@ fn parallel_mudbscan_is_obs_neutral() {
     let params = DbscanParams::new(0.6, 5);
     for threads in [1, 4] {
         assert_neutral(&format!("par_mudbscan_t{threads}"), || {
-            ParMuDbscan::from_params(params, threads).run(&data).clustering
+            MuDbscan::from_params(params).threads(threads).run(&data).clustering
         });
     }
 }

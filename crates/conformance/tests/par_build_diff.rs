@@ -10,17 +10,16 @@
 //!    `build_micro_clusters`'s: the same centers, member lists,
 //!    `assignment` and `inner_count`, the same aux-tree answers, and the
 //!    same construction counters;
-//! 3. **downstream exactness** — `ParMuDbscan` running on top of the
-//!    build still matches the O(n²) `naive_dbscan` oracle.
+//! 3. **downstream exactness** — `MuDbscan` at two threads running on
+//!    top of the build still matches the O(n²) `naive_dbscan` oracle.
 //!
-//! Plus a non-proptest anchor pinning that sequential and parallel t1
-//! runs report identical work counters.
+//! The one-thread engine's work counters are pinned by `engine_golden`.
 
 use conformance::{DatasetSpec, Family, FAMILIES};
 use geom::{dist_euclidean, Dataset, DbscanParams};
 use mcs::{build_micro_clusters, build_micro_clusters_par, BuildOptions, McId, MuRTree};
 use metrics::Counters;
-use mudbscan::{check_exact, naive_dbscan, MuDbscan, ParMuDbscan};
+use mudbscan::{check_exact, naive_dbscan, MuDbscan};
 use proptest::prelude::*;
 
 /// Assert the μR-tree is a valid MC partition of `data` for `eps`.
@@ -108,7 +107,7 @@ fn check_case(
 
     // Downstream exactness on top of the parallel build.
     let reference = naive_dbscan(&data, &params);
-    let out = ParMuDbscan::from_params(params, 2).run(&data);
+    let out = MuDbscan::from_params(params).threads(2).run(&data);
     let rep = check_exact(&out.clustering, &reference, &data, &params);
     prop_assert!(rep.is_exact(), "{}: parallel clustering inexact: {:?}", test, rep);
     Ok(())
@@ -150,53 +149,6 @@ proptest! {
                        eps_steps in 1usize..12, min_pts in 1usize..8) {
         check_case("mixed_par_build", Family::Mixed, n, dim, seed,
                    eps_steps as f64 * 0.15, min_pts)?;
-    }
-}
-
-/// A sequential `MuDbscan` run and a `ParMuDbscan` t1 run execute the
-/// identical counting sequence — `node_visits` and `range_queries` must
-/// agree exactly, on a fixed seed, across every family.
-#[test]
-fn seq_and_par_t1_counters_agree() {
-    for family in FAMILIES {
-        let spec = DatasetSpec { family, n: 300, dim: 3, seed: 2019 };
-        let data = Dataset::from_rows(&spec.rows());
-        let params = DbscanParams::new(0.6, 5);
-
-        let seq = MuDbscan::from_params(params).run(&data);
-        let par = ParMuDbscan::from_params(params, 1).run(&data);
-        let par_counters = par.counters.snapshot();
-
-        let label = family.as_str();
-        assert_eq!(
-            seq.counters.node_visits(),
-            par_counters.node_visits(),
-            "{label}: node_visits drifted between seq and par t1"
-        );
-        assert_eq!(
-            seq.counters.range_queries(),
-            par_counters.range_queries(),
-            "{label}: range_queries drifted between seq and par t1"
-        );
-        assert_eq!(
-            seq.counters.queries_saved(),
-            par_counters.queries_saved(),
-            "{label}: queries_saved drifted between seq and par t1"
-        );
-        // The best-first + batched-leaf query path must charge the exact
-        // same distance-test totals as well: the visited node set (and so
-        // every per-entry evaluation) is pruning-determined, not
-        // traversal-order-determined.
-        assert_eq!(
-            seq.counters.dist_computations(),
-            par_counters.dist_computations(),
-            "{label}: dist_computations drifted between seq and par t1"
-        );
-        assert_eq!(
-            seq.counters.union_ops(),
-            par_counters.union_ops(),
-            "{label}: union_ops drifted between seq and par t1"
-        );
     }
 }
 

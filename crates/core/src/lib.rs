@@ -39,14 +39,12 @@
 
 pub mod algorithm;
 pub mod clustering;
-pub mod parallel;
 pub mod params;
 pub mod quality;
 pub mod reference;
 
 pub use algorithm::{MuDbscan, MuDbscanOutput};
 pub use clustering::{check_exact, Clustering, ExactnessReport, NOISE};
-pub use parallel::{ParMuDbscan, ParOutput};
 pub use params::{k_dist_curve, suggest_eps};
 pub use quality::{adjusted_rand_index, normalized_mutual_information};
 pub use reference::naive_dbscan;

@@ -72,7 +72,7 @@ proptest! {
     fn parallel_exact(rows in clustered(2), eps in 0.2..2.0f64, min_pts in 2usize..7, threads in 1usize..6) {
         let data = Dataset::from_rows(&rows);
         let params = DbscanParams::new(eps, min_pts);
-        let out = mudbscan_core::ParMuDbscan::from_params(params, threads).run(&data);
+        let out = MuDbscan::from_params(params).threads(threads).run(&data);
         let reference = naive_dbscan(&data, &params);
         let rep = check_exact(&out.clustering, &reference, &data, &params);
         prop_assert!(rep.is_exact(), "threads={threads}: {rep:?}");

@@ -59,13 +59,6 @@ impl From<mudbscan::MuDbscanOutput> for LocalRun {
     }
 }
 
-impl From<mudbscan::ParOutput> for LocalRun {
-    fn from(out: mudbscan::ParOutput) -> Self {
-        let counters = out.counters.snapshot();
-        Self { clustering: out.clustering, phases: out.phases, counters, peak_heap_bytes: 0 }
-    }
-}
-
 /// A failed distributed run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DistError {

@@ -11,7 +11,7 @@ use geom::{Dataset, DbscanParams};
 use mcs::BuildOptions;
 use metrics::mem::MemBudget;
 use metrics::Stopwatch;
-use mudbscan::{MuDbscan, ParMuDbscan};
+use mudbscan::MuDbscan;
 use partition::{gather_shards, plan_shards, ShardingOptions};
 
 /// Common configuration of the kd-partitioned distributed algorithms.
@@ -23,8 +23,8 @@ pub struct DistConfig {
     pub comm: CommModel,
     /// Worker threads used *inside* each rank's local μDBSCAN stage —
     /// the paper's future-work "leverage multiple cores available in
-    /// each computing node". `1` (default) runs the sequential local
-    /// algorithm; `> 1` runs [`mudbscan::ParMuDbscan`] per rank.
+    /// each computing node": each rank runs [`mudbscan::MuDbscan`] on
+    /// this many threads, and `1` (default) is the sequential algorithm.
     pub local_threads: usize,
 }
 
@@ -111,11 +111,11 @@ impl MuDbscanD {
     pub fn run(&self, data: &Dataset) -> Result<DistOutput, DistError> {
         let (params, opts, threads) = (self.params, self.opts, self.cfg.local_threads);
         run_on_kd_ranks(data, &params, &self.cfg, self.faults.as_ref(), |combined| {
-            Ok(if threads > 1 {
-                ParMuDbscan::from_params(params, threads).with_options(opts).run(combined).into()
-            } else {
-                MuDbscan::from_params(params).with_options(opts).run(combined).into()
-            })
+            Ok(MuDbscan::from_params(params)
+                .threads(threads)
+                .with_options(opts)
+                .run(combined)
+                .into())
         })
     }
 }

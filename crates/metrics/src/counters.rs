@@ -1,14 +1,13 @@
 //! Operation counters.
 //!
-//! [`Counters`] is the single-threaded variant used inside the sequential
-//! algorithms (interior mutability via `Cell` so read-only query paths can
-//! still count); [`SharedCounters`] is the atomic variant shared across the
-//! ranks of the distributed simulator or worker threads.
+//! [`Counters`] uses interior mutability via `Cell`, so read-only query
+//! paths can still count. Each worker thread of a parallel run counts
+//! into its own set, and the run [`Counters::absorb`]s them when the
+//! worker finishes.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Per-run operation counters for a sequential algorithm.
+/// Per-run (or per-worker) operation counters.
 ///
 /// The fields map directly to paper quantities:
 /// * `range_queries` — ε-neighbourhood queries actually executed,
@@ -31,8 +30,8 @@ impl Counters {
         Self::default()
     }
 
-    /// Counters initialised with explicit values (used to snapshot the
-    /// atomic [`SharedCounters`]).
+    /// Counters initialised with explicit values (used to restore a
+    /// checkpoint).
     pub fn from_raw(
         range_queries: u64,
         queries_saved: u64,
@@ -123,126 +122,14 @@ impl Counters {
         }
     }
 
-    /// Fold another counter set into this one (used to aggregate per-rank
-    /// counters after a simulated distributed run).
+    /// Fold another counter set into this one (used to aggregate
+    /// per-worker and per-rank counters).
     pub fn absorb(&self, other: &Counters) {
         self.range_queries.set(self.range_queries.get() + other.range_queries.get());
         self.queries_saved.set(self.queries_saved.get() + other.queries_saved.get());
         self.dist_computations.set(self.dist_computations.get() + other.dist_computations.get());
         self.node_visits.set(self.node_visits.get() + other.node_visits.get());
         self.union_ops.set(self.union_ops.get() + other.union_ops.get());
-    }
-}
-
-/// Thread-safe counters with the same semantics as [`Counters`].
-#[derive(Debug, Default)]
-pub struct SharedCounters {
-    range_queries: AtomicU64,
-    queries_saved: AtomicU64,
-    dist_computations: AtomicU64,
-    node_visits: AtomicU64,
-    union_ops: AtomicU64,
-}
-
-impl SharedCounters {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one executed ε-neighbourhood query.
-    #[inline]
-    pub fn count_range_query(&self) {
-        self.range_queries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one query avoided.
-    #[inline]
-    pub fn count_query_saved(&self) {
-        self.queries_saved.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `n` distance computations.
-    #[inline]
-    pub fn count_dists(&self, n: u64) {
-        self.dist_computations.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record one index-node visit.
-    #[inline]
-    pub fn count_node_visit(&self) {
-        self.node_visits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `n` index-node visits at once (one fetch-add for a whole
-    /// `QueryCost`-sized batch).
-    #[inline]
-    pub fn count_node_visits(&self, n: u64) {
-        self.node_visits.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record one UNION operation.
-    #[inline]
-    pub fn count_union(&self) {
-        self.union_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Executed ε-queries.
-    pub fn range_queries(&self) -> u64 {
-        self.range_queries.load(Ordering::Relaxed)
-    }
-
-    /// Queries avoided.
-    pub fn queries_saved(&self) -> u64 {
-        self.queries_saved.load(Ordering::Relaxed)
-    }
-
-    /// Distance evaluations.
-    pub fn dist_computations(&self) -> u64 {
-        self.dist_computations.load(Ordering::Relaxed)
-    }
-
-    /// Index-node visits.
-    pub fn node_visits(&self) -> u64 {
-        self.node_visits.load(Ordering::Relaxed)
-    }
-
-    /// UNION operations.
-    pub fn union_ops(&self) -> u64 {
-        self.union_ops.load(Ordering::Relaxed)
-    }
-
-    /// Percentage of queries saved (see [`Counters::pct_queries_saved`]).
-    pub fn pct_queries_saved(&self) -> f64 {
-        let saved = self.queries_saved() as f64;
-        let total = saved + self.range_queries() as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            100.0 * saved / total
-        }
-    }
-
-    /// Snapshot into a sequential [`Counters`]. All five fields carry over
-    /// (node visits included — an earlier version of this signature dropped
-    /// them, which the `from_raw_round_trips` test now pins).
-    pub fn snapshot(&self) -> Counters {
-        Counters::from_raw(
-            self.range_queries(),
-            self.queries_saved(),
-            self.dist_computations(),
-            self.node_visits(),
-            self.union_ops(),
-        )
-    }
-
-    /// Fold a sequential counter set into this shared one.
-    pub fn absorb(&self, other: &Counters) {
-        self.range_queries.fetch_add(other.range_queries(), Ordering::Relaxed);
-        self.queries_saved.fetch_add(other.queries_saved(), Ordering::Relaxed);
-        self.dist_computations.fetch_add(other.dist_computations(), Ordering::Relaxed);
-        self.node_visits.fetch_add(other.node_visits(), Ordering::Relaxed);
-        self.union_ops.fetch_add(other.union_ops(), Ordering::Relaxed);
     }
 }
 
@@ -292,56 +179,17 @@ mod tests {
     }
 
     #[test]
-    fn shared_counters_from_threads() {
-        let c = SharedCounters::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        c.count_range_query();
-                        c.count_dists(2);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.range_queries(), 400);
-        assert_eq!(c.dist_computations(), 800);
-    }
-
-    #[test]
     fn from_raw_round_trips() {
-        // Every field survives a SharedCounters -> Counters snapshot —
-        // in particular node_visits, which from_raw used to drop.
-        let s = SharedCounters::new();
-        s.count_range_query();
-        s.count_query_saved();
-        s.count_dists(3);
-        s.count_node_visit();
-        s.count_node_visits(4);
-        s.count_union();
-        let snap = s.snapshot();
-        assert_eq!(snap.range_queries(), 1);
-        assert_eq!(snap.queries_saved(), 1);
-        assert_eq!(snap.dist_computations(), 3);
-        assert_eq!(snap.node_visits(), 5);
-        assert_eq!(snap.union_ops(), 1);
-
-        // And the reverse direction (absorb) keeps node visits too.
-        let s2 = SharedCounters::new();
-        s2.absorb(&snap);
-        assert_eq!(s2.node_visits(), 5);
-        let direct = Counters::from_raw(7, 6, 5, 4, 3);
-        assert_eq!(direct.node_visits(), 4);
-    }
-
-    #[test]
-    fn shared_absorbs_sequential() {
-        let s = SharedCounters::new();
-        let c = Counters::new();
-        c.count_query_saved();
-        c.count_union();
-        s.absorb(&c);
-        assert_eq!(s.queries_saved(), 1);
-        assert_eq!(s.union_ops(), 1);
+        // Every field survives from_raw and a later absorb — in particular
+        // node_visits, which from_raw once dropped.
+        let c = Counters::from_raw(7, 6, 5, 4, 3);
+        assert_eq!(c.range_queries(), 7);
+        assert_eq!(c.queries_saved(), 6);
+        assert_eq!(c.dist_computations(), 5);
+        assert_eq!(c.node_visits(), 4);
+        assert_eq!(c.union_ops(), 3);
+        let sum = Counters::new();
+        sum.absorb(&c);
+        assert_eq!(sum.node_visits(), 4);
     }
 }

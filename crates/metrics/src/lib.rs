@@ -24,7 +24,7 @@ pub mod mem;
 pub mod table;
 pub mod timer;
 
-pub use counters::{Counters, SharedCounters};
+pub use counters::Counters;
 pub use mem::{slice_bytes, vec_bytes, MemUsage};
 pub use table::Table;
 pub use timer::{thread_cpu_secs, BusyTimer, Phase, PhaseTimer, Stopwatch};

@@ -6,7 +6,8 @@
 //! workspace:
 //!
 //! * the **single flat R-tree** used by the classical R-DBSCAN baseline,
-//! * the **level-1 μR-tree** over micro-cluster centers/MBRs,
+//! * the **level-1 μR-tree** over micro-cluster centers above d = 3
+//!   (at d ≤ 3 `mcs::Level1` is a hashed 2ε grid instead),
 //! * the per-micro-cluster **auxiliary R-trees** over member points.
 //!
 //! Features: ChooseLeaf insertion with quadratic split, Sort-Tile-Recursive

@@ -22,7 +22,8 @@
 //! micro-cluster machinery:
 //!
 //! * points are assigned to ε-ball micro-clusters maintained online
-//!   (level-1 R-tree over centers, one incremental aux R-tree per MC);
+//!   (the center index is `mcs::Level1`: a hashed 2ε grid at d ≤ 3 and
+//!   an R-tree above; one incremental aux R-tree per MC);
 //! * an ε-query for a point only searches MCs whose center is strictly
 //!   within 2ε (a point within ε of `p` is within ε of its own center,
 //!   so its center is within 2ε of `p`);

@@ -3,6 +3,7 @@
 
 use dist::{DistConfig, GridDbscanD, HpDbscan, MuDbscanD, PdsDbscanD, RpDbscan};
 use geom::DbscanParams;
+use mudbscan::prelude::{RunDetails, Runner};
 use mudbscan::{check_exact, naive_dbscan, MuDbscan};
 
 #[test]
@@ -101,4 +102,19 @@ fn merge_counters_aggregate_rank_work() {
     assert!(out.counters.range_queries() > 0);
     assert!(out.counters.union_ops() > 0);
     assert!(out.counters.dist_computations() > 0);
+}
+
+/// Each rank reports the structure bytes of its local stage (Table IV's
+/// per-rank memory) whether that stage runs on one thread or several.
+#[test]
+fn rank_heap_is_reported_at_every_local_thread_count() {
+    let dataset = data::galaxy(4_000, 3, 2019);
+    let params = DbscanParams::new(0.8, 5);
+    for threads in [1, 2] {
+        let out = Runner::new(params).ranks(2).threads(threads).run(&dataset).unwrap();
+        let RunDetails::Distributed { max_rank_heap_bytes, .. } = out.details else {
+            panic!("ranks(2) must report distributed details");
+        };
+        assert!(max_rank_heap_bytes > 0, "threads({threads}): max_rank_heap_bytes is 0");
+    }
 }

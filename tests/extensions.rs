@@ -3,7 +3,7 @@
 //! coincide on the canonical quantities for the same data + parameters.
 
 use geom::DbscanParams;
-use mudbscan::{Clustering, MuDbscan, ParMuDbscan};
+use mudbscan::{Clustering, MuDbscan};
 use optics::{extract_dbscan, Optics};
 use stream::StreamingMuDbscan;
 
@@ -18,7 +18,7 @@ fn five_ways_to_the_same_clustering() {
 
     let batch = MuDbscan::from_params(params).run(&dataset).clustering;
 
-    let par = ParMuDbscan::from_params(params, 3).run(&dataset).clustering;
+    let par = MuDbscan::from_params(params).threads(3).run(&dataset).clustering;
     assert_eq!(canon(&par), canon(&batch), "parallel");
 
     let mut s = StreamingMuDbscan::empty(3, params);
@@ -42,7 +42,7 @@ fn quality_indices_confirm_equivalence() {
     let dataset = data::road_network(2_500, 33);
     let params = DbscanParams::new(0.4, 5);
     let a = MuDbscan::from_params(params).run(&dataset).clustering;
-    let b = ParMuDbscan::from_params(params, 4).run(&dataset).clustering;
+    let b = MuDbscan::from_params(params).threads(4).run(&dataset).clustering;
     // Border assignment is order-dependent (threads race for contested
     // borders), so compare the CANONICAL core partition: mask non-core
     // points to noise on both sides; the masked partitions must then be

@@ -5,7 +5,7 @@
 
 use dist::{DistConfig, MuDbscanD};
 use mudbscan::prelude::{write_store, ChunkedStore, Family, MuDbscanError, RunDetails, Runner};
-use mudbscan::{Clustering, MuDbscan, ParMuDbscan};
+use mudbscan::{Clustering, MuDbscan};
 use optics::{extract_dbscan, Optics};
 use stream::StreamingMuDbscan;
 
@@ -26,8 +26,8 @@ fn runner_output_is_bit_identical_to_direct_construction() {
         let direct = MuDbscan::from_params(params).run(&dataset).clustering;
         assert_eq!(via_runner(Runner::new(params), &dataset, tag), direct, "{tag}: sequential");
 
-        // Parallel: .threads(4) vs ParMuDbscan::from_params(params, 4).
-        let direct = ParMuDbscan::from_params(params, 4).run(&dataset).clustering;
+        // Parallel: .threads(4) vs MuDbscan::from_params(params).threads(4).
+        let direct = MuDbscan::from_params(params).threads(4).run(&dataset).clustering;
         assert_eq!(
             via_runner(Runner::new(params).threads(4), &dataset, tag),
             direct,
@@ -90,7 +90,7 @@ fn low_level_constructors_compile_and_run() {
     // Each per-family type must remain usable without the facade (the
     // facade and crates like `dist` build on these entry points).
     assert_eq!(MuDbscan::from_params(params).run(&dataset).clustering, oracle);
-    assert_eq!(ParMuDbscan::from_params(params, 2).run(&dataset).clustering, oracle);
+    assert_eq!(MuDbscan::from_params(params).threads(2).run(&dataset).clustering, oracle);
     assert_eq!(
         MuDbscanD::from_params(params, DistConfig::new(2)).run(&dataset).unwrap().clustering,
         oracle
