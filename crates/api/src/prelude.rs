@@ -292,8 +292,9 @@ impl Runner {
 
     /// Serving-layer options for [`Runner::serve`]: the deletion-repair budget
     /// ([`ServeOptions::repair_budget`], whose default adapts to the
-    /// live set size and whose `Some(0)` rebuilds on every structural
-    /// deletion — the baseline the benchmark suite compares against),
+    /// live set size and whose `Some(0)` rebuilds on every removal that
+    /// needs a repair region — noise points and borders that demote no
+    /// core are still repaired in place),
     /// plus the telemetry knobs — flight-recorder capacity, postmortem
     /// directory, and the exactness self-check cadence
     /// ([`ServeOptions::self_check_every`]). None of them changes
@@ -865,8 +866,10 @@ mod tests {
 
     #[test]
     fn serve_options_budget_zero_still_serves_exactly() {
-        // `repair_budget: Some(0)` (rebuild on every structural delete)
-        // must be reachable from the facade and stay exact.
+        // `repair_budget: Some(0)` (a removal that needs any repair
+        // region rebuilds; noise and borders that demote no core are
+        // still repaired in place) must be reachable from the facade
+        // and stay exact.
         let data = tiny();
         let p = DbscanParams::new(0.5, 3);
         let handle = Runner::new(p)

@@ -15,7 +15,6 @@ use unionfind::UnionFind;
 #[derive(Debug, Clone)]
 pub struct RDbscan {
     params: DbscanParams,
-    cfg: RTreeConfig,
     /// Build the index by STR bulk loading instead of repeated insertion
     /// (ablation knob; query results are identical).
     pub bulk_load: bool,
@@ -24,13 +23,7 @@ pub struct RDbscan {
 impl RDbscan {
     /// New instance with default R-tree fan-out and incremental build.
     pub fn new(params: DbscanParams) -> Self {
-        Self { params, cfg: RTreeConfig::default(), bulk_load: false }
-    }
-
-    /// Override the R-tree fan-out.
-    pub fn with_config(mut self, cfg: RTreeConfig) -> Self {
-        self.cfg = cfg;
-        self
+        Self { params, bulk_load: false }
     }
 
     /// Run on `data`.
@@ -41,9 +34,10 @@ impl RDbscan {
 
         let step1 = phases.phase("tree_construction");
         let tree = if self.bulk_load {
-            RTree::bulk_load_points(data.dim(), self.cfg, data.iter().map(|(i, p)| (i, p.to_vec())))
+            let cfg = RTreeConfig::default();
+            RTree::bulk_load_points(data.dim(), cfg, data.iter().map(|(i, p)| (i, p.to_vec())))
         } else {
-            let mut t = RTree::with_config(data.dim(), self.cfg);
+            let mut t = RTree::new(data.dim());
             for (i, p) in data.iter() {
                 t.insert_point(i, p);
             }

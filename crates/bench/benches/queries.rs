@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geom::DbscanParams;
 use mcs::{build_micro_clusters, BuildOptions};
 use metrics::Counters;
-use rtree::{RTree, RTreeConfig, SplitStrategy};
+use rtree::{RTree, RTreeConfig};
 use std::hint::black_box;
 
 fn bench_queries(c: &mut Criterion) {
@@ -52,26 +52,6 @@ fn bench_queries(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    // Ablation: R*-split flat tree vs the quadratic default.
-    let rstar = {
-        let mut t = RTree::with_config(3, RTreeConfig::default().with_split(SplitStrategy::RStar));
-        for (i, p) in dataset.iter() {
-            t.insert_point(i, p);
-        }
-        t
-    };
-    g.bench_function(BenchmarkId::new("flat_rtree_rstar_split", n), |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for &q in &queries {
-                let mut out = Vec::new();
-                rstar.search_sphere(dataset.point(q), eps, |i| out.push(i));
-                acc += out.len();
-            }
-            black_box(acc)
-        })
-    });
-
     // Ablation: search every MC's aux tree instead of only reachable ones.
     g.bench_function(BenchmarkId::new("murtree_no_filter", n), |b| {
         b.iter(|| {

@@ -117,7 +117,7 @@ impl ExactDbscan for GridBaseline {
 }
 
 fn seq_opts(two_eps_deferral: bool, str_aux: bool) -> BuildOptions {
-    BuildOptions { two_eps_deferral, str_aux, ..BuildOptions::default() }
+    BuildOptions { two_eps_deferral, str_aux }
 }
 
 /// Every registered implementation/configuration.

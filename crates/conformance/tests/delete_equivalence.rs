@@ -9,8 +9,10 @@
 //! epoch must be bit-identical no matter which path produced it.
 //!
 //! This harness replays one trace through three engines side by side —
-//! repair-always (adaptive budget), rebuild-always (`Some(0)`), and a
-//! tiny budget (`Some(2)`) that mixes repairs with fallback rebuilds —
+//! the adaptive budget, budget zero (`Some(0)`: every removal that needs
+//! a repair region rebuilds; noise points and borders that demote no
+//! core are still repaired in place), and a tiny budget (`Some(2)`) that
+//! mixes repairs with fallback rebuilds —
 //! and asserts every epoch agrees across all three *and* with a
 //! one-shot batch run over the live prefix, which is itself checked
 //! exact against the naive oracle.
@@ -107,7 +109,7 @@ fn assert_snapshots_identical(a: &Snapshot, b: &Snapshot, ctx: &str) {
 /// and validate every epoch against each other and the batch prefix.
 fn run_equivalence(trace: &[Vec<RawOp>], ctx: &str) {
     let p = params();
-    // (label, engine): repair-always, rebuild-always, mixed via tiny budget.
+    // (label, engine): adaptive budget, budget zero, tiny budget.
     let arms = [("repair", None), ("rebuild", Some(0usize)), ("tiny-budget", Some(2usize))];
     let handles: Vec<_> = arms
         .iter()
@@ -213,7 +215,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Every epoch of a random delete-biased trace is bit-identical
-    /// across repair-always, rebuild-always, and tiny-budget engines,
+    /// across adaptive-budget, zero-budget and tiny-budget engines,
     /// and equals the one-shot batch run on its live prefix.
     #[test]
     fn random_traces_are_budget_invariant(

@@ -12,7 +12,7 @@
 //!
 //! * Euclidean distance kernels with early-exit variants ([`dist`]),
 //! * axis-aligned minimum bounding rectangles ([`Mbr`]) with the
-//!   box/box and box/sphere predicates the R-tree and μR-tree need,
+//!   containment and box/sphere predicates the R-tree and μR-tree need,
 //! * ε-region helpers (`reg_ε(p)` from the paper is [`Mbr::around_point`]).
 //!
 //! ```

@@ -1,8 +1,8 @@
 //! Axis-aligned minimum bounding rectangles (MBRs).
 //!
-//! Used by the R-tree ([`rtree`](https://docs.rs/rtree)) nodes, the μR-tree
-//! level-1 entries (MC bounding boxes) and the spatial partitioner
-//! (partition boxes and ε-halo strips). The paper's `reg_ε(p)` — the
+//! Used by the R-tree ([`rtree`](https://docs.rs/rtree)) nodes, the
+//! micro-clusters' member boxes, the shard planner's regions and the grid
+//! baselines' cell boxes. The paper's `reg_ε(p)` — the
 //! ε-extended box around a point — is [`Mbr::around_point`], and the
 //! MINDIST pruning bound the restricted query of Algorithm 6 applies to
 //! each reachable MC's member box is [`Mbr::min_dist_sq`].
@@ -76,13 +76,6 @@ impl Mbr {
         &self.hi
     }
 
-    /// True when the box is a single point (`lo == hi` in every
-    /// dimension) — the shape of an R-tree point entry.
-    #[inline]
-    pub fn is_degenerate(&self) -> bool {
-        self.lo.iter().zip(self.hi.iter()).all(|(l, h)| l == h)
-    }
-
     /// `true` iff `p` lies inside the box (inclusive bounds).
     #[inline]
     pub fn contains_point(&self, p: &[f64]) -> bool {
@@ -90,30 +83,11 @@ impl Mbr {
         self.lo.iter().zip(p).all(|(l, x)| l <= x) && self.hi.iter().zip(p).all(|(h, x)| x <= h)
     }
 
-    /// `true` iff the two boxes overlap (closed-interval semantics: touching
-    /// faces count as overlap, which keeps the filter conservative).
-    #[inline]
-    pub fn intersects(&self, other: &Mbr) -> bool {
-        debug_assert_eq!(self.dim(), other.dim());
-        for k in 0..self.dim() {
-            if self.hi[k] < other.lo[k] || other.hi[k] < self.lo[k] {
-                return false;
-            }
-        }
-        true
-    }
-
     /// `true` iff `other` is entirely inside `self`.
     pub fn contains(&self, other: &Mbr) -> bool {
-        self.contains_corners(&other.lo, &other.hi)
-    }
-
-    /// `true` iff the box `[lo, hi]` is entirely inside `self` —
-    /// [`Mbr::contains`] on borrowed corners.
-    pub fn contains_corners(&self, lo: &[f64], hi: &[f64]) -> bool {
-        debug_assert!(lo.len() == self.dim() && hi.len() == self.dim());
+        debug_assert_eq!(other.dim(), self.dim());
         for k in 0..self.dim() {
-            if lo[k] < self.lo[k] || hi[k] > self.hi[k] {
+            if other.lo[k] < self.lo[k] || other.hi[k] > self.hi[k] {
                 return false;
             }
         }
@@ -189,31 +163,6 @@ impl Mbr {
     /// building it: bit-identical to `merged(..).volume()`.
     pub fn merged_volume(&self, lo: &[f64], hi: &[f64]) -> f64 {
         corners::merged_volume(&self.lo, &self.hi, lo, hi)
-    }
-
-    /// Margin of the smallest box covering `self` and `[lo, hi]`, without
-    /// building it: bit-identical to `merged(..).margin()`.
-    pub fn merged_margin(&self, lo: &[f64], hi: &[f64]) -> f64 {
-        corners::merged_margin(&self.lo, &self.hi, lo, hi)
-    }
-
-    /// Volume increase needed for the box to cover `other` — the Guttman
-    /// ChooseLeaf criterion.
-    pub fn enlargement(&self, other: &Mbr) -> f64 {
-        self.merged_volume(&other.lo, &other.hi) - self.volume()
-    }
-
-    /// Center of the box along axis `k`.
-    #[inline]
-    pub fn center(&self, k: usize) -> f64 {
-        0.5 * (self.lo[k] + self.hi[k])
-    }
-
-    /// Expand every face outward by `r` (used to build ε-halo strips of a
-    /// partition box).
-    pub fn expanded(&self, r: f64) -> Mbr {
-        assert!(r >= 0.0);
-        Mbr::new(self.lo.iter().map(|x| x - r).collect(), self.hi.iter().map(|x| x + r).collect())
     }
 
     /// Estimated heap footprint in bytes (two boxed slices).
@@ -312,16 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn intersects_touching_counts() {
-        let m = unit();
-        let touching = Mbr::new(vec![1.0, 0.0], vec![2.0, 1.0]);
-        let apart = Mbr::new(vec![1.1, 0.0], vec![2.0, 1.0]);
-        assert!(m.intersects(&touching));
-        assert!(touching.intersects(&m));
-        assert!(!m.intersects(&apart));
-    }
-
-    #[test]
     fn min_dist_sq_cases() {
         let m = unit();
         assert_eq!(m.min_dist_sq(&[0.5, 0.5]), 0.0); // inside
@@ -360,18 +299,10 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_detection() {
-        assert!(Mbr::point(&[1.0, 2.0]).is_degenerate());
-        assert!(!unit().is_degenerate());
-        // Degenerate in one axis only is still not a point box.
-        assert!(!Mbr::new(vec![0.0, 0.0], vec![0.0, 1.0]).is_degenerate());
-    }
-
-    #[test]
-    fn merge_and_enlargement() {
+    fn merge_grows_volume_and_margin() {
         let mut m = unit();
         let other = Mbr::new(vec![2.0, 2.0], vec![3.0, 3.0]);
-        assert_eq!(m.enlargement(&other), 9.0 - 1.0);
+        assert_eq!(m.merged_volume(other.lo(), other.hi()) - m.volume(), 9.0 - 1.0);
         m.merge(&other);
         assert_eq!(m.lo(), &[0.0, 0.0]);
         assert_eq!(m.hi(), &[3.0, 3.0]);
@@ -391,9 +322,8 @@ mod tests {
             for b in &boxes {
                 let m = a.merged(b);
                 assert_eq!(a.merged_volume(b.lo(), b.hi()).to_bits(), m.volume().to_bits());
-                assert_eq!(a.merged_margin(b.lo(), b.hi()).to_bits(), m.margin().to_bits());
-                assert_eq!(a.enlargement(b).to_bits(), (m.volume() - a.volume()).to_bits());
-                assert_eq!(a.contains(b), a.contains_corners(b.lo(), b.hi()));
+                let merged_margin = corners::merged_margin(a.lo(), a.hi(), b.lo(), b.hi());
+                assert_eq!(merged_margin.to_bits(), m.margin().to_bits());
             }
         }
     }
@@ -424,14 +354,6 @@ mod tests {
         assert_eq!(m.lo(), &[0.5, 1.5]);
         assert_eq!(m.hi(), &[1.5, 2.5]);
         assert!(m.contains_point(&[1.0, 2.4]));
-    }
-
-    #[test]
-    fn expanded_halo() {
-        let m = unit().expanded(0.25);
-        assert_eq!(m.lo(), &[-0.25, -0.25]);
-        assert_eq!(m.hi(), &[1.25, 1.25]);
-        assert!(m.contains(&unit()));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::micro::{McId, MicroCluster, NO_MC};
 use crate::murtree::MuRTree;
 use geom::{Dataset, PointId};
 use metrics::Counters;
-use rtree::{RTree, RTreeConfig};
+use rtree::RTree;
 use std::sync::Mutex;
 
 /// Construction options (the knobs the ablation benches turn).
@@ -35,13 +35,11 @@ pub struct BuildOptions {
     /// Build auxiliary R-trees with STR bulk loading (default) instead of
     /// repeated insertion.
     pub str_aux: bool,
-    /// Fan-out of the per-MC auxiliary trees.
-    pub aux_cfg: RTreeConfig,
 }
 
 impl Default for BuildOptions {
     fn default() -> Self {
-        Self { two_eps_deferral: true, str_aux: true, aux_cfg: RTreeConfig::default() }
+        Self { two_eps_deferral: true, str_aux: true }
     }
 }
 
@@ -165,9 +163,9 @@ pub fn build_micro_clusters_par(
 /// member order when [`BuildOptions::str_aux`] is off.
 fn build_aux(data: &Dataset, opts: &BuildOptions, mc: &mut MicroCluster) {
     if opts.str_aux {
-        mc.build_aux(data, opts.aux_cfg);
+        mc.build_aux(data);
     } else {
-        let mut t = RTree::with_config(data.dim(), opts.aux_cfg);
+        let mut t = RTree::new(data.dim());
         for &m in &mc.members {
             t.insert_point(m, data.point(m));
         }

@@ -102,9 +102,9 @@ impl MicroCluster {
     }
 
     /// Build the auxiliary R-tree over the member points via STR packing.
-    pub fn build_aux(&mut self, data: &Dataset, cfg: RTreeConfig) {
+    pub fn build_aux(&mut self, data: &Dataset) {
         let pts = self.members.iter().map(|&m| (m, data.point(m)));
-        self.aux = Some(RTree::bulk_load_points(data.dim(), cfg, pts));
+        self.aux = Some(RTree::bulk_load_points(data.dim(), RTreeConfig::default(), pts));
     }
 
     /// Estimated owned heap bytes (members, reach list, aux tree, MBR).
@@ -166,7 +166,7 @@ mod tests {
         for p in 1..5u32 {
             mc.insert(p, d.point(p), d.point(0), 1.0);
         }
-        mc.build_aux(&d, RTreeConfig::default());
+        mc.build_aux(&d);
         let aux = mc.aux.as_ref().unwrap();
         let mut n = aux.sphere_neighbors(&[0.0, 0.0], 0.5);
         n.sort_unstable();

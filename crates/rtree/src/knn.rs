@@ -7,11 +7,10 @@
 //! [`RTree::kth_neighbor_dist`].
 //!
 //! Runs on the same MINDIST heap (`traversal::Candidate`, the same
-//! per-thread scratch buffer) as the best-first ε-range query;
-//! point-layout leaves compute exact point distances straight from the
-//! column block instead of materialising a degenerate MBR per entry.
+//! per-thread scratch buffer) as the best-first ε-range query; leaves
+//! compute exact point distances straight from the column block.
 
-use crate::node::{LeafData, Node};
+use crate::node::Node;
 use crate::traversal::{with_scratch, Candidate, HEAP};
 use crate::tree::RTree;
 
@@ -46,16 +45,7 @@ impl RTree {
                                 ));
                             }
                         }
-                        Node::Leaf { data: LeafData::Boxes(entries), .. } => {
-                            for e in entries {
-                                heap.push(Candidate::item(
-                                    e.mbr.min_dist_sq(query),
-                                    c.node,
-                                    e.item,
-                                ));
-                            }
-                        }
-                        Node::Leaf { data: LeafData::Points(block), .. } => {
+                        Node::Leaf { block, .. } => {
                             for i in 0..block.len() {
                                 heap.push(Candidate::item(
                                     block.dist_sq_to(i, query),
@@ -129,8 +119,8 @@ mod tests {
 
     #[test]
     fn knn_on_bulk_loaded_point_leaves() {
-        // Bulk-loaded trees use the column-block leaf layout; results must
-        // match brute force there too.
+        // Bulk-loaded trees pack their leaves differently from
+        // insert-built ones; results must match brute force there too.
         let pts: Vec<Vec<f64>> = (0..300u32)
             .map(|i| {
                 let h = |k: u32| {

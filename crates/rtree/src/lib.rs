@@ -1,29 +1,27 @@
 #![warn(missing_docs)]
 
-//! An R-tree (Guttman, SIGMOD'84) implemented from scratch.
+//! A point R-tree (Guttman, SIGMOD'84) implemented from scratch.
 //!
-//! This is the spatial index underlying three different roles in the
-//! workspace:
+//! Every tree in the workspace indexes points, in three roles:
 //!
 //! * the **single flat R-tree** used by the classical R-DBSCAN baseline,
 //! * the **level-1 μR-tree** over micro-cluster centers above d = 3
 //!   (at d ≤ 3 `mcs::Level1` is a hashed 2ε grid instead),
 //! * the per-micro-cluster **auxiliary R-trees** over member points.
 //!
-//! Features: ChooseLeaf insertion with quadratic split, Sort-Tile-Recursive
-//! (STR) bulk loading for static point sets, and range queries over both
-//! boxes and open ε-balls with an exact box/sphere distance test — for the
-//! degenerate (point) MBRs stored in leaves, the sphere test *is* the exact
-//! strict `DIST < ε` membership test, so query results need no
+//! Features: ChooseLeaf insertion with Guttman's quadratic split, point
+//! removal, Sort-Tile-Recursive (STR) bulk loading for static point sets,
+//! open ε-ball range queries and k-NN. Internal nodes are pruned with the
+//! exact box/sphere distance test, and leaf points are tested with the
+//! strict `DIST < ε` membership predicate, so query results need no
 //! re-verification.
 //!
 //! Nodes live in an arena (`Vec<Node>`), children are `u32` indices; no
-//! `Box`/`Rc` pointer chasing. Leaves holding only point entries store
-//! their coordinates column-major in one shared block
-//! ([`geom::soa::PointBlock`]), so sphere queries evaluate a whole leaf
-//! with one batched, autovectorizing distance-kernel call; ε-range and
-//! k-NN queries share a best-first MINDIST-heap traversal
-//! ([`traversal`]).
+//! `Box`/`Rc` pointer chasing. Every leaf stores its points column-major
+//! in one shared block ([`geom::soa::PointBlock`]), so sphere queries
+//! evaluate a whole leaf with one batched, autovectorizing
+//! distance-kernel call; ε-range and k-NN queries share a best-first
+//! MINDIST-heap traversal ([`traversal`]).
 //!
 //! ```
 //! use rtree::{RTree, RTreeConfig};
@@ -49,13 +47,11 @@
 
 pub mod bulk;
 pub mod knn;
-pub mod node;
+mod node;
 pub mod query;
-pub mod rstar;
 pub mod traversal;
 pub mod tree;
 
-pub use node::{Entry, LeafData, Node, NodeId};
 pub use query::QueryCost;
 pub use traversal::{force_scalar_leaf_eval, scalar_leaf_eval_forced};
-pub use tree::{RTree, RTreeConfig, SplitStrategy};
+pub use tree::{RTree, RTreeConfig};

@@ -1,24 +1,24 @@
-//! Range queries: axis-aligned boxes and open ε-balls.
+//! Open ε-ball range queries.
 //!
-//! Ball queries use the exact box/sphere distance test
-//! ([`geom::Mbr::min_dist_sq`]). Because leaf entries for points carry
-//! degenerate MBRs, the same test *is* the strict `DIST(p, q) < r`
-//! membership predicate, so `search_sphere` returns the exact open-ball
-//! neighbourhood with no post-filtering.
+//! Ball queries prune nodes with the exact box/sphere distance test
+//! ([`geom::Mbr::min_dist_sq`]) and test leaf points with the strict
+//! `DIST(p, q) < r` membership predicate, so `search_sphere` returns the
+//! exact open-ball neighbourhood with no post-filtering.
 //!
 //! `search_sphere` expands nodes best-first from the shared MINDIST heap
-//! ([`crate::traversal`]) and evaluates point-layout leaves with one
-//! batched column-kernel call. Both changes preserve the query's work
-//! profile exactly — same node-visit set, same per-entry distance tests,
-//! same matches — they only reorder emission and let the distance loop
-//! vectorize. `first_in_sphere` intentionally stays depth-first with
-//! per-entry evaluation: its result is *which* item is found first, and
-//! the short-circuit accounting charges exactly the entries examined.
+//! ([`crate::traversal`]) and evaluates each leaf with one batched
+//! column-kernel call. Both preserve the query's work profile exactly —
+//! same node-visit set, same per-point distance tests, same matches as a
+//! depth-first per-point scan — they only reorder emission and let the
+//! distance loop vectorize. `first_in_sphere` intentionally stays
+//! depth-first with per-point evaluation: its result is *which* item is
+//! found first, and the short-circuit accounting charges exactly the
+//! points examined.
 
-use crate::node::{LeafData, Node};
+use crate::node::Node;
 use crate::traversal::{scalar_leaf_eval_forced, with_scratch, Candidate, DISTS, HEAP, STACK};
 use crate::tree::RTree;
-use geom::Mbr;
+use geom::PointBlock;
 
 /// Work performed by one query — feeds the paper's query-cost accounting.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -47,65 +47,11 @@ impl QueryCost {
 }
 
 impl RTree {
-    /// Visit every item whose MBR intersects `query` (closed-box overlap).
-    pub fn search_box(&self, query: &Mbr, mut visit: impl FnMut(u32)) -> QueryCost {
-        let mut cost = QueryCost::default();
-        let Some(root) = self.root else { return cost };
-        with_scratch(&STACK, |stack| {
-            stack.clear();
-            stack.push(root);
-            while let Some(n) = stack.pop() {
-                cost.nodes_visited += 1;
-                match &self.nodes[n as usize] {
-                    Node::Internal { children, .. } => {
-                        for &c in children {
-                            cost.mbr_tests += 1;
-                            if self.nodes[c as usize].mbr().intersects(query) {
-                                stack.push(c);
-                            }
-                        }
-                    }
-                    Node::Leaf { data: LeafData::Boxes(entries), .. } => {
-                        for e in entries {
-                            cost.mbr_tests += 1;
-                            cost.candidates += 1;
-                            if e.mbr.intersects(query) {
-                                cost.matches += 1;
-                                visit(e.item);
-                            }
-                        }
-                    }
-                    Node::Leaf { data: LeafData::Points(block), .. } => {
-                        // A degenerate box intersects `query` iff the point
-                        // is inside it (closed bounds) — test coordinates
-                        // directly.
-                        let (lo, hi) = (query.lo(), query.hi());
-                        for i in 0..block.len() {
-                            cost.mbr_tests += 1;
-                            cost.candidates += 1;
-                            let inside = (0..block.dim()).all(|k| {
-                                let x = block.coord(i, k);
-                                lo[k] <= x && x <= hi[k]
-                            });
-                            if inside {
-                                cost.matches += 1;
-                                visit(block.item(i));
-                            }
-                        }
-                    }
-                }
-            }
-        });
-        cost
-    }
-
-    /// Visit every item whose MBR intersects the *open* ball of radius `r`
-    /// around `center`. For point entries this is exactly
-    /// `DIST(center, point) < r`.
+    /// Visit every item strictly within `r` of `center`
+    /// (`DIST(center, point) < r`).
     ///
-    /// Nodes are expanded best-first (ascending MINDIST); point-layout
-    /// leaves are evaluated with one batched kernel call over the leaf's
-    /// column block. Matches arrive roughly near-to-far, but the visited
+    /// Nodes are expanded best-first (ascending MINDIST); each leaf is
+    /// evaluated with one batched kernel call over its column block. Matches arrive roughly near-to-far, but the visited
     /// node set — and therefore every [`QueryCost`] counter — is identical
     /// to a depth-first scan with the same strict pruning. A tree that is
     /// a single leaf (most μR-tree auxiliary trees) is scanned directly,
@@ -118,38 +64,26 @@ impl RTree {
         let Some(root) = self.root else { return cost };
         let scalar = scalar_leaf_eval_forced();
         with_scratch(&DISTS, |dists| {
-            let mut scan_leaf = |data: &LeafData, cost: &mut QueryCost| match data {
-                LeafData::Boxes(entries) => {
-                    for e in entries {
-                        cost.mbr_tests += 1;
-                        cost.candidates += 1;
-                        if e.mbr.min_dist_sq(center) < r_sq {
-                            cost.matches += 1;
-                            visit(e.item);
-                        }
-                    }
+            let mut scan_leaf = |block: &PointBlock, cost: &mut QueryCost| {
+                let len = block.len();
+                dists.resize(len, 0.0);
+                if scalar {
+                    block.dist_sq_scalar(center, dists);
+                } else {
+                    block.dist_sq_batch(center, dists);
                 }
-                LeafData::Points(block) => {
-                    let len = block.len();
-                    dists.resize(len, 0.0);
-                    if scalar {
-                        block.dist_sq_scalar(center, dists);
-                    } else {
-                        block.dist_sq_batch(center, dists);
-                    }
-                    cost.mbr_tests += len as u64;
-                    cost.candidates += len as u64;
-                    for (i, &d) in dists[..len].iter().enumerate() {
-                        if d < r_sq {
-                            cost.matches += 1;
-                            visit(block.item(i));
-                        }
+                cost.mbr_tests += len as u64;
+                cost.candidates += len as u64;
+                for (i, &d) in dists[..len].iter().enumerate() {
+                    if d < r_sq {
+                        cost.matches += 1;
+                        visit(block.item(i));
                     }
                 }
             };
-            if let Node::Leaf { data, .. } = &self.nodes[root as usize] {
+            if let Node::Leaf { block, .. } = &self.nodes[root as usize] {
                 cost.nodes_visited += 1;
-                scan_leaf(data, &mut cost);
+                scan_leaf(block, &mut cost);
                 return;
             }
             with_scratch(&HEAP, |heap| {
@@ -167,7 +101,7 @@ impl RTree {
                                 }
                             }
                         }
-                        Node::Leaf { data, .. } => scan_leaf(data, &mut cost),
+                        Node::Leaf { block, .. } => scan_leaf(block, &mut cost),
                     }
                 }
             });
@@ -175,8 +109,7 @@ impl RTree {
         cost
     }
 
-    /// First item found whose MBR intersects the open ball of radius `r`
-    /// around `center` (`None` when nothing qualifies), plus the traversal
+    /// First item found strictly within `r` of `center` (`None` when nothing qualifies), plus the traversal
     /// cost actually paid. Traversal stops at the first hit — this is the
     /// short-circuit test micro-cluster construction uses ("is there *any*
     /// MC center within ε / 2ε of this point?").
@@ -186,9 +119,9 @@ impl RTree {
     /// and 1–2 distance tests per hit) — returning the real cost closes
     /// that query-accounting hole.
     ///
-    /// Deliberately depth-first with per-entry evaluation: the identity of
-    /// the hit seeds micro-cluster construction, and per-entry early exit
-    /// charges exactly the entries examined (a batched leaf would either
+    /// Deliberately depth-first with per-point evaluation: the identity of
+    /// the hit seeds micro-cluster construction, and per-point early exit
+    /// charges exactly the points examined (a batched leaf would either
     /// over-charge past the hit or mis-report the scan cost). A single-leaf
     /// tree is scanned without a stack; otherwise the stack is per-thread
     /// scratch.
@@ -196,34 +129,20 @@ impl RTree {
         let r_sq = r * r;
         let mut cost = QueryCost::default();
         let Some(root) = self.root else { return (None, cost) };
-        let scan_leaf = |data: &LeafData, cost: &mut QueryCost| {
-            match data {
-                LeafData::Boxes(entries) => {
-                    for e in entries {
-                        cost.mbr_tests += 1;
-                        cost.candidates += 1;
-                        if e.mbr.min_dist_sq(center) < r_sq {
-                            cost.matches += 1;
-                            return Some(e.item);
-                        }
-                    }
-                }
-                LeafData::Points(block) => {
-                    for i in 0..block.len() {
-                        cost.mbr_tests += 1;
-                        cost.candidates += 1;
-                        if block.dist_sq_to(i, center) < r_sq {
-                            cost.matches += 1;
-                            return Some(block.item(i));
-                        }
-                    }
+        let scan_leaf = |block: &PointBlock, cost: &mut QueryCost| {
+            for i in 0..block.len() {
+                cost.mbr_tests += 1;
+                cost.candidates += 1;
+                if block.dist_sq_to(i, center) < r_sq {
+                    cost.matches += 1;
+                    return Some(block.item(i));
                 }
             }
             None
         };
-        if let Node::Leaf { data, .. } = &self.nodes[root as usize] {
+        if let Node::Leaf { block, .. } = &self.nodes[root as usize] {
             cost.nodes_visited += 1;
-            let hit = scan_leaf(data, &mut cost);
+            let hit = scan_leaf(block, &mut cost);
             return (hit, cost);
         }
         let hit = with_scratch(&STACK, |stack| {
@@ -240,8 +159,8 @@ impl RTree {
                             }
                         }
                     }
-                    Node::Leaf { data, .. } => {
-                        if let Some(hit) = scan_leaf(data, &mut cost) {
+                    Node::Leaf { block, .. } => {
+                        if let Some(hit) = scan_leaf(block, &mut cost) {
                             return Some(hit);
                         }
                     }
@@ -258,20 +177,11 @@ impl RTree {
         self.search_sphere(center, r, |i| out.push(i));
         out
     }
-
-    /// Count items strictly within `r` of `center` without materialising
-    /// the neighbour list.
-    pub fn count_sphere(&self, center: &[f64], r: f64) -> (usize, QueryCost) {
-        let mut n = 0usize;
-        let cost = self.search_sphere(center, r, |_| n += 1);
-        (n, cost)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::Entry;
     use crate::traversal::force_scalar_leaf_eval;
     use geom::dist_euclidean;
 
@@ -348,26 +258,10 @@ mod tests {
     }
 
     #[test]
-    fn box_query_matches_linear_scan() {
-        let (t, pts) = build_grid(12);
-        let q = Mbr::new(vec![2.5, 3.0], vec![6.0, 7.25]);
-        let mut got = Vec::new();
-        t.search_box(&q, |i| got.push(i));
-        got.sort_unstable();
-        let mut want: Vec<u32> = pts
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| q.contains_point(p))
-            .map(|(i, _)| i as u32)
-            .collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn query_cost_reported() {
         let (t, pts) = build_grid(10);
-        let (n, cost) = t.count_sphere(&pts[55], 2.0);
+        let mut n = 0usize;
+        let cost = t.search_sphere(&pts[55], 2.0, |_| n += 1);
         assert!(n > 0);
         assert!(cost.nodes_visited >= 1);
         assert!(cost.mbr_tests as usize >= n);
@@ -399,25 +293,6 @@ mod tests {
     fn empty_tree_queries() {
         let t = RTree::new(2);
         assert!(t.sphere_neighbors(&[0.0, 0.0], 10.0).is_empty());
-        let mut visited = false;
-        t.search_box(&Mbr::around_point(&[0.0, 0.0], 1.0), |_| visited = true);
-        assert!(!visited);
-    }
-
-    #[test]
-    fn non_point_entries() {
-        // The level-1 μR-tree stores extended boxes (MC MBRs).
-        let mut t = RTree::new(2);
-        t.insert(Entry { mbr: Mbr::new(vec![0.0, 0.0], vec![2.0, 2.0]), item: 0 });
-        t.insert(Entry { mbr: Mbr::new(vec![5.0, 5.0], vec![6.0, 6.0]), item: 1 });
-        // Ball centred between them, radius reaching only the first box.
-        let mut got = Vec::new();
-        t.search_sphere(&[3.0, 3.0], 1.5, |i| got.push(i));
-        assert_eq!(got, vec![0]);
-        // Box overlapping only the second.
-        let mut got2 = Vec::new();
-        t.search_box(&Mbr::new(vec![5.5, 5.5], vec![7.0, 7.0]), |i| got2.push(i));
-        assert_eq!(got2, vec![1]);
     }
 
     #[test]

@@ -33,7 +33,7 @@ thread_local! {
     pub(crate) static HEAP: Cell<BinaryHeap<Candidate>> = const { Cell::new(BinaryHeap::new()) };
     /// Per-leaf squared distances of the batched leaf kernel.
     pub(crate) static DISTS: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
-    /// Depth-first node stack (`first_in_sphere`, `search_box`).
+    /// Depth-first node stack (`first_in_sphere`).
     pub(crate) static STACK: Cell<Vec<NodeId>> = const { Cell::new(Vec::new()) };
 }
 
@@ -101,11 +101,11 @@ impl Ord for Candidate {
     }
 }
 
-/// When set, point-layout leaves are evaluated with the per-point scalar
-/// loop instead of the batched column kernel.
+/// When set, leaves are evaluated with the per-point scalar loop instead
+/// of the batched column kernel.
 static FORCE_SCALAR_LEAF_EVAL: AtomicBool = AtomicBool::new(false);
 
-/// Select the leaf evaluation path for point-layout leaves: `true` forces
+/// Select the leaf evaluation path of `search_sphere`: `true` forces
 /// the per-point scalar reference loop, `false` (the default) uses the
 /// batched autovectorizing column kernel. The two are bit-identical (see
 /// [`geom::kernels`]); the switch exists so equivalence tests can run the

@@ -1,22 +1,10 @@
 //! The R-tree structure: ChooseLeaf insertion with Guttman's quadratic
 //! split.
 
-use crate::node::{Entry, LeafData, Node, NodeId};
+use crate::node::{Node, NodeId};
 use crate::traversal::with_scratch;
 use geom::{Mbr, PointBlock};
 use std::cell::Cell;
-
-/// Node-split algorithm used on overflow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SplitStrategy {
-    /// Guttman's quadratic split (SIGMOD'84) — the classic default.
-    #[default]
-    Quadratic,
-    /// The R*-tree split (Beckmann et al., SIGMOD'90): margin-minimising
-    /// axis choice + overlap-minimising distribution. Lower-overlap trees
-    /// on skewed data at some extra construction cost.
-    RStar,
-}
 
 /// Fan-out configuration. `min_entries <= max_entries / 2` must hold so a
 /// split can always produce two valid nodes.
@@ -26,35 +14,27 @@ pub struct RTreeConfig {
     pub max_entries: usize,
     /// Minimum entries/children per node after a split (Guttman's `m`).
     pub min_entries: usize,
-    /// Split algorithm on node overflow.
-    pub split: SplitStrategy,
 }
 
 impl Default for RTreeConfig {
     fn default() -> Self {
-        Self { max_entries: 32, min_entries: 12, split: SplitStrategy::default() }
+        Self { max_entries: 32, min_entries: 12 }
     }
 }
 
 impl RTreeConfig {
-    /// Validated constructor (quadratic split).
+    /// Validated constructor.
     pub fn new(max_entries: usize, min_entries: usize) -> Self {
         assert!(max_entries >= 4, "max_entries must be at least 4");
         assert!(
             min_entries >= 1 && min_entries <= max_entries / 2,
             "min_entries must be in 1..=max_entries/2"
         );
-        Self { max_entries, min_entries, split: SplitStrategy::default() }
-    }
-
-    /// Select the split algorithm.
-    pub fn with_split(mut self, split: SplitStrategy) -> Self {
-        self.split = split;
-        self
+        Self { max_entries, min_entries }
     }
 }
 
-/// An R-tree over items identified by `u32`, each bounded by an [`Mbr`].
+/// An R-tree over points, each identified by a `u32` item id.
 #[derive(Debug, Clone)]
 pub struct RTree {
     dim: usize,
@@ -112,68 +92,53 @@ impl RTree {
         self.root.map(|r| self.nodes[r as usize].mbr())
     }
 
-    /// Capacity of a leaf's storage block: one slot beyond `max_entries`
-    /// so the overflowing entry fits in place before the split runs.
+    /// Capacity of a leaf's point block: one slot beyond `max_entries`
+    /// so the overflowing point fits in place before the split runs.
     pub(crate) fn leaf_cap(&self) -> usize {
         self.cfg.max_entries + 1
     }
 
-    /// Insert an item with its bounding box.
-    pub fn insert(&mut self, entry: Entry) {
-        assert_eq!(entry.mbr.dim(), self.dim, "entry dimensionality mismatch");
-        match self.root {
-            None => {
-                let mbr = entry.mbr.clone();
-                let data = LeafData::from_entries(self.dim, self.leaf_cap(), vec![entry]);
-                self.plant_root(Node::Leaf { mbr, data });
-            }
-            Some(root) => self.insert_below(root, entry),
-        }
-        self.len += 1;
-    }
-
-    /// Insert a point item (degenerate MBR). The coordinates go straight
-    /// into a point leaf's column block; no box is built for them.
+    /// Insert the point item `item` at `coords`. The coordinates go
+    /// straight into a leaf's column block.
     pub fn insert_point(&mut self, item: u32, coords: &[f64]) {
-        assert_eq!(coords.len(), self.dim, "entry dimensionality mismatch");
+        assert_eq!(coords.len(), self.dim, "point dimensionality mismatch");
         match self.root {
             None => {
                 let mut block = PointBlock::with_capacity(self.dim, self.leaf_cap());
                 block.push(item, coords);
-                let data = LeafData::Points(block);
-                self.plant_root(Node::Leaf { mbr: Mbr::point(coords), data });
+                let id = self.push_node(Node::Leaf { mbr: Mbr::point(coords), block });
+                self.root = Some(id);
+                self.height = 1;
             }
-            Some(root) => self.insert_below(root, NewPoint { item, coords }),
+            Some(root) => {
+                if let Some(sibling) = self.insert_rec(root, item, coords) {
+                    let mbr =
+                        self.nodes[root as usize].mbr().merged(self.nodes[sibling as usize].mbr());
+                    let new_root =
+                        self.push_node(Node::Internal { mbr, children: vec![root, sibling] });
+                    self.root = Some(new_root);
+                    self.height += 1;
+                }
+            }
         }
         self.len += 1;
     }
 
-    /// Remove the point item `item` stored at `coords` (degenerate MBR).
-    /// Returns `true` when the item was found and removed.
-    pub fn remove_point(&mut self, item: u32, coords: &[f64]) -> bool {
-        assert_eq!(coords.len(), self.dim, "point dimensionality mismatch");
-        self.remove_corners(item, coords, coords)
-    }
-
-    /// Remove the item `item` whose stored bounding box equals `mbr`.
-    /// Returns `true` when the item was found and removed.
+    /// Remove the point item `item` stored at `coords`. Returns `true`
+    /// when the item was found and removed.
     ///
-    /// The descent only visits subtrees whose box contains `mbr`; on the
-    /// unwind every ancestor's cached MBR is recomputed exactly (in place)
-    /// from its surviving children, so boxes *shrink* — queries after a
-    /// removal pay no dead-volume penalty. Nodes emptied by the removal
-    /// are unlinked from their parent (their arena slots are reclaimed
-    /// only when the tree empties entirely). No minimum-fan-out
+    /// The descent only visits subtrees whose box contains `coords`; on
+    /// the unwind every ancestor's cached MBR is recomputed exactly (in
+    /// place) from its surviving children, so boxes *shrink* — queries
+    /// after a removal pay no dead-volume penalty. Nodes emptied by the
+    /// removal are unlinked from their parent (their arena slots are
+    /// reclaimed only when the tree empties entirely). No minimum-fan-out
     /// reinsertion is performed: underfull nodes are legal in this tree,
     /// deletion merely trades a little query balance for O(height) cost.
-    pub fn remove(&mut self, item: u32, mbr: &Mbr) -> bool {
-        assert_eq!(mbr.dim(), self.dim, "entry dimensionality mismatch");
-        self.remove_corners(item, mbr.lo(), mbr.hi())
-    }
-
-    fn remove_corners(&mut self, item: u32, lo: &[f64], hi: &[f64]) -> bool {
+    pub fn remove_point(&mut self, item: u32, coords: &[f64]) -> bool {
+        assert_eq!(coords.len(), self.dim, "point dimensionality mismatch");
         let Some(root) = self.root else { return false };
-        match self.remove_rec(root, item, lo, hi) {
+        match self.remove_rec(root, item, coords) {
             Removal::NotFound => false,
             Removal::Removed { empty } => {
                 self.len -= 1;
@@ -189,16 +154,19 @@ impl RTree {
         }
     }
 
-    fn remove_rec(&mut self, node: NodeId, item: u32, lo: &[f64], hi: &[f64]) -> Removal {
-        if let Node::Leaf { mbr, data } = &mut self.nodes[node as usize] {
-            let Some(i) = (0..data.len()).find(|&i| data.holds(i, item, lo, hi)) else {
+    fn remove_rec(&mut self, node: NodeId, item: u32, coords: &[f64]) -> Removal {
+        if let Node::Leaf { mbr, block } = &mut self.nodes[node as usize] {
+            let holds = |i: usize| {
+                block.item(i) == item && (0..block.dim()).all(|k| block.coord(i, k) == coords[k])
+            };
+            let Some(i) = (0..block.len()).find(|&i| holds(i)) else {
                 return Removal::NotFound;
             };
-            data.remove(i);
-            if data.is_empty() {
+            block.remove(i);
+            if block.is_empty() {
                 return Removal::Removed { empty: true };
             }
-            data.bound_into(mbr);
+            block.bound_into(mbr);
             return Removal::Removed { empty: false };
         }
 
@@ -206,10 +174,10 @@ impl RTree {
         // returning.
         for k in 0..self.nodes[node as usize].fanout() {
             let c = self.child(node, k);
-            if !self.nodes[c as usize].mbr().contains_corners(lo, hi) {
+            if !self.nodes[c as usize].mbr().contains_point(coords) {
                 continue;
             }
-            let Removal::Removed { empty } = self.remove_rec(c, item, lo, hi) else { continue };
+            let Removal::Removed { empty } = self.remove_rec(c, item, coords) else { continue };
             let Node::Internal { children, .. } = &mut self.nodes[node as usize] else {
                 unreachable!()
             };
@@ -231,44 +199,25 @@ impl RTree {
         id
     }
 
-    fn plant_root(&mut self, leaf: Node) {
-        let id = self.push_node(leaf);
-        self.root = Some(id);
-        self.height = 1;
-    }
-
-    /// Insert below the existing `root`, growing a new root when it
-    /// splits.
-    fn insert_below(&mut self, root: NodeId, item: impl NewItem) {
-        if let Some(sibling) = self.insert_rec(root, item) {
-            let mbr = self.nodes[root as usize].mbr().merged(self.nodes[sibling as usize].mbr());
-            let new_root = self.push_node(Node::Internal { mbr, children: vec![root, sibling] });
-            self.root = Some(new_root);
-            self.height += 1;
-        }
-    }
-
     /// Recursive insert; returns the id of a new sibling when `node` split.
-    fn insert_rec(&mut self, node: NodeId, item: impl NewItem) -> Option<NodeId> {
-        let (lo, hi) = item.corners();
-        // Every box on the descent path must cover the item wherever it
+    fn insert_rec(&mut self, node: NodeId, item: u32, coords: &[f64]) -> Option<NodeId> {
+        // Every box on the descent path must cover the point wherever it
         // lands, so grow it on the way down. ChooseLeaf scores only the
         // children's boxes, which are not grown until the descent reaches
         // them, so growing first picks the same subtree.
-        self.nodes[node as usize].mbr_mut().merge_corners(lo, hi);
+        self.nodes[node as usize].mbr_mut().merge_point(coords);
         let child = match &self.nodes[node as usize] {
-            Node::Internal { children, .. } => self.choose_subtree(children, lo, hi),
+            Node::Internal { children, .. } => self.choose_subtree(children, coords),
             Node::Leaf { .. } => {
                 let max = self.cfg.max_entries;
-                let dim = self.dim;
-                let Node::Leaf { data, .. } = &mut self.nodes[node as usize] else {
+                let Node::Leaf { block, .. } = &mut self.nodes[node as usize] else {
                     unreachable!()
                 };
-                item.store(data, dim);
-                return (data.len() > max).then(|| self.split_leaf(node));
+                block.push(item, coords);
+                return (block.len() > max).then(|| self.split_leaf(node));
             }
         };
-        let sibling = self.insert_rec(child, item)?;
+        let sibling = self.insert_rec(child, item, coords)?;
         let (parent, sib) = two(&mut self.nodes, node as usize, sibling as usize);
         parent.mbr_mut().merge(sib.mbr());
         let Node::Internal { children, .. } = parent else { unreachable!() };
@@ -278,13 +227,13 @@ impl RTree {
 
     /// Guttman's ChooseLeaf criterion: least enlargement, ties by smallest
     /// volume, then smallest margin.
-    fn choose_subtree(&self, children: &[NodeId], lo: &[f64], hi: &[f64]) -> NodeId {
+    fn choose_subtree(&self, children: &[NodeId], p: &[f64]) -> NodeId {
         let mut best = children[0];
         let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         for &c in children {
             let cm = self.nodes[c as usize].mbr();
             let volume = cm.volume();
-            let key = (cm.merged_volume(lo, hi) - volume, volume, cm.margin());
+            let key = (cm.merged_volume(p, p) - volume, volume, cm.margin());
             if key < best_key {
                 best_key = key;
                 best = c;
@@ -294,60 +243,32 @@ impl RTree {
     }
 
     /// Split an overfull leaf in two; `node` keeps the first group and the
-    /// returned new node holds the second. Both keep storage order.
+    /// returned new node holds the second. Both keep storage order. The
+    /// block is partitioned over a row-major copy of its points and split
+    /// in place.
     fn split_leaf(&mut self, node: NodeId) -> NodeId {
-        let (dim, cap, cfg) = (self.dim, self.leaf_cap(), self.cfg);
-        let Node::Leaf { mbr, data } = &mut self.nodes[node as usize] else { unreachable!() };
-        let sibling = match data {
-            // A point leaf is partitioned over a row-major copy of its
-            // block and split in place: no entry or box per point.
-            LeafData::Points(block) => with_scratch(&SPLIT, |s| {
-                let n = block.len();
-                s.rows.clear();
-                s.rows.resize(n * dim, 0.0);
-                for (i, row) in s.rows.chunks_exact_mut(dim).enumerate() {
-                    block.write_point(i, row);
-                }
-                let rows = &s.rows;
-                let row = |i: usize| &rows[i * dim..(i + 1) * dim];
-                partition(cfg, n, |i| (row(i), row(i)), &mut s.part);
-                let to_b = &s.part.to_b;
-                let mut moved = PointBlock::with_capacity(dim, cap);
-                for i in (0..n).filter(|&i| to_b[i]) {
-                    moved.push(block.item(i), row(i));
-                }
-                block.retain(|i| !to_b[i]);
-                block.bound_into(mbr);
-                let moved_mbr = moved.mbr().expect("split group cannot be empty");
-                Node::Leaf { mbr: moved_mbr, data: LeafData::Points(moved) }
-            }),
-            LeafData::Boxes(entries) => {
-                let taken = std::mem::take(entries);
-                with_scratch(&SPLIT, |s| {
-                    let corners = |i: usize| (taken[i].mbr.lo(), taken[i].mbr.hi());
-                    partition(cfg, taken.len(), corners, &mut s.part);
-                    let to_b = &s.part.to_b;
-                    let nb = to_b.iter().filter(|&&b| b).count();
-                    let (mut ea, mut eb) =
-                        (Vec::with_capacity(taken.len() - nb), Vec::with_capacity(nb));
-                    for (e, &b) in taken.into_iter().zip(to_b) {
-                        if b {
-                            eb.push(e);
-                        } else {
-                            ea.push(e);
-                        }
-                    }
-                    // Either group may turn out all-point and take the block
-                    // layout.
-                    *mbr = mbr_of_entries(&ea);
-                    *data = LeafData::from_entries(dim, cap, ea);
-                    Node::Leaf {
-                        mbr: mbr_of_entries(&eb),
-                        data: LeafData::from_entries(dim, cap, eb),
-                    }
-                })
+        let (dim, cap, min) = (self.dim, self.leaf_cap(), self.cfg.min_entries);
+        let Node::Leaf { mbr, block } = &mut self.nodes[node as usize] else { unreachable!() };
+        let sibling = with_scratch(&SPLIT, |s| {
+            let n = block.len();
+            s.rows.clear();
+            s.rows.resize(n * dim, 0.0);
+            for (i, row) in s.rows.chunks_exact_mut(dim).enumerate() {
+                block.write_point(i, row);
             }
-        };
+            let rows = &s.rows;
+            let row = |i: usize| &rows[i * dim..(i + 1) * dim];
+            quadratic_partition(n, |i| (row(i), row(i)), min, &mut s.part);
+            let to_b = &s.part.to_b;
+            let mut moved = PointBlock::with_capacity(dim, cap);
+            for i in (0..n).filter(|&i| to_b[i]) {
+                moved.push(block.item(i), row(i));
+            }
+            block.retain(|i| !to_b[i]);
+            block.bound_into(mbr);
+            let moved_mbr = moved.mbr().expect("split group cannot be empty");
+            Node::Leaf { mbr: moved_mbr, block: moved }
+        });
         self.push_node(sibling)
     }
 
@@ -355,7 +276,7 @@ impl RTree {
     /// group (its box refit in place) and the returned new node holds the
     /// second.
     fn split_internal(&mut self, node: NodeId) -> NodeId {
-        let cfg = self.cfg;
+        let min = self.cfg.min_entries;
         let Node::Internal { children, .. } = &mut self.nodes[node as usize] else {
             unreachable!()
         };
@@ -366,7 +287,7 @@ impl RTree {
                 let m = nodes[taken[i] as usize].mbr();
                 (m.lo(), m.hi())
             };
-            partition(cfg, taken.len(), corners, &mut s.part);
+            quadratic_partition(taken.len(), corners, min, &mut s.part);
             let (mut ca, mut cb) = (Vec::new(), Vec::new());
             for (&c, &b) in taken.iter().zip(&s.part.to_b) {
                 if b {
@@ -415,24 +336,19 @@ impl RTree {
         m
     }
 
-    /// Visit every `(item, mbr)` pair (arbitrary order). Point-layout
-    /// leaves materialise a degenerate box per entry into a reused buffer.
-    pub fn for_each_item(&self, mut f: impl FnMut(u32, &Mbr)) {
+    /// Visit every `(item, coords)` pair in a fixed depth-first order
+    /// (the coordinates are written into one reused buffer).
+    pub fn for_each_point(&self, mut f: impl FnMut(u32, &[f64])) {
         let Some(root) = self.root else { return };
         let mut buf = vec![0.0; self.dim];
         let mut stack = vec![root];
         while let Some(n) = stack.pop() {
             match &self.nodes[n as usize] {
                 Node::Internal { children, .. } => stack.extend_from_slice(children),
-                Node::Leaf { data: LeafData::Boxes(entries), .. } => {
-                    for e in entries {
-                        f(e.item, &e.mbr);
-                    }
-                }
-                Node::Leaf { data: LeafData::Points(block), .. } => {
+                Node::Leaf { block, .. } => {
                     for i in 0..block.len() {
                         block.write_point(i, &mut buf);
-                        f(block.item(i), &Mbr::point(&buf));
+                        f(block.item(i), &buf);
                     }
                 }
             }
@@ -455,6 +371,7 @@ impl RTree {
         let mut items = 0usize;
         let mut stack = vec![(root, 1usize)];
         let mut leaf_depth = None;
+        let mut buf = vec![0.0; self.dim];
         while let Some((n, depth)) = stack.pop() {
             let node = &self.nodes[n as usize];
             if n != root {
@@ -475,21 +392,20 @@ impl RTree {
                         stack.push((c, depth + 1));
                     }
                 }
-                Node::Leaf { mbr, data } => {
+                Node::Leaf { mbr, block } => {
                     match leaf_depth {
                         None => leaf_depth = Some(depth),
                         Some(d) => assert_eq!(d, depth, "leaves at different depths"),
                     }
-                    for i in 0..data.len() {
-                        assert!(mbr.contains(&data.entry_mbr(i)), "leaf MBR does not cover entry");
+                    for i in 0..block.len() {
+                        block.write_point(i, &mut buf);
+                        assert!(mbr.contains_point(&buf), "leaf MBR does not cover point");
                         items += 1;
                     }
-                    if let LeafData::Points(block) = data {
-                        assert!(
-                            block.capacity() > self.cfg.max_entries,
-                            "point leaf block too small to absorb an overflow entry"
-                        );
-                    }
+                    assert!(
+                        block.capacity() > self.cfg.max_entries,
+                        "leaf block too small to absorb an overflow point"
+                    );
                 }
             }
         }
@@ -507,40 +423,6 @@ enum Removal {
     },
 }
 
-/// An item on its way down to a leaf: its box corners steer ChooseLeaf
-/// and grow every box on the path, and `store` files it in the chosen
-/// leaf.
-trait NewItem {
-    fn corners(&self) -> (&[f64], &[f64]);
-    fn store(self, leaf: &mut LeafData, dim: usize);
-}
-
-impl NewItem for Entry {
-    fn corners(&self) -> (&[f64], &[f64]) {
-        (self.mbr.lo(), self.mbr.hi())
-    }
-
-    fn store(self, leaf: &mut LeafData, dim: usize) {
-        leaf.push(self, dim);
-    }
-}
-
-/// A point item: its coordinates are both corners.
-struct NewPoint<'a> {
-    item: u32,
-    coords: &'a [f64],
-}
-
-impl NewItem for NewPoint<'_> {
-    fn corners(&self) -> (&[f64], &[f64]) {
-        (self.coords, self.coords)
-    }
-
-    fn store(self, leaf: &mut LeafData, dim: usize) {
-        leaf.push_point(self.item, self.coords, dim);
-    }
-}
-
 /// `nodes[a]` mutably and `nodes[b]` shared, for `a != b`.
 fn two(nodes: &mut [Node], a: usize, b: usize) -> (&mut Node, &Node) {
     debug_assert_ne!(a, b);
@@ -553,19 +435,10 @@ fn two(nodes: &mut [Node], a: usize, b: usize) -> (&mut Node, &Node) {
     }
 }
 
-fn mbr_of_entries(entries: &[Entry]) -> Mbr {
-    let mut it = entries.iter();
-    let mut m = it.next().expect("split group cannot be empty").mbr.clone();
-    for e in it {
-        m.merge(&e.mbr);
-    }
-    m
-}
-
 /// Per-thread buffers reused by every node split.
 #[derive(Default)]
 struct SplitScratch {
-    /// Row-major copy of the point leaf being split.
+    /// Row-major copy of the leaf being split.
     rows: Vec<f64>,
     part: Partition,
 }
@@ -577,51 +450,24 @@ thread_local! {
 /// The outcome of partitioning an overfull node, plus the quadratic
 /// split's working buffers.
 #[derive(Default)]
-pub(crate) struct Partition {
+struct Partition {
     /// The group of each entry: `true` for the second group (the new
     /// sibling node).
-    pub to_b: Vec<bool>,
+    to_b: Vec<bool>,
     /// Entries not yet assigned, in PickNext's scan order.
     rest: Vec<usize>,
     /// The two growing group boxes, `[a_lo | a_hi | b_lo | b_hi]`.
     groups: Vec<f64>,
 }
 
-/// Partition `n` boxes, given by their corners, with the configured
-/// split algorithm.
-fn partition<'a>(
-    cfg: RTreeConfig,
-    n: usize,
-    corners: impl Fn(usize) -> (&'a [f64], &'a [f64]),
-    part: &mut Partition,
-) {
-    match cfg.split {
-        SplitStrategy::Quadratic => quadratic_partition(n, corners, cfg.min_entries, part),
-        SplitStrategy::RStar => {
-            let boxes: Vec<Mbr> = (0..n)
-                .map(|i| {
-                    let (lo, hi) = corners(i);
-                    Mbr::new(lo.to_vec(), hi.to_vec())
-                })
-                .collect();
-            let refs: Vec<&Mbr> = boxes.iter().collect();
-            let (_, gb) = crate::rstar::rstar_partition(&refs, cfg.min_entries);
-            part.to_b.clear();
-            part.to_b.resize(n, false);
-            for i in gb {
-                part.to_b[i] = true;
-            }
-        }
-    }
-}
-
-/// Guttman's quadratic split over `n` boxes given by their corners:
-/// writes each box's group to `part.to_b`. Each group has at least
-/// `min_entries` members (assuming `n > 2 * min_entries`, which holds when
-/// splitting an overfull node). The group boxes live as corner slices in
-/// `part`'s buffers, scored with the [`geom::mbr::corners`] arithmetic, so
-/// a split builds no temporary [`Mbr`].
-pub(crate) fn quadratic_partition<'a>(
+/// Guttman's quadratic split over `n` boxes given by their corners (a
+/// point is the box `(p, p)`): writes each box's group to `part.to_b`.
+/// Each group has at least `min_entries` members (assuming
+/// `n > 2 * min_entries`, which holds when splitting an overfull node).
+/// The group boxes live as corner slices in `part`'s buffers, scored with
+/// the [`geom::mbr::corners`] arithmetic, so a split builds no temporary
+/// [`Mbr`].
+fn quadratic_partition<'a>(
     n: usize,
     corners: impl Fn(usize) -> (&'a [f64], &'a [f64]),
     min_entries: usize,
@@ -753,16 +599,17 @@ mod tests {
     }
 
     #[test]
-    fn for_each_item_visits_all_once() {
+    fn for_each_point_visits_all_once() {
+        let pts = grid_points(9, 9);
         let mut t = RTree::new(2);
-        for (i, p) in grid_points(9, 9).iter().enumerate() {
+        for (i, p) in pts.iter().enumerate() {
             t.insert_point(i as u32, p);
         }
         let mut seen = [false; 81];
-        t.for_each_item(|item, mbr| {
+        t.for_each_point(|item, coords| {
             assert!(!seen[item as usize]);
             seen[item as usize] = true;
-            assert_eq!(mbr.lo(), mbr.hi());
+            assert_eq!(coords, &pts[item as usize][..]);
         });
         assert!(seen.iter().all(|&s| s));
     }
@@ -912,36 +759,5 @@ mod tests {
             t.check_invariants();
         }
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn rstar_split_tree_is_valid_and_queries_agree() {
-        let pts: Vec<Vec<f64>> = (0..600u32)
-            .map(|i| {
-                let h = |k: u32| {
-                    let x = i.wrapping_mul(2654435761).wrapping_add(k.wrapping_mul(97));
-                    (x % 1000) as f64 / 10.0
-                };
-                vec![h(1), h(2)]
-            })
-            .collect();
-        let mut quad = RTree::with_config(2, RTreeConfig::new(8, 4));
-        let mut rstar =
-            RTree::with_config(2, RTreeConfig::new(8, 4).with_split(SplitStrategy::RStar));
-        for (i, p) in pts.iter().enumerate() {
-            quad.insert_point(i as u32, p);
-            rstar.insert_point(i as u32, p);
-        }
-        quad.check_invariants();
-        rstar.check_invariants();
-        for q in [&pts[0], &pts[123], &pts[599]] {
-            for r in [3.0, 11.0] {
-                let mut a = quad.sphere_neighbors(q, r);
-                let mut b = rstar.sphere_neighbors(q, r);
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b);
-            }
-        }
     }
 }

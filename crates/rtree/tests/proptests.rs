@@ -2,7 +2,7 @@
 //! point set, any query center and any radius, under both construction
 //! methods.
 
-use geom::{dist_euclidean, Mbr};
+use geom::dist_euclidean;
 use proptest::prelude::*;
 use rtree::{RTree, RTreeConfig};
 
@@ -52,31 +52,6 @@ proptest! {
         let mut got = t.sphere_neighbors(&c, r);
         got.sort_unstable();
         prop_assert_eq!(got, scan_sphere(&pts, &c, r));
-    }
-
-    #[test]
-    fn box_query_exact(
-        pts in points(2, 200),
-        lo in prop::collection::vec(-100.0..0.0f64, 2),
-        ext in prop::collection::vec(0.0..100.0f64, 2),
-    ) {
-        let hi: Vec<f64> = lo.iter().zip(&ext).map(|(l, e)| l + e).collect();
-        let q = Mbr::new(lo, hi);
-        let mut t = RTree::new(2);
-        for (i, p) in pts.iter().enumerate() {
-            t.insert_point(i as u32, p);
-        }
-        let mut got = Vec::new();
-        t.search_box(&q, |i| got.push(i));
-        got.sort_unstable();
-        let mut want: Vec<u32> = pts
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| q.contains_point(p))
-            .map(|(i, _)| i as u32)
-            .collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
     }
 
     #[test]

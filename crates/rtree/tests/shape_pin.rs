@@ -1,18 +1,17 @@
-//! Tree-shape pin: insert-built trees (quadratic split) must keep exactly
-//! the node structure, item order and query work recorded in the golden
-//! digests below.
+//! Tree-shape pin: insert-built (quadratic split) and STR bulk-loaded
+//! trees must keep exactly the node structure, item order and query work
+//! recorded in the golden digests below.
 //!
-//! Each digest folds, for one seeded point set, the tree's `height`,
-//! `node_count` and `for_each_item` order (item ids and coordinate bits),
-//! then the visit order and summed [`QueryCost`] of a fixed query set —
-//! `search_sphere`, `first_in_sphere`, `search_box` and `knn` — and then
-//! the same again after removing every seventh point. Any change to
-//! ChooseLeaf, the quadratic split, removal or a traversal moves a digest.
-//! A deliberate change to tree construction must re-record the constants
-//! and say why.
+//! Each digest folds, for one seeded point set, the tree's `len`,
+//! `height`, `node_count` and `for_each_point` order (item ids and
+//! coordinate bits), then the visit order and summed [`QueryCost`] of a
+//! fixed query set — `search_sphere`, `first_in_sphere` and `knn` — and
+//! then the same again after removing every seventh point. Any change to
+//! ChooseLeaf, the quadratic split, STR packing, removal or a traversal
+//! moves a digest. A deliberate change to tree construction must
+//! re-record the constants and say why.
 
-use geom::Mbr;
-use rtree::{Entry, QueryCost, RTree, RTreeConfig};
+use rtree::{QueryCost, RTree, RTreeConfig};
 
 /// FNV-1a over 64-bit words.
 struct Digest(u64);
@@ -78,23 +77,20 @@ fn fold_tree(d: &mut Digest, t: &RTree, queries: &[Vec<f64>], r: f64) {
     d.word(t.len() as u64);
     d.word(t.height() as u64);
     d.word(t.node_count() as u64);
-    t.for_each_item(|item, mbr| {
+    t.for_each_point(|item, coords| {
         d.word(item as u64);
-        for (&l, &h) in mbr.lo().iter().zip(mbr.hi()) {
-            d.word(l.to_bits());
-            d.word(h.to_bits());
+        for &x in coords {
+            d.word(x.to_bits());
         }
     });
 
     let mut sphere = QueryCost::default();
     let mut first = QueryCost::default();
-    let mut boxed = QueryCost::default();
     for q in queries {
         sphere.add(t.search_sphere(q, r, |i| d.word(i as u64)));
         let (hit, cost) = t.first_in_sphere(q, r);
         d.word(hit.map_or(u64::MAX, u64::from));
         first.add(cost);
-        boxed.add(t.search_box(&Mbr::around_point(q, r), |i| d.word(i as u64)));
         for (item, dist) in t.knn(q, 4) {
             d.word(item as u64);
             d.word(dist.to_bits());
@@ -102,33 +98,29 @@ fn fold_tree(d: &mut Digest, t: &RTree, queries: &[Vec<f64>], r: f64) {
     }
     d.cost(sphere);
     d.cost(first);
-    d.cost(boxed);
 }
 
-/// Digest of one insert-built tree, before and after removing every
-/// seventh item. `halfwidth` 0 stores points (the column-block leaf
-/// layout); a positive one stores the box of that half-width around each
-/// point (the box leaf layout of the level-1 μR-tree).
-fn digest(dim: usize, cfg: RTreeConfig, n: usize, seed: u64, halfwidth: f64) -> u64 {
+/// Digest of one tree over `n` seeded points, built by repeated
+/// `insert_point` or by `bulk_load_points`, before and after removing
+/// every seventh point.
+fn digest(dim: usize, cfg: RTreeConfig, n: usize, seed: u64, bulk: bool) -> u64 {
     let pts = points(n, dim, seed);
     let queries: Vec<Vec<f64>> = pts.iter().step_by(13).cloned().collect();
     let r = 2.5;
-    let boxes: Vec<Mbr> = pts.iter().map(|p| Mbr::around_point(p, halfwidth)).collect();
-    let mut t = RTree::with_config(dim, cfg);
-    for (i, (p, b)) in pts.iter().zip(&boxes).enumerate() {
-        if halfwidth == 0.0 {
+    let mut t = if bulk {
+        RTree::bulk_load_points(dim, cfg, pts.iter().enumerate().map(|(i, p)| (i as u32, p)))
+    } else {
+        let mut t = RTree::with_config(dim, cfg);
+        for (i, p) in pts.iter().enumerate() {
             t.insert_point(i as u32, p);
-        } else {
-            t.insert(Entry { mbr: b.clone(), item: i as u32 });
         }
-    }
+        t
+    };
     t.check_invariants();
     let mut d = Digest::new();
     fold_tree(&mut d, &t, &queries, r);
-    for (i, (p, b)) in pts.iter().zip(&boxes).enumerate().step_by(7) {
-        let removed =
-            if halfwidth == 0.0 { t.remove_point(i as u32, p) } else { t.remove(i as u32, b) };
-        assert!(removed);
+    for (i, p) in pts.iter().enumerate().step_by(7) {
+        assert!(t.remove_point(i as u32, p));
     }
     t.check_invariants();
     fold_tree(&mut d, &t, &queries, r);
@@ -136,28 +128,32 @@ fn digest(dim: usize, cfg: RTreeConfig, n: usize, seed: u64, halfwidth: f64) -> 
 }
 
 #[test]
-fn insert_built_trees_keep_their_shape() {
-    // (dim, max_entries, min_entries, box half-width, golden digest)
-    let golden: [(usize, usize, usize, f64, u64); 8] = [
-        (2, 32, 12, 0.0, 0xa4528a1abfa4c669),
-        (3, 32, 12, 0.0, 0x90121b3f14cbe095),
-        (5, 32, 12, 0.0, 0x610c1527759f2add),
-        (2, 8, 3, 0.0, 0x78b2c5926921e1a9),
-        (3, 8, 3, 0.0, 0x7fe5eb34687099e6),
-        (5, 8, 3, 0.0, 0x6415a42be3d17cd5),
-        (3, 32, 12, 0.75, 0xb81df023a2e4be85),
-        (3, 8, 3, 0.75, 0xf018aabd6f4861cd),
+fn point_trees_keep_their_shape() {
+    // (dim, max_entries, min_entries, bulk-loaded, golden digest)
+    let golden: [(usize, usize, usize, bool, u64); 12] = [
+        (2, 32, 12, false, 0xa2e5281b0f6fd58b),
+        (3, 32, 12, false, 0x62b3ad858517edb8),
+        (5, 32, 12, false, 0x1992ebfc95e64b1d),
+        (2, 8, 3, false, 0xb1afd7d430985d3f),
+        (3, 8, 3, false, 0xfc3817204337997e),
+        (5, 8, 3, false, 0x69edc413d509830e),
+        (2, 32, 12, true, 0x4267ee4d80ab7ff0),
+        (3, 32, 12, true, 0xe0315150e4c9d71f),
+        (5, 32, 12, true, 0x7d388e133c5b7111),
+        (2, 8, 3, true, 0xc5b520382c843cfc),
+        (3, 8, 3, true, 0x91ba5352864fa375),
+        (5, 8, 3, true, 0xe06670940bfb0eb7),
     ];
     let got: Vec<u64> = golden
         .iter()
-        .map(|&(dim, max, min, w, _)| {
-            digest(dim, RTreeConfig::new(max, min), 3000, 0x5eed + dim as u64, w)
+        .map(|&(dim, max, min, bulk, _)| {
+            digest(dim, RTreeConfig::new(max, min), 3000, 0x5eed + dim as u64, bulk)
         })
         .collect();
-    for (g, &(dim, max, min, w, _)) in got.iter().zip(&golden) {
-        println!("dim {dim} M {max} m {min} half-width {w}: {g:#018x}");
+    for (g, &(dim, max, min, bulk, _)) in got.iter().zip(&golden) {
+        println!("dim {dim} M {max} m {min} bulk {bulk}: {g:#018x}");
     }
-    for (g, &(dim, max, min, w, want)) in got.iter().zip(&golden) {
-        assert_eq!(*g, want, "tree shape changed for dim {dim}, M {max}, m {min}, half-width {w}");
+    for (g, &(dim, max, min, bulk, want)) in got.iter().zip(&golden) {
+        assert_eq!(*g, want, "tree shape changed for dim {dim}, M {max}, m {min}, bulk {bulk}");
     }
 }

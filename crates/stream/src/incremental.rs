@@ -4,7 +4,7 @@ use geom::{Dataset, DbscanParams, PointId};
 use mcs::{build_micro_clusters_par, BuildOptions, Level1};
 use metrics::Counters;
 use mudbscan::Clustering;
-use rtree::{RTree, RTreeConfig};
+use rtree::RTree;
 use unionfind::UnionFind;
 
 /// One online micro-cluster: an incrementally built auxiliary R-tree over
@@ -203,7 +203,7 @@ impl StreamingMuDbscan {
             .map(|mc| {
                 let members = mc.members.len() as u32;
                 let aux = mc.aux.unwrap_or_else(|| {
-                    let mut t = RTree::with_config(dim, RTreeConfig::default());
+                    let mut t = RTree::new(dim);
                     for &p in &mc.members {
                         t.insert_point(p, data.point(p));
                     }
@@ -353,7 +353,7 @@ impl StreamingMuDbscan {
             }
             None => {
                 let id = self.mcs.len() as u32;
-                let mut aux = RTree::with_config(self.data.dim(), RTreeConfig::default());
+                let mut aux = RTree::new(self.data.dim());
                 aux.insert_point(p, coords);
                 self.mcs.push(StreamMc { aux, members: 1 });
                 self.level1.insert(id, coords);
@@ -436,7 +436,7 @@ impl StreamingMuDbscan {
     /// the caller can fall back to a full rebuild.
     ///
     /// The repair is micro-cluster-local in the paper's sense: `p` is
-    /// deleted from its MC's aux R-tree (one [`rtree::RTree::remove`]
+    /// deleted from its MC's aux R-tree (one [`rtree::RTree::remove_point`]
     /// with MBR shrink), every live ε-neighbour's count is decremented,
     /// cores that fall below MinPts are demoted, and connectivity is
     /// repaired in two tiers:

@@ -146,9 +146,13 @@ pub struct ServeOptions {
     /// rebuild of the epoch.
     ///
     /// * `None` — adaptive default: half the live set, floor 256.
-    /// * `Some(0)` — local repair disabled: every batch containing a
-    ///   removal pays one full rebuild (the pre-repair behaviour; used
-    ///   by the conformance suite and the bench baseline arm).
+    /// * `Some(0)` — no surviving point may be replayed: the first
+    ///   removal in a batch that needs any repair region falls back to
+    ///   one full rebuild, which also absorbs the batch's remaining
+    ///   removals. Removals that need none still commit locally and
+    ///   count as repairs: a noise point, and a border whose removal
+    ///   demotes no core. Used by the conformance suite as the
+    ///   rebuild-heavy arm.
     /// * `Some(k)` — fixed threshold of `k` surviving points.
     pub repair_budget: Option<usize>,
     /// Flight-recorder capacity: how many recent entries (epoch digests
@@ -192,7 +196,9 @@ impl Default for ServeOptions {
 
 impl ServeOptions {
     /// The effective repair budget at a given live population.
-    /// `Some(0)` disables repair entirely.
+    /// `Some(0)` allows no replayed survivor, so only removals with an
+    /// empty repair region (noise, or a border that demotes no core)
+    /// commit without a rebuild.
     fn budget_at(&self, live: usize) -> usize {
         self.repair_budget.unwrap_or_else(|| (live / 2).max(256))
     }
@@ -345,16 +351,19 @@ impl Snapshot {
         &self.clustering
     }
 
-    /// External ids strictly within ε of `coords`, in insertion order.
+    /// External ids strictly within ε of `coords`, sorted ascending.
     /// Coordinates of the wrong dimension, or NaN/±∞ ones, are rejected.
     pub fn query(&self, coords: &[f64]) -> Result<Vec<ExtId>, ServeError> {
         check_coords(self.data.dim(), coords)?;
         let mut hits: Vec<PointId> = Vec::new();
         self.index.search_sphere(coords, self.params.eps, |p| hits.push(p));
-        // Writer-internal ids are monotone in insertion order, so
-        // sorting them sorts the compacted (and external) ids too.
-        hits.sort_unstable();
-        Ok(hits.into_iter().map(|p| self.ext[self.compact[p as usize] as usize]).collect())
+        let mut ids: Vec<ExtId> =
+            hits.into_iter().map(|p| self.ext[self.compact[p as usize] as usize]).collect();
+        // Sort the external ids themselves: two handles can reserve ids
+        // in one order and send their batches in the other, so insertion
+        // order does not follow external-id order.
+        ids.sort_unstable();
+        Ok(ids)
     }
 
     /// Cluster membership of a live point, `None` when the id is
@@ -1176,9 +1185,10 @@ mod tests {
 
     #[test]
     fn repair_and_rebuild_publish_identical_epochs() {
-        // The same trace through a repair-enabled writer and a
-        // rebuild-always writer (budget 0) must publish bit-identical
-        // epochs — and both must match a batch run on the prefix.
+        // The same trace through a repair-enabled writer and a writer
+        // with budget 0 (which rebuilds on every removal that needs a
+        // repair region) must publish bit-identical epochs — and both
+        // must match a batch run on the prefix.
         let p = params();
         let repair = ServingMuDbscan::spawn(2, p);
         let rebuild = ServingMuDbscan::spawn_with(
@@ -1211,6 +1221,39 @@ mod tests {
             let want = batch_oracle(da.snapshot.dataset(), p);
             assert_eq!(*da.snapshot.clustering(), want, "epoch {}", da.snapshot.epoch());
         }
+    }
+
+    #[test]
+    fn budget_zero_removes_a_noise_point_without_a_rebuild() {
+        // A noise point leaves through the constant-size repair before
+        // any budget check, so even `Some(0)` counts a repair here.
+        let h = ServingMuDbscan::spawn_with(
+            1,
+            params(),
+            ServeOptions { repair_budget: Some(0), ..Default::default() },
+        );
+        let ids = h.ingest(vec![ServeOp::insert(vec![0.0]), ServeOp::insert(vec![10.0])]).unwrap();
+        h.drain().unwrap();
+        h.ingest(vec![ServeOp::delete(ids[1])]).unwrap();
+        let d = h.drain().unwrap();
+        assert_eq!(d.snapshot.live_ids(), &[ids[0]]);
+        let stats = h.stats();
+        assert_eq!(stats.repairs(), 1);
+        assert_eq!(stats.fallback_rebuilds(), 0);
+    }
+
+    #[test]
+    fn query_sorts_external_ids_when_batches_arrive_out_of_id_order() {
+        // Two handles can reserve ids in one order and send their
+        // batches in the other: here the batch holding id 1 reaches the
+        // writer before the one holding id 0.
+        let h = ServingMuDbscan::spawn(1, params());
+        for id in [1, 0] {
+            let ops = vec![ServeOp::insert(vec![0.5 * id as f64])];
+            h.tx.send(Cmd::Batch { ops, ids: vec![id] }).unwrap();
+        }
+        h.drain().unwrap();
+        assert_eq!(h.query(&[0.25]).unwrap(), vec![0, 1]);
     }
 
     #[test]
