@@ -8,9 +8,10 @@ use stream::ServeError;
 ///
 /// Algorithms in this workspace are total over valid inputs — the
 /// runtime failures are configuration mistakes caught by
-/// [`crate::prelude::Runner::build`], input a run cannot cluster (a
-/// NaN or ±∞ coordinate, caught by [`crate::prelude::Runner::run_source`]
-/// before any family sees it), distributed local-stage errors
+/// [`crate::prelude::Runner::run`] before the run starts, input a run
+/// cannot cluster (a NaN or ±∞ coordinate, caught by
+/// [`crate::prelude::Runner::run_source`] before any family sees it),
+/// distributed local-stage errors
 /// (e.g. a rank's GridDBSCAN exceeding its memory budget) surfaced as
 /// [`DistError`], and serving-layer failures surfaced as
 /// [`ServeError`] — a dimension mismatch or a NaN/±∞ coordinate at

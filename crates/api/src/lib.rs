@@ -7,10 +7,10 @@
 //! [`Clustering`], [`naive_dbscan`], …) so existing
 //! `use mudbscan::…` code keeps compiling unchanged, and adds:
 //!
-//! * [`prelude::Runner`] — one fluent builder that constructs any of the
-//!   seven algorithm families (sequential, parallel, distributed,
-//!   out-of-core sharded, streaming, OPTICS, serving) behind the common
-//!   [`prelude::Cluster`] trait, plus [`prelude::Runner::serve`] for
+//! * [`prelude::Runner`] — one fluent builder that runs any of the six
+//!   algorithm families (μDBSCAN on one or more threads, distributed,
+//!   out-of-core sharded, streaming, OPTICS, serving) and returns the
+//!   common [`prelude::RunOutput`], plus [`prelude::Runner::serve`] for
 //!   the long-running concurrent service shape (`docs/SERVING.md`);
 //! * [`prelude::Runner::run_source`] — clustering over any
 //!   [`geom::DataSource`], including the memory-mapped on-disk chunk

@@ -1,4 +1,4 @@
-//! One fluent builder over all seven algorithm families.
+//! One fluent builder over all six algorithm families.
 //!
 //! [`Runner`] replaces the four divergent constructor shapes
 //! (`new(params)`, `new(params, threads)`, `new(dim, params)`,
@@ -10,9 +10,9 @@
 //! let data = Dataset::from_rows(&[vec![0.0], vec![0.05], vec![0.1], vec![9.0]]);
 //! let params = DbscanParams::new(0.2, 3);
 //!
-//! // Sequential (the default family)…
+//! // μDBSCAN on one thread (the default: the paper's sequential run)…
 //! let seq = Runner::new(params).run(&data).unwrap();
-//! // …shared-memory parallel…
+//! // …the same engine on four worker threads…
 //! let par = Runner::new(params).threads(4).run(&data).unwrap();
 //! // …and distributed over 2 simulated ranks.
 //! let dist = Runner::new(params).ranks(2).run(&data).unwrap();
@@ -22,17 +22,16 @@
 //!
 //! The family is inferred — `.ranks(p)` selects [`Family::Distributed`],
 //! otherwise `.shards(s)` / `.memory_budget(b)` select
-//! [`Family::Sharded`], otherwise `.threads(t > 1)` selects
-//! [`Family::Parallel`], otherwise [`Family::Sequential`] — or forced
-//! with [`Runner::family`] (the only way to reach
+//! [`Family::Sharded`], otherwise [`Family::MuDbscan`] on `.threads(t)`
+//! workers — or forced with [`Runner::family`] (the only way to reach
 //! [`Family::Streaming`] and [`Family::Optics`]). Configuration that a
 //! family cannot honour (a fault plan outside `Distributed`, a shard
 //! count or memory budget outside `Sharded`, worker threads on the
-//! inherently sequential families, ablation knobs outside
-//! `Sequential`) is an [`MuDbscanError::InvalidConfig`] at build time,
-//! never silently ignored — and so are degenerate parameters: a NaN,
-//! infinite or non-positive ε, `min_pts = 0`, or a zero thread, rank,
-//! shard or byte count.
+//! inherently sequential families, ablation knobs outside a one-thread
+//! `MuDbscan` run) is an [`MuDbscanError::InvalidConfig`] before the
+//! run starts, never silently ignored — and so are degenerate
+//! parameters: a NaN, infinite or non-positive ε, `min_pts = 0`, or a
+//! zero thread, rank, shard or byte count.
 //!
 //! Inputs need not be in memory: [`Runner::run_source`] clusters any
 //! [`DataSource`] — the in-memory [`Dataset`], or a memory-mapped
@@ -50,6 +49,8 @@
 //! batched ingest (inserts, deletions, TTL expiry) and
 //! snapshot-isolated queries — tuned via [`Runner::serve_options`]; see
 //! `docs/SERVING.md`.
+
+use std::borrow::Cow;
 
 pub use crate::error::MuDbscanError;
 pub use cluster_sim::{Fault, FaultPlan, FaultStats, RankClock, RetryConfig};
@@ -71,13 +72,12 @@ use mudbscan_core::MuDbscan;
 use optics::{extract_dbscan, Optics};
 use stream::StreamingMuDbscan;
 
-/// The seven algorithm families the facade can construct.
+/// The six algorithm families the facade can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
-    /// Sequential μDBSCAN (paper §IV).
-    Sequential,
-    /// Shared-memory parallel μDBSCAN.
-    Parallel,
+    /// μDBSCAN (paper §IV) on [`Runner::threads`] workers; one thread,
+    /// the default, is the paper's sequential algorithm.
+    MuDbscan,
     /// μDBSCAN-D over the BSP cluster simulator (paper §V): the same
     /// planner, shard summary and merge as [`Family::Sharded`], so
     /// `.ranks(p)` and `.shards(p)` return the same clustering —
@@ -93,16 +93,15 @@ pub enum Family {
     /// OPTICS ordering with DBSCAN extraction at the generating ε.
     Optics,
     /// The concurrent serving layer over the streaming engine, started
-    /// by [`Runner::serve`]. It has no batch shape: [`Runner::build`]
-    /// and [`Runner::run`] reject it.
+    /// by [`Runner::serve`]. It has no batch shape: [`Runner::run`]
+    /// rejects it.
     Serving,
 }
 
 impl Family {
     fn name(self) -> &'static str {
         match self {
-            Family::Sequential => "Sequential",
-            Family::Parallel => "Parallel",
+            Family::MuDbscan => "MuDbscan",
             Family::Distributed => "Distributed",
             Family::Sharded => "Sharded",
             Family::Streaming => "Streaming",
@@ -115,19 +114,15 @@ impl Family {
 /// Family-specific extras accompanying a [`RunOutput`].
 #[derive(Debug)]
 pub enum RunDetails {
-    /// Sequential μDBSCAN reporting quantities (paper Tables II–IV).
-    Sequential {
+    /// μDBSCAN reporting quantities (paper Tables II–IV), at every
+    /// thread count.
+    MuDbscan {
         /// Number of micro-clusters formed.
         mc_count: usize,
         /// Average points per micro-cluster.
         avg_mc_size: f64,
         /// Estimated peak structure bytes.
         peak_heap_bytes: usize,
-    },
-    /// Parallel-run extras.
-    Parallel {
-        /// Number of micro-clusters formed.
-        mc_count: usize,
     },
     /// Distributed-run extras.
     Distributed {
@@ -199,18 +194,9 @@ pub struct RunOutput {
     pub details: RunDetails,
 }
 
-/// A configured clustering algorithm, ready to run. Everything a
-/// [`Runner`] builds implements this, so downstream drivers (the
-/// conformance registry, the bench harness) hold `Box<dyn Cluster>`
-/// instead of per-family glue.
-pub trait Cluster: Sync {
-    /// Cluster `data`.
-    fn run(&self, data: &Dataset) -> Result<RunOutput, MuDbscanError>;
-}
-
-/// Fluent builder over the seven families. See the [module docs](self)
+/// Fluent builder over the six families. See the [module docs](self)
 /// for the inference rules; every knob is validated against the resolved
-/// family by [`Runner::build`].
+/// family before a run starts.
 #[derive(Debug, Clone)]
 pub struct Runner {
     params: DbscanParams,
@@ -244,16 +230,16 @@ impl Runner {
         }
     }
 
-    /// Force a family instead of inferring it from `threads`/`ranks`.
+    /// Force a family instead of inferring it from `ranks`/`shards`.
     pub fn family(mut self, family: Family) -> Self {
         self.family = Some(family);
         self
     }
 
-    /// Worker threads: the thread-pool size for [`Family::Parallel`],
-    /// the per-rank local threads for [`Family::Distributed`], or the
-    /// OS worker threads of [`Family::Sharded`]. Selects `Parallel`
-    /// when `> 1` and no other family is implied.
+    /// Worker threads (default 1): the thread-pool size of
+    /// [`Family::MuDbscan`], the per-rank local threads of
+    /// [`Family::Distributed`], or the OS worker threads of
+    /// [`Family::Sharded`].
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -317,15 +303,15 @@ impl Runner {
         self
     }
 
-    /// Ablation knob of [`Family::Sequential`]: skip the dynamic
-    /// wndq-core promotion (Algorithm 6 step (iii)).
+    /// Ablation knob of a one-thread [`Family::MuDbscan`] run: skip the
+    /// dynamic wndq-core promotion (Algorithm 6 step (iii)).
     pub fn disable_dynamic_promotion(mut self, disable: bool) -> Self {
         self.disable_dynamic_promotion = disable;
         self
     }
 
-    /// Ablation knob of [`Family::Sequential`]: disable the
-    /// MC-granularity skip in POST-PROCESSING-CORE (Algorithm 7).
+    /// Ablation knob of a one-thread [`Family::MuDbscan`] run: disable
+    /// the MC-granularity skip in POST-PROCESSING-CORE (Algorithm 7).
     pub fn disable_post_core_mc_skip(mut self, disable: bool) -> Self {
         self.disable_post_core_mc_skip = disable;
         self
@@ -338,10 +324,8 @@ impl Runner {
                 Family::Distributed
             } else if self.shards.is_some() || self.memory_budget.is_some() {
                 Family::Sharded
-            } else if self.threads > 1 {
-                Family::Parallel
             } else {
-                Family::Sequential
+                Family::MuDbscan
             }
         })
     }
@@ -384,12 +368,19 @@ impl Runner {
                 return bad("a memory budget");
             }
         }
-        if !matches!(family, Family::Sequential)
-            && (self.disable_dynamic_promotion || self.disable_post_core_mc_skip)
-        {
-            return bad("an ablation knob");
+        if self.disable_dynamic_promotion || self.disable_post_core_mc_skip {
+            if !matches!(family, Family::MuDbscan) {
+                return bad("an ablation knob");
+            }
+            if self.threads > 1 {
+                return Err(MuDbscanError::InvalidConfig(format!(
+                    "an ablation knob is not supported on {} worker threads: \
+                     it needs a one-thread run",
+                    self.threads
+                )));
+            }
         }
-        if !matches!(family, Family::Parallel | Family::Distributed | Family::Sharded)
+        if !matches!(family, Family::MuDbscan | Family::Distributed | Family::Sharded)
             && self.threads > 1
         {
             return bad("a worker-thread count");
@@ -403,77 +394,14 @@ impl Runner {
         Ok(())
     }
 
-    /// The resolved family of a batch run, validated. The serving
-    /// family has no batch shape, so forcing it is an error.
-    fn batch_family(&self) -> Result<Family, MuDbscanError> {
-        let family = self.resolved_family();
-        if family == Family::Serving {
-            return Err(MuDbscanError::InvalidConfig(
-                "the Serving family has no batch shape: start it with Runner::serve".into(),
-            ));
-        }
-        self.validate(family)?;
-        Ok(family)
-    }
-
-    /// Validate the configuration and construct the concrete algorithm.
-    pub fn build(&self) -> Result<Box<dyn Cluster>, MuDbscanError> {
-        let family = self.batch_family()?;
-
-        Ok(match family {
-            Family::Sequential | Family::Parallel => {
-                let mut algo = MuDbscan::from_params(self.params).threads(self.threads);
-                if let Some(opts) = self.opts {
-                    algo = algo.with_options(opts);
-                }
-                algo.disable_dynamic_promotion = self.disable_dynamic_promotion;
-                algo.disable_post_core_mc_skip = self.disable_post_core_mc_skip;
-                Box::new(Engine { algo, parallel: family == Family::Parallel })
-            }
-            Family::Distributed => {
-                let cfg = DistConfig::new(self.ranks.unwrap_or(1)).with_local_threads(self.threads);
-                let mut algo = MuDbscanD::from_params(self.params, cfg);
-                if let Some(opts) = self.opts {
-                    algo = algo.with_options(opts);
-                }
-                if let Some(faults) = self.faults.clone() {
-                    algo = algo.with_faults(faults);
-                }
-                Box::new(DistRun { algo })
-            }
-            Family::Sharded => Box::new(ShardedRun { algo: self.sharded_algo() }),
-            Family::Streaming => Box::new(Streaming { params: self.params }),
-            Family::Serving => unreachable!("batch_family rejects Serving"),
-            Family::Optics => {
-                let mut algo = Optics::from_params(self.params);
-                if let Some(opts) = self.opts {
-                    algo = algo.with_options(opts);
-                }
-                Box::new(OpticsRun { algo, eps: self.params.eps })
-            }
-        })
-    }
-
-    fn sharded_algo(&self) -> ShardedMuDbscan {
-        ShardedMuDbscan::new(
-            self.params,
-            ShardedOptions {
-                shards: self.shards,
-                memory_budget: self.memory_budget,
-                threads: self.threads,
-                build: self.opts.unwrap_or_default(),
-            },
-        )
-    }
-
-    /// Build and run in one step. Equivalent to
+    /// Validate and run in one step. Equivalent to
     /// [`Runner::run_source`] — the in-memory [`Dataset`] is just one
     /// [`DataSource`].
     pub fn run(&self, data: &Dataset) -> Result<RunOutput, MuDbscanError> {
         self.run_source(data)
     }
 
-    /// Build and run against any [`DataSource`] — the in-memory
+    /// Validate and run against any [`DataSource`] — the in-memory
     /// [`Dataset`] or a memory-mapped on-disk [`ChunkedStore`].
     ///
     /// [`Family::Sharded`] streams shards straight from the source
@@ -498,15 +426,118 @@ impl Runner {
     /// # std::fs::remove_file(&path).ok();
     /// ```
     pub fn run_source(&self, src: &dyn DataSource) -> Result<RunOutput, MuDbscanError> {
-        let family = self.batch_family()?;
+        let family = self.resolved_family();
+        if family == Family::Serving {
+            return Err(MuDbscanError::InvalidConfig(
+                "the Serving family has no batch shape: start it with Runner::serve".into(),
+            ));
+        }
+        self.validate(family)?;
         validate_finite(src)?;
-        if matches!(family, Family::Sharded) {
-            return Ok(sharded_run_output(self.sharded_algo().run_source(src)));
-        }
-        match src.as_dataset() {
-            Some(data) => self.build()?.run(data),
-            None => self.build()?.run(&gather_dense(src)),
-        }
+        let dense = || match src.as_dataset() {
+            Some(data) => Cow::Borrowed(data),
+            None => Cow::Owned(gather_dense(src)),
+        };
+        let opts = self.opts.unwrap_or_default();
+
+        Ok(match family {
+            Family::MuDbscan => {
+                let mut algo =
+                    MuDbscan::from_params(self.params).threads(self.threads).with_options(opts);
+                algo.disable_dynamic_promotion = self.disable_dynamic_promotion;
+                algo.disable_post_core_mc_skip = self.disable_post_core_mc_skip;
+                let out = algo.run(&dense());
+                RunOutput {
+                    clustering: out.clustering,
+                    counters: out.counters,
+                    phases: out.phases,
+                    details: RunDetails::MuDbscan {
+                        mc_count: out.mc_count,
+                        avg_mc_size: out.avg_mc_size,
+                        peak_heap_bytes: out.peak_heap_bytes,
+                    },
+                }
+            }
+            Family::Distributed => {
+                let cfg = DistConfig::new(self.ranks.unwrap_or(1)).with_local_threads(self.threads);
+                let mut algo = MuDbscanD::from_params(self.params, cfg).with_options(opts);
+                if let Some(faults) = self.faults.clone() {
+                    algo = algo.with_faults(faults);
+                }
+                let out = algo.run(&dense())?;
+                RunOutput {
+                    clustering: out.clustering,
+                    counters: out.counters,
+                    phases: out.phases,
+                    details: RunDetails::Distributed {
+                        runtime_secs: out.runtime_secs,
+                        comm_bytes: out.comm_bytes,
+                        ranks: out.ranks,
+                        max_rank_heap_bytes: out.max_rank_heap_bytes,
+                        rank_clocks: out.rank_clocks,
+                        supersteps: out.supersteps,
+                        fault_stats: out.fault_stats,
+                    },
+                }
+            }
+            Family::Sharded => {
+                let sharded_opts = ShardedOptions {
+                    shards: self.shards,
+                    memory_budget: self.memory_budget,
+                    threads: self.threads,
+                    build: opts,
+                };
+                let out = ShardedMuDbscan::new(self.params, sharded_opts).run_source(src);
+                let mut phases = PhaseTimer::new();
+                phases.add_secs("planning", out.plan_wall_secs);
+                phases.add_secs("shard clustering", out.busy_max_secs);
+                phases.add_secs("merging", out.merge_wall_secs);
+                RunOutput {
+                    clustering: out.clustering,
+                    counters: out.counters,
+                    phases,
+                    details: RunDetails::Sharded {
+                        n_shards: out.n_shards,
+                        threads: out.threads,
+                        plan_secs: out.plan_wall_secs,
+                        merge_secs: out.merge_wall_secs,
+                        busy_max_secs: out.busy_max_secs,
+                        makespan_secs: out.makespan_secs,
+                        wall_secs: out.wall_secs,
+                        peak_resident_bytes: out.peak_resident_bytes,
+                        halo_points: out.halo_points,
+                        edges: out.edges,
+                    },
+                }
+            }
+            Family::Streaming => {
+                let mut s = StreamingMuDbscan::from_dataset(&dense(), self.params);
+                let clustering = s.snapshot();
+                let counters = Counters::new();
+                counters.absorb(s.counters());
+                RunOutput {
+                    clustering,
+                    counters,
+                    phases: PhaseTimer::new(),
+                    details: RunDetails::Streaming,
+                }
+            }
+            Family::Optics => {
+                let data = dense();
+                let out = Optics::from_params(self.params).with_options(opts).run(&data);
+                RunOutput {
+                    clustering: extract_dbscan(&out, &data, self.params.eps),
+                    counters: out.counters,
+                    phases: out.phases,
+                    details: RunDetails::Optics {
+                        order: out.order,
+                        reachability: out.reachability,
+                        core_distance: out.core_distance,
+                    },
+                }
+            }
+            Family::Serving => unreachable!("rejected above: Serving has no batch shape"),
+        })
     }
 
     /// Start the long-running serving engine ([`Family::Serving`]) for
@@ -546,7 +577,8 @@ impl Runner {
     /// harness exports alongside serve telemetry. Sampling strides the
     /// dataset to at most ~2048 points so the probe stays cheap on big
     /// inputs; `k` must be ≥ 1 (an [`MuDbscanError::InvalidConfig`]
-    /// otherwise). The runner's density parameters do not affect the
+    /// otherwise), and a NaN or ±∞ coordinate is an
+    /// [`MuDbscanError::InvalidInput`]. The runner's density parameters do not affect the
     /// curve — only `k` and the data do.
     ///
     /// ```
@@ -563,6 +595,7 @@ impl Runner {
                 "the k-distance neighbour rank must be >= 1".into(),
             ));
         }
+        data.validate_finite().map_err(MuDbscanError::InvalidInput)?;
         let sample_every = (data.len() / 2048).max(1);
         Ok(mudbscan_core::k_dist_curve(data, k, sample_every))
     }
@@ -591,139 +624,6 @@ fn validate_finite(src: &dyn DataSource) -> Result<(), MuDbscanError> {
     Ok(())
 }
 
-impl Cluster for Runner {
-    fn run(&self, data: &Dataset) -> Result<RunOutput, MuDbscanError> {
-        Runner::run(self, data)
-    }
-}
-
-/// The μDBSCAN engine under [`Family::Sequential`] or, with `parallel`,
-/// [`Family::Parallel`].
-struct Engine {
-    algo: MuDbscan,
-    parallel: bool,
-}
-
-impl Cluster for Engine {
-    fn run(&self, data: &Dataset) -> Result<RunOutput, MuDbscanError> {
-        let out = self.algo.run(data);
-        let details = if self.parallel {
-            RunDetails::Parallel { mc_count: out.mc_count }
-        } else {
-            RunDetails::Sequential {
-                mc_count: out.mc_count,
-                avg_mc_size: out.avg_mc_size,
-                peak_heap_bytes: out.peak_heap_bytes,
-            }
-        };
-        Ok(RunOutput {
-            clustering: out.clustering,
-            counters: out.counters,
-            phases: out.phases,
-            details,
-        })
-    }
-}
-
-struct DistRun {
-    algo: MuDbscanD,
-}
-
-impl Cluster for DistRun {
-    fn run(&self, data: &Dataset) -> Result<RunOutput, MuDbscanError> {
-        let out = self.algo.run(data)?;
-        Ok(RunOutput {
-            clustering: out.clustering,
-            counters: out.counters,
-            phases: out.phases,
-            details: RunDetails::Distributed {
-                runtime_secs: out.runtime_secs,
-                comm_bytes: out.comm_bytes,
-                ranks: out.ranks,
-                max_rank_heap_bytes: out.max_rank_heap_bytes,
-                rank_clocks: out.rank_clocks,
-                supersteps: out.supersteps,
-                fault_stats: out.fault_stats,
-            },
-        })
-    }
-}
-
-struct ShardedRun {
-    algo: ShardedMuDbscan,
-}
-
-fn sharded_run_output(out: ShardedOutput) -> RunOutput {
-    let mut phases = PhaseTimer::new();
-    phases.add_secs("planning", out.plan_wall_secs);
-    phases.add_secs("shard clustering", out.busy_max_secs);
-    phases.add_secs("merging", out.merge_wall_secs);
-    RunOutput {
-        clustering: out.clustering,
-        counters: out.counters,
-        phases,
-        details: RunDetails::Sharded {
-            n_shards: out.n_shards,
-            threads: out.threads,
-            plan_secs: out.plan_wall_secs,
-            merge_secs: out.merge_wall_secs,
-            busy_max_secs: out.busy_max_secs,
-            makespan_secs: out.makespan_secs,
-            wall_secs: out.wall_secs,
-            peak_resident_bytes: out.peak_resident_bytes,
-            halo_points: out.halo_points,
-            edges: out.edges,
-        },
-    }
-}
-
-impl Cluster for ShardedRun {
-    fn run(&self, data: &Dataset) -> Result<RunOutput, MuDbscanError> {
-        Ok(sharded_run_output(self.algo.run_source(data)))
-    }
-}
-
-struct Streaming {
-    params: DbscanParams,
-}
-
-impl Cluster for Streaming {
-    fn run(&self, data: &Dataset) -> Result<RunOutput, MuDbscanError> {
-        let mut s = StreamingMuDbscan::from_dataset(data, self.params);
-        let clustering = s.snapshot();
-        let counters = Counters::new();
-        counters.absorb(s.counters());
-        Ok(RunOutput {
-            clustering,
-            counters,
-            phases: PhaseTimer::new(),
-            details: RunDetails::Streaming,
-        })
-    }
-}
-
-struct OpticsRun {
-    algo: Optics,
-    eps: f64,
-}
-
-impl Cluster for OpticsRun {
-    fn run(&self, data: &Dataset) -> Result<RunOutput, MuDbscanError> {
-        let out = self.algo.run(data);
-        let clustering = extract_dbscan(&out, data, self.eps);
-        Ok(RunOutput {
-            clustering,
-            counters: out.counters,
-            phases: out.phases,
-            details: RunDetails::Optics {
-                order: out.order,
-                reachability: out.reachability,
-                core_distance: out.core_distance,
-            },
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -735,8 +635,8 @@ mod tests {
     #[test]
     fn family_inference() {
         let p = DbscanParams::new(0.5, 3);
-        assert_eq!(Runner::new(p).resolved_family(), Family::Sequential);
-        assert_eq!(Runner::new(p).threads(4).resolved_family(), Family::Parallel);
+        assert_eq!(Runner::new(p).resolved_family(), Family::MuDbscan);
+        assert_eq!(Runner::new(p).threads(4).resolved_family(), Family::MuDbscan);
         assert_eq!(Runner::new(p).ranks(4).resolved_family(), Family::Distributed);
         assert_eq!(Runner::new(p).threads(4).ranks(4).resolved_family(), Family::Distributed);
         assert_eq!(Runner::new(p).shards(4).resolved_family(), Family::Sharded);
@@ -751,24 +651,24 @@ mod tests {
         let plan = FaultPlan::new(1).with(Fault::Straggler { rank: 0, slowdown: 2.0 });
         for bad in [
             Runner::new(p).fault_plan(plan.clone()), // faults w/o ranks
-            Runner::new(p).threads(4).fault_plan(plan), // faults on Parallel
-            Runner::new(p).family(Family::Sequential).ranks(2), // ranks on forced Seq
+            Runner::new(p).threads(4).fault_plan(plan), // faults on MuDbscan
+            Runner::new(p).family(Family::MuDbscan).ranks(2), // ranks on forced MuDbscan
             Runner::new(p).family(Family::Optics).threads(4), // threads on Optics
             Runner::new(p).family(Family::Streaming).threads(2), // threads on Streaming
             Runner::new(p).family(Family::Streaming).options(BuildOptions::default()),
-            Runner::new(p).threads(2).disable_dynamic_promotion(true), // knob on Parallel
+            Runner::new(p).threads(2).disable_dynamic_promotion(true), // knob on 2 threads
             Runner::new(p).ranks(2).disable_post_core_mc_skip(true),   // knob on Distributed
-            Runner::new(p).family(Family::Sequential).shards(2),       // shards on forced Seq
-            Runner::new(p).family(Family::Parallel).threads(2).memory_budget(1 << 20),
+            Runner::new(p).family(Family::MuDbscan).shards(2),         // shards on forced MuDbscan
+            Runner::new(p).family(Family::MuDbscan).threads(2).memory_budget(1 << 20),
             Runner::new(p).ranks(2).shards(2), // ranks win inference; shards clash
             Runner::new(p).family(Family::Optics).memory_budget(1 << 20),
             Runner::new(p).family(Family::Streaming).shards(2),
             Runner::new(p).shards(2).disable_dynamic_promotion(true), // knob on Sharded
             Runner::new(p).shards(2).fault_plan(FaultPlan::new(1)),   // faults on Sharded
-            Runner::new(p).serve_options(ServeOptions::default()),    // serve opts on Sequential
+            Runner::new(p).serve_options(ServeOptions::default()),    // serve opts on MuDbscan
             Runner::new(p).shards(2).serve_options(ServeOptions::default()),
         ] {
-            match bad.build() {
+            match bad.run(&tiny()) {
                 Err(MuDbscanError::InvalidConfig(msg)) => {
                     assert!(msg.contains("not supported"), "unexpected message: {msg}")
                 }
@@ -777,12 +677,9 @@ mod tests {
         }
 
         // The serving family has no batch shape.
-        let serving = Runner::new(p).family(Family::Serving);
-        for err in [serving.build().err(), serving.run(&tiny()).err()] {
-            match err {
-                Some(MuDbscanError::InvalidConfig(msg)) => assert!(msg.contains("Runner::serve")),
-                other => panic!("batch Serving: expected InvalidConfig, got {other:?}"),
-            }
+        match Runner::new(p).family(Family::Serving).run(&tiny()).err() {
+            Some(MuDbscanError::InvalidConfig(msg)) => assert!(msg.contains("Runner::serve")),
+            other => panic!("batch Serving: expected InvalidConfig, got {other:?}"),
         }
 
         // Degenerate parameters and zero counts: a struct literal skips
@@ -804,18 +701,17 @@ mod tests {
         let mut bad_runners: Vec<Runner> = degenerate.iter().flat_map(|&p| families(p)).collect();
         bad_runners.extend([
             Runner::new(p).threads(0),
-            Runner::new(p).family(Family::Parallel).threads(0),
+            Runner::new(p).shards(2).threads(0),
             Runner::new(p).ranks(0),
             Runner::new(p).shards(0),
             Runner::new(p).memory_budget(0),
         ]);
         for runner in bad_runners {
-            for err in [runner.build().err(), runner.run(&data).err()] {
-                assert!(
-                    matches!(err, Some(MuDbscanError::InvalidConfig(_))),
-                    "{runner:?}: expected InvalidConfig, got {err:?}"
-                );
-            }
+            let err = runner.run(&data).err();
+            assert!(
+                matches!(err, Some(MuDbscanError::InvalidConfig(_))),
+                "{runner:?}: expected InvalidConfig, got {err:?}"
+            );
         }
         let mut bad_serves = degenerate.map(Runner::new).to_vec();
         bad_serves.push(Runner::new(p).threads(0));
@@ -829,7 +725,7 @@ mod tests {
     }
 
     #[test]
-    fn all_seven_families_run_and_agree() {
+    fn every_batch_family_runs_and_agrees() {
         let data = tiny();
         let p = DbscanParams::new(0.5, 3);
         let reference = naive_dbscan(&data, &p);
@@ -971,6 +867,20 @@ mod tests {
             Runner::new(p).kdist_sample(&data, 0),
             Err(MuDbscanError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn kdist_sample_rejects_non_finite_coordinates() {
+        let p = DbscanParams::new(0.5, 3);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let data = Dataset::from_rows(&[vec![0.0, 0.0], vec![0.1, bad], vec![0.2, 0.0]]);
+            match Runner::new(p).kdist_sample(&data, 2) {
+                Err(MuDbscanError::InvalidInput(msg)) => {
+                    assert!(msg.contains("point 1, component 1"), "{bad}: {msg}")
+                }
+                other => panic!("{bad}: expected InvalidInput, got {other:?}"),
+            }
+        }
     }
 
     #[test]

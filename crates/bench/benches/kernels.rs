@@ -1,7 +1,7 @@
 //! Distance-kernel micro-benchmarks: the autovectorizing column-major
 //! batch kernel vs its per-point scalar reference, at leaf granularity
-//! (`PointBlock`, the unit the μR-tree actually evaluates) and as a full
-//! dataset scan (`SoaDataset`). The two kernels are bit-identical by
+//! (`PointBlock`, the unit the μR-tree actually evaluates) and through
+//! ε-queries on a real tree. The two kernels are bit-identical by
 //! construction (same ascending-dimension accumulation per point —
 //! pinned by `conformance/tests/soa_equivalence.rs`); this bench
 //! measures the throughput gap that justifies keeping both.
@@ -10,7 +10,7 @@
 //! statistics locally with `cargo bench -p bench --bench kernels`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use geom::soa::{PointBlock, SoaDataset};
+use geom::soa::PointBlock;
 use geom::Dataset;
 use std::hint::black_box;
 
@@ -49,34 +49,6 @@ fn bench_leaf_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-/// Whole-dataset scan: the column-major batch kernel against the
-/// row-major `geom::dist_sq` loop a naive scan would use.
-fn bench_full_scan(c: &mut Criterion) {
-    let n = 20_000;
-    let dataset = data::galaxy(n, 3, 7);
-    let soa = SoaDataset::from_dataset(&dataset);
-    let q = dataset.point(0).to_vec();
-    let mut out = vec![0.0; n];
-
-    let mut g = c.benchmark_group("full_scan_dist_sq");
-    g.bench_function(BenchmarkId::new("soa_batch", n), |b| {
-        b.iter(|| {
-            soa.dist_sq_batch(black_box(&q), &mut out);
-            black_box(out[n - 1])
-        })
-    });
-    g.bench_function(BenchmarkId::new("rowmajor_scalar", n), |b| {
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for i in 0..n {
-                acc += geom::dist_sq(dataset.point(i as u32), black_box(&q));
-            }
-            black_box(acc)
-        })
-    });
-    g.finish();
-}
-
 /// End-to-end ε-query on a real tree, batched leaves vs the forced
 /// scalar fallback — the quantity the PR-6 wall-time gate tracks.
 fn bench_tree_queries(c: &mut Criterion) {
@@ -112,5 +84,5 @@ fn bench_tree_queries(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(kernels, bench_leaf_kernels, bench_full_scan, bench_tree_queries);
+criterion_group!(kernels, bench_leaf_kernels, bench_tree_queries);
 criterion_main!(kernels);

@@ -1,9 +1,9 @@
-//! Ablation: union–find path-compaction variants (DESIGN.md §7.5) and
-//! the lock-free concurrent structure.
+//! Union–find micro-benchmark (DESIGN.md §7.5): the sequential
+//! structure with path halving against the lock-free concurrent one on
+//! a single thread.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use unionfind::sequential::Compaction;
 use unionfind::{ConcurrentUnionFind, UnionFind};
 
 fn edges(n: usize, m: usize) -> Vec<(u32, u32)> {
@@ -21,19 +21,15 @@ fn bench_unionfind(c: &mut Criterion) {
     let es = edges(n, 400_000);
 
     let mut g = c.benchmark_group("unionfind");
-    for (name, comp) in
-        [("halving", Compaction::Halving), ("full", Compaction::Full), ("none", Compaction::None)]
-    {
-        g.bench_function(BenchmarkId::new("sequential", name), |b| {
-            b.iter(|| {
-                let mut uf = UnionFind::with_compaction(n, comp);
-                for &(x, y) in &es {
-                    uf.union(x, y);
-                }
-                black_box(uf.find(0))
-            })
-        });
-    }
+    g.bench_function(BenchmarkId::new("sequential", "halving"), |b| {
+        b.iter(|| {
+            let mut uf = UnionFind::new(n);
+            for &(x, y) in &es {
+                uf.union(x, y);
+            }
+            black_box(uf.find(0))
+        })
+    });
     g.bench_function("concurrent_single_thread", |b| {
         b.iter(|| {
             let uf = ConcurrentUnionFind::new(n);

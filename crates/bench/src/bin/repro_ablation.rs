@@ -72,8 +72,8 @@ fn main() {
             }
         }
         let mc_count = match out.details {
-            RunDetails::Sequential { mc_count, .. } => mc_count,
-            ref other => panic!("expected Sequential details, got {other:?}"),
+            RunDetails::MuDbscan { mc_count, .. } => mc_count,
+            ref other => panic!("expected MuDbscan details, got {other:?}"),
         };
         t.row(&[
             v.name.to_string(),

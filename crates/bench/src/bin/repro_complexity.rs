@@ -35,8 +35,8 @@ fn main() {
         eprintln!("[n={n}] ...");
         let (out, secs) = timed(|| runner.run(&dataset).expect("sequential run"));
         let (mc_count, avg_mc_size) = match out.details {
-            RunDetails::Sequential { mc_count, avg_mc_size, .. } => (mc_count, avg_mc_size),
-            ref other => panic!("expected Sequential details, got {other:?}"),
+            RunDetails::MuDbscan { mc_count, avg_mc_size, .. } => (mc_count, avg_mc_size),
+            ref other => panic!("expected MuDbscan details, got {other:?}"),
         };
         let m = mc_count as f64;
         let r = avg_mc_size.max(1.0);

@@ -56,8 +56,8 @@ fn main() {
         let (mu_out, mu_secs) =
             timed(|| Runner::new(params).run(&dataset).expect("sequential run"));
         let mc_count = match mu_out.details {
-            RunDetails::Sequential { mc_count, .. } => mc_count,
-            ref other => panic!("expected Sequential details, got {other:?}"),
+            RunDetails::MuDbscan { mc_count, .. } => mc_count,
+            ref other => panic!("expected MuDbscan details, got {other:?}"),
         };
 
         // All exact algorithms must agree (cheap structural check; full

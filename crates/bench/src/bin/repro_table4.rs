@@ -42,8 +42,8 @@ fn main() {
         let g = GDbscan::new(params).run(&dataset).peak_heap_bytes;
         let mu_out = Runner::new(params).run(&dataset).expect("sequential run");
         let mu = match mu_out.details {
-            RunDetails::Sequential { peak_heap_bytes, .. } => peak_heap_bytes,
-            ref other => panic!("expected Sequential details, got {other:?}"),
+            RunDetails::MuDbscan { peak_heap_bytes, .. } => peak_heap_bytes,
+            ref other => panic!("expected MuDbscan details, got {other:?}"),
         };
         let (grid_str, ratio) = match GridDbscan::new(params).run(&dataset) {
             Ok(out) => (

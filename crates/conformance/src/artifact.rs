@@ -6,12 +6,12 @@
 //! the names of the disagreeing implementations — so `tests/replay.rs`
 //! can re-run it against the current code without re-generating anything.
 //!
-//! The workspace has no serde (offline build), so this module carries its
-//! own writer and a minimal JSON reader sufficient for the artifact
-//! schema. Floats are written with Rust's `{:?}` formatting, which
-//! round-trips `f64` exactly.
+//! The document goes through [`obs::Json`], which writes every finite
+//! `f64` in its shortest exact form, so the rows and ε round-trip
+//! exactly. Integers (the seed, `dim`, `min_pts`) are JSON numbers read
+//! back through `f64`.
 
-use std::fmt::Write as _;
+use obs::Json;
 use std::path::{Path, PathBuf};
 
 /// A minimized, replayable counterexample.
@@ -40,48 +40,39 @@ pub struct FailureArtifact {
 impl FailureArtifact {
     /// Serialize to the artifact JSON schema.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"test\": {},", quote(&self.test));
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"family\": {},", quote(&self.family));
-        let _ = writeln!(s, "  \"dim\": {},", self.dim);
-        let _ = writeln!(s, "  \"eps\": {:?},", self.eps);
-        let _ = writeln!(s, "  \"min_pts\": {},", self.min_pts);
-        let names: Vec<String> = self.disagreeing.iter().map(|n| quote(n)).collect();
-        let _ = writeln!(s, "  \"disagreeing\": [{}],", names.join(", "));
-        s.push_str("  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            let cells: Vec<String> = row.iter().map(|v| format!("{v:?}")).collect();
-            let sep = if i + 1 < self.rows.len() { "," } else { "" };
-            let _ = writeln!(s, "    [{}]{}", cells.join(", "), sep);
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let strings = |v: &[String]| Json::Arr(v.iter().cloned().map(Json::Str).collect());
+        let row = |r: &Vec<f64>| Json::Arr(r.iter().copied().map(Json::Num).collect());
+        Json::obj_from([
+            ("test".to_string(), Json::Str(self.test.clone())),
+            ("seed".to_string(), Json::Num(self.seed as f64)),
+            ("family".to_string(), Json::Str(self.family.clone())),
+            ("dim".to_string(), Json::Num(self.dim as f64)),
+            ("eps".to_string(), Json::Num(self.eps)),
+            ("min_pts".to_string(), Json::Num(self.min_pts as f64)),
+            ("disagreeing".to_string(), strings(&self.disagreeing)),
+            ("rows".to_string(), Json::Arr(self.rows.iter().map(row).collect())),
+        ])
+        .render_pretty()
     }
 
     /// Parse an artifact back from its JSON form.
     pub fn from_json(text: &str) -> Result<FailureArtifact, String> {
-        let value = Json::parse(text)?;
-        let obj = value.as_object()?;
-        let get = |key: &str| obj.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let field = |key: &str| get(key).ok_or_else(|| format!("missing field `{key}`"));
-        let rows = field("rows")?
-            .as_array()?
+        let doc = Json::parse(text)?;
+        let field = |key: &str| doc.get(key).ok_or_else(|| format!("missing field `{key}`"));
+        let rows = array(field("rows")?)?
             .iter()
-            .map(|row| row.as_array()?.iter().map(Json::as_f64).collect())
+            .map(|row| array(row)?.iter().map(num).collect())
             .collect::<Result<Vec<Vec<f64>>, String>>()?;
         Ok(FailureArtifact {
-            test: field("test")?.as_string()?,
-            seed: field("seed")?.as_f64()? as u64,
-            family: field("family")?.as_string()?,
-            dim: field("dim")?.as_f64()? as usize,
-            eps: field("eps")?.as_f64()?,
-            min_pts: field("min_pts")?.as_f64()? as usize,
-            disagreeing: field("disagreeing")?
-                .as_array()?
+            test: string(field("test")?)?,
+            seed: num(field("seed")?)? as u64,
+            family: string(field("family")?)?,
+            dim: num(field("dim")?)? as usize,
+            eps: num(field("eps")?)?,
+            min_pts: num(field("min_pts")?)? as usize,
+            disagreeing: array(field("disagreeing")?)?
                 .iter()
-                .map(Json::as_string)
+                .map(string)
                 .collect::<Result<Vec<String>, String>>()?,
             rows,
         })
@@ -117,186 +108,16 @@ pub fn default_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/failures")
 }
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+fn num(v: &Json) -> Result<f64, String> {
+    v.as_f64().ok_or_else(|| "expected number".to_string())
 }
 
-/// The tiny JSON subset the artifact schema needs: objects, arrays,
-/// strings, and numbers.
-enum Json {
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
+fn string(v: &Json) -> Result<String, String> {
+    v.as_str().map(str::to_string).ok_or_else(|| "expected string".to_string())
 }
 
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn as_object(&self) -> Result<&Vec<(String, Json)>, String> {
-        match self {
-            Json::Obj(m) => Ok(m),
-            _ => Err("expected object".into()),
-        }
-    }
-
-    fn as_array(&self) -> Result<&Vec<Json>, String> {
-        match self {
-            Json::Arr(a) => Ok(a),
-            _ => Err("expected array".into()),
-        }
-    }
-
-    fn as_string(&self) -> Result<String, String> {
-        match self {
-            Json::Str(s) => Ok(s.clone()),
-            _ => Err("expected string".into()),
-        }
-    }
-
-    fn as_f64(&self) -> Result<f64, String> {
-        match self {
-            Json::Num(v) => Ok(*v),
-            _ => Err("expected number".into()),
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied().ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                c => return Err(format!("expected `,` or `}}`, got `{}`", c as char)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                c => return Err(format!("expected `,` or `]`, got `{}`", c as char)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        other => return Err(format!("unsupported escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number `{text}`"))
-    }
+fn array(v: &Json) -> Result<&[Json], String> {
+    v.as_array().ok_or_else(|| "expected array".to_string())
 }
 
 #[cfg(test)]

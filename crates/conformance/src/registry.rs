@@ -2,9 +2,9 @@
 //!
 //! Each entry wraps one concrete configuration behind the [`ExactDbscan`]
 //! trait so the differential harness can run them uniformly. The goal is
-//! coverage of *configurations*, not just algorithms: the sequential
-//! μDBSCAN appears once per ablation-knob combination, the parallel
-//! variant once per thread count, and the distributed simulator once per
+//! coverage of *configurations*, not just algorithms: the one-thread
+//! μDBSCAN appears once per ablation-knob combination, the same engine
+//! once per further thread count, and the distributed simulator once per
 //! rank count, because each of those choices takes different code paths
 //! (wndq promotion, border claiming, halo merge) that have historically
 //! been where exactness bugs hide.
@@ -148,10 +148,9 @@ pub fn registry() -> Vec<Box<dyn ExactDbscan>> {
             name: "mu-seq/inserted-aux",
             configure: |r| r.options(seq_opts(true, false)),
         }),
-        // Parallel μDBSCAN across thread counts (1 pins the degenerate
-        // single-worker path; 8 usually oversubscribes CI and stresses the
+        // The same engine on worker threads (the one-thread run is
+        // `mu-seq`; 8 usually oversubscribes CI and stresses the
         // border-claim/promotion interleavings).
-        Box::new(Facade { name: "mu-par/t1", configure: |r| r.family(Family::Parallel) }),
         Box::new(Facade { name: "mu-par/t2", configure: |r| r.threads(2) }),
         Box::new(Facade { name: "mu-par/t4", configure: |r| r.threads(4) }),
         Box::new(Facade { name: "mu-par/t8", configure: |r| r.threads(8) }),

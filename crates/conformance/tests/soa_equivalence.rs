@@ -63,13 +63,13 @@ fn fingerprint(runner: &Runner, data: &Dataset, scalar: bool) -> Fingerprint {
     }
 }
 
-/// The five Runner families, each in a deterministic configuration
-/// (parallel pinned to one worker — at t=1 there is no interleaving, so
-/// any scalar/batched diff is attributable to the kernels alone).
+/// Four Runner families, each in a deterministic configuration
+/// (μDBSCAN on its default single worker — at t=1 there is no
+/// interleaving, so any scalar/batched diff is attributable to the
+/// kernels alone).
 fn runners(params: DbscanParams) -> Vec<(&'static str, Runner)> {
     vec![
         ("sequential", Runner::new(params)),
-        ("parallel-t1", Runner::new(params).family(Family::Parallel)),
         ("distributed-p2", Runner::new(params).ranks(2)),
         ("streaming", Runner::new(params).family(Family::Streaming)),
         ("optics", Runner::new(params).family(Family::Optics)),

@@ -14,7 +14,7 @@
 //! the merge directly; the sharded executor runs the same summary and
 //! merge on OS threads.
 
-use cluster_sim::{Bsp, CommModel, Envelope, FaultStats, RankClock};
+use cluster_sim::{Bsp, Envelope, FaultStats, RankClock};
 use geom::{Dataset, DbscanParams};
 use metrics::{Counters, PhaseTimer, Stopwatch};
 use mudbscan::Clustering;
@@ -138,7 +138,6 @@ pub fn run_distributed(
     views: Vec<LocalView>,
     partition_secs: f64,
     params: &DbscanParams,
-    comm: CommModel,
     faults: Option<&FaultConfig>,
     local: impl Fn(&Dataset) -> Result<LocalRun, String>,
 ) -> Result<DistOutput, DistError> {
@@ -156,7 +155,7 @@ pub fn run_distributed(
         .collect();
 
     let run_span = obs::span!("dist");
-    let mut bsp = Bsp::new(states).with_comm(comm);
+    let mut bsp = Bsp::new(states);
     if let Some(fc) = faults {
         bsp = bsp.with_fault_plan(fc.plan.clone()).with_retry(fc.retry);
     }

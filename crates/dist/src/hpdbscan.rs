@@ -18,7 +18,6 @@
 
 use crate::driver::{run_distributed, DistError, DistOutput};
 use baselines::GridDbscan;
-use cluster_sim::CommModel;
 use geom::{Dataset, DbscanParams, Mbr, PointId};
 use metrics::mem::MemBudget;
 use metrics::Stopwatch;
@@ -30,7 +29,6 @@ use std::collections::BTreeMap;
 pub struct HpDbscan {
     params: DbscanParams,
     ranks: usize,
-    comm: CommModel,
     /// Per-rank structure memory budget (inherited by the grid stage).
     pub budget: MemBudget,
 }
@@ -38,7 +36,7 @@ pub struct HpDbscan {
 impl HpDbscan {
     /// New instance over `ranks` simulated ranks.
     pub fn new(params: DbscanParams, ranks: usize) -> Self {
-        Self { params, ranks, comm: CommModel::default(), budget: MemBudget::new(4 << 30) }
+        Self { params, ranks, budget: MemBudget::new(4 << 30) }
     }
 
     /// Run on `data`.
@@ -49,7 +47,7 @@ impl HpDbscan {
         let partition_secs = sw.secs();
 
         let (params, budget) = (self.params, self.budget);
-        run_distributed(views, partition_secs, &params, self.comm, None, |combined| {
+        run_distributed(views, partition_secs, &params, None, |combined| {
             let out = GridDbscan::new(params).with_budget(budget).run(combined);
             Ok(out.map_err(|e| e.to_string())?.into())
         })

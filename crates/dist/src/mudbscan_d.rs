@@ -6,7 +6,7 @@ use crate::driver::{run_distributed, DistError, DistOutput, LocalRun};
 use crate::merge::LocalView;
 use crate::recovery::FaultConfig;
 use baselines::{GridDbscan, RDbscan};
-use cluster_sim::{CommModel, FaultPlan};
+use cluster_sim::FaultPlan;
 use geom::{Dataset, DbscanParams};
 use mcs::BuildOptions;
 use metrics::mem::MemBudget;
@@ -19,8 +19,6 @@ use partition::{gather_shards, plan_shards, ShardingOptions};
 pub struct DistConfig {
     /// Number of simulated ranks (`p`).
     pub ranks: usize,
-    /// Communication cost model.
-    pub comm: CommModel,
     /// Worker threads used *inside* each rank's local μDBSCAN stage —
     /// the paper's future-work "leverage multiple cores available in
     /// each computing node": each rank runs [`mudbscan::MuDbscan`] on
@@ -31,7 +29,7 @@ pub struct DistConfig {
 impl DistConfig {
     /// `p` sequentially simulated ranks with the default network model.
     pub fn new(ranks: usize) -> Self {
-        Self { ranks, comm: CommModel::default(), local_threads: 1 }
+        Self { ranks, local_threads: 1 }
     }
 
     /// Use `t` worker threads inside each rank's local clustering stage.
@@ -64,7 +62,7 @@ fn run_on_kd_ranks(
     let partition_secs = sw.secs();
     assert!(views.len() <= p, "the planner cut more shards than ranks");
     views.resize_with(p, || LocalView::empty(data.dim()));
-    run_distributed(views, partition_secs, params, cfg.comm, faults, local)
+    run_distributed(views, partition_secs, params, faults, local)
 }
 
 /// μDBSCAN-D (paper §V): kd partitioning + local μDBSCAN + merge.

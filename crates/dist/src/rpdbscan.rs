@@ -22,7 +22,7 @@
 //! The output is intentionally **approximate** — tests assert structural
 //! sanity (blobs found, deviation bounded), not exactness.
 
-use cluster_sim::{Bsp, CommModel};
+use cluster_sim::Bsp;
 use geom::{dist_sq, Dataset, DbscanParams, Mbr, PointId};
 use metrics::{Counters, PhaseTimer};
 use mudbscan::{Clustering, NOISE};
@@ -34,11 +34,11 @@ use unionfind::UnionFind;
 pub struct RpDbscan {
     params: DbscanParams,
     ranks: usize,
-    /// Approximation parameter ρ ∈ (0, 1]; the paper's authors suggest
-    /// 0.99 (used in the μDBSCAN comparison too).
-    pub rho: f64,
-    comm: CommModel,
 }
+
+/// The approximation parameter ρ ∈ (0, 1]; RP-DBSCAN's authors suggest
+/// 0.99, which the μDBSCAN comparison uses too.
+const RHO: f64 = 0.99;
 
 /// Output of an RP-DBSCAN run.
 #[derive(Debug)]
@@ -71,7 +71,7 @@ struct RpRank {
 impl RpDbscan {
     /// New instance with ρ = 0.99 over `ranks` simulated ranks.
     pub fn new(params: DbscanParams, ranks: usize) -> Self {
-        Self { params, ranks, rho: 0.99, comm: CommModel::default() }
+        Self { params, ranks }
     }
 
     /// Run on `data`.
@@ -98,7 +98,7 @@ impl RpDbscan {
                 cell_of: Vec::new(),
             })
             .collect();
-        let mut bsp = Bsp::new(states).with_comm(self.comm);
+        let mut bsp = Bsp::new(states);
 
         // Phase 1: per-rank sub-dictionaries.
         bsp.phase("cell_dictionary");
@@ -179,7 +179,7 @@ impl RpDbscan {
 
         // Phase 2: ρ-approximate core marking per rank.
         bsp.phase("core_marking");
-        let rho_eps_sq = (self.rho * eps) * (self.rho * eps);
+        let rho_eps_sq = (RHO * eps) * (RHO * eps);
         let eps_sq = eps * eps;
         {
             let dict = &dict;

@@ -39,7 +39,7 @@ pub mod source;
 pub use dataset::{Dataset, DatasetBuilder, PointId};
 pub use dist::{dist_euclidean, dist_sq, within, within_sq};
 pub use mbr::Mbr;
-pub use soa::{PointBlock, SoaDataset};
+pub use soa::PointBlock;
 pub use source::{gather_dense, Cols, DataSource, SourceChunk, DEFAULT_CHUNK_CAP};
 
 /// DBSCAN density parameters, shared by every algorithm in the workspace.

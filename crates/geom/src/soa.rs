@@ -1,22 +1,18 @@
 //! Structure-of-arrays (column-major) coordinate storage.
 //!
-//! [`Dataset`] stores points row-major — point `i`'s
+//! [`Dataset`](crate::Dataset) stores points row-major — point `i`'s
 //! coordinates are contiguous — which is the right layout for handing a
 //! single point to a distance call. The ε-query hot path has the opposite
-//! access pattern: *one* query point against *many* stored points. The
-//! types here hold the same coordinates column-major — all `x₀`s
+//! access pattern: *one* query point against *many* stored points.
+//! [`PointBlock`] holds the same coordinates column-major — all `x₀`s
 //! contiguous, then all `x₁`s, … — so the batched kernels in
-//! [`crate::kernels`] stream unit-stride columns and autovectorize.
-//!
-//! * [`PointBlock`] — a fixed-capacity block sized for one R-tree leaf
-//!   (tens of points). Columns share one allocation at a fixed stride, so
-//!   a leaf carries exactly one heap block instead of two boxed bounds
-//!   slices per entry.
-//! * [`SoaDataset`] — a whole-dataset column view for full-scan
-//!   consumers and the kernel micro-benchmarks.
+//! [`crate::kernels`] stream unit-stride columns and autovectorize. A
+//! block is sized for one R-tree leaf (tens of points); its columns
+//! share one allocation at a fixed stride, so a leaf carries exactly one
+//! heap block instead of two boxed bounds slices per entry.
 
 use crate::kernels;
-use crate::{Dataset, Mbr};
+use crate::Mbr;
 
 /// A fixed-capacity column-major block of points with `u32` item ids —
 /// the storage behind an R-tree point leaf.
@@ -215,62 +211,6 @@ impl PointBlock {
     }
 }
 
-/// A whole [`Dataset`] transposed to column-major storage: column `k`
-/// occupies `cols[k*len .. (k+1)*len]`. Used by full-scan consumers and
-/// the kernel micro-benchmarks; the per-leaf analogue is [`PointBlock`].
-#[derive(Debug, Clone)]
-pub struct SoaDataset {
-    dim: usize,
-    len: usize,
-    cols: Box<[f64]>,
-}
-
-impl SoaDataset {
-    /// Transpose `data` into column-major storage.
-    pub fn from_dataset(data: &Dataset) -> Self {
-        let (dim, len) = (data.dim(), data.len());
-        let mut cols = vec![0.0; dim * len].into_boxed_slice();
-        for i in 0..len {
-            let p = data.point(i as u32);
-            for (k, &x) in p.iter().enumerate() {
-                cols[k * len + i] = x;
-            }
-        }
-        Self { dim, len, cols }
-    }
-
-    /// Number of points.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the dataset is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Point dimensionality.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Column `k` (all points' `k`-th coordinate, unit stride).
-    #[inline]
-    pub fn col(&self, k: usize) -> &[f64] {
-        &self.cols[k * self.len..(k + 1) * self.len]
-    }
-
-    /// Batched squared distances from `q` to every point, written to
-    /// `out[..len]`.
-    #[inline]
-    pub fn dist_sq_batch(&self, q: &[f64], out: &mut [f64]) {
-        kernels::dist_sq_batch(&self.cols, self.len, self.len, self.dim, q, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,23 +305,5 @@ mod tests {
         b.push(0, &[0.0]);
         b.push(1, &[1.0]);
         b.push(2, &[2.0]);
-    }
-
-    #[test]
-    fn soa_dataset_matches_rows() {
-        let data = Dataset::from_rows(&[vec![0.0, 1.0], vec![2.0, 3.0], vec![4.0, 5.0]]);
-        let soa = SoaDataset::from_dataset(&data);
-        assert_eq!(soa.len(), 3);
-        assert_eq!(soa.dim(), 2);
-        assert_eq!(soa.col(0), &[0.0, 2.0, 4.0]);
-        assert_eq!(soa.col(1), &[1.0, 3.0, 5.0]);
-        let q = [1.5, -0.5];
-        let mut out = [0.0; 3];
-        soa.dist_sq_batch(&q, &mut out);
-        for i in 0..3 {
-            assert_eq!(out[i].to_bits(), dist_sq(data.point(i as u32), &q).to_bits());
-        }
-        assert!(!soa.is_empty());
-        assert!(SoaDataset::from_dataset(&Dataset::empty(2)).is_empty());
     }
 }

@@ -1,37 +1,18 @@
-//! Sequential union–find with union by rank and configurable path
-//! compaction (full compression, halving, or none — ablated in the
-//! benchmark suite, following Patwary/Blair/Manne SEA'10).
-
-/// Path-compaction strategy applied during `find`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Compaction {
-    /// Full path compression (two-pass find).
-    Full,
-    /// Path halving (single pass, every node points to its grandparent).
-    #[default]
-    Halving,
-    /// No compaction — baseline for the ablation bench.
-    None,
-}
+//! Sequential union–find with union by rank and path halving
+//! (Patwary/Blair/Manne SEA'10).
 
 /// A disjoint-set forest over `0..len` with union by rank.
 #[derive(Debug, Clone)]
 pub struct UnionFind {
     parent: Vec<u32>,
     rank: Vec<u8>,
-    compaction: Compaction,
 }
 
 impl UnionFind {
-    /// `n` singleton sets with the default compaction (halving).
+    /// `n` singleton sets.
     pub fn new(n: usize) -> Self {
-        Self::with_compaction(n, Compaction::default())
-    }
-
-    /// `n` singleton sets with an explicit compaction strategy.
-    pub fn with_compaction(n: usize, compaction: Compaction) -> Self {
         assert!(n <= u32::MAX as usize, "UnionFind supports at most u32::MAX elements");
-        Self { parent: (0..n as u32).collect(), rank: vec![0; n], compaction }
+        Self { parent: (0..n as u32).collect(), rank: vec![0; n] }
     }
 
     /// Number of elements.
@@ -54,42 +35,19 @@ impl UnionFind {
         self.parent.is_empty()
     }
 
-    /// Representative of `x`'s set.
+    /// Representative of `x`'s set; halves the path on the way (every
+    /// visited node is pointed at its grandparent).
     #[inline]
     pub fn find(&mut self, x: u32) -> u32 {
-        match self.compaction {
-            Compaction::Halving => {
-                let mut x = x;
-                loop {
-                    let p = self.parent[x as usize];
-                    if p == x {
-                        return x;
-                    }
-                    let gp = self.parent[p as usize];
-                    self.parent[x as usize] = gp;
-                    x = gp;
-                }
+        let mut x = x;
+        loop {
+            let p = self.parent[x as usize];
+            if p == x {
+                return x;
             }
-            Compaction::Full => {
-                let mut root = x;
-                while self.parent[root as usize] != root {
-                    root = self.parent[root as usize];
-                }
-                let mut cur = x;
-                while cur != root {
-                    let next = self.parent[cur as usize];
-                    self.parent[cur as usize] = root;
-                    cur = next;
-                }
-                root
-            }
-            Compaction::None => {
-                let mut x = x;
-                while self.parent[x as usize] != x {
-                    x = self.parent[x as usize];
-                }
-                x
-            }
+            let gp = self.parent[p as usize];
+            self.parent[x as usize] = gp;
+            x = gp;
         }
     }
 
@@ -212,23 +170,6 @@ mod tests {
         let r2 = uf.union(0, 1);
         assert_eq!(r1, r2);
         assert_eq!(uf.count_sets(), 2);
-    }
-
-    #[test]
-    fn all_compactions_agree() {
-        // Same union sequence must yield the same partition under every
-        // compaction strategy.
-        let ops = [(0u32, 1u32), (2, 3), (4, 5), (1, 2), (6, 7), (5, 6), (0, 9)];
-        let mut results = Vec::new();
-        for c in [Compaction::Full, Compaction::Halving, Compaction::None] {
-            let mut uf = UnionFind::with_compaction(10, c);
-            for &(a, b) in &ops {
-                uf.union(a, b);
-            }
-            results.push(uf.dense_labels());
-        }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[1], results[2]);
     }
 
     #[test]

@@ -20,7 +20,7 @@ fn main() {
     println!("clusters found   : {}", out.clustering.n_clusters);
     println!("core points      : {}", out.clustering.core_count());
     println!("noise points     : {}", out.clustering.noise_count());
-    if let RunDetails::Sequential { mc_count, avg_mc_size, .. } = out.details {
+    if let RunDetails::MuDbscan { mc_count, avg_mc_size, .. } = out.details {
         println!("micro-clusters   : {mc_count} (avg {avg_mc_size:.1} points each)");
     }
     println!("queries saved    : {:.1}% (wndq-core labelling)", out.counters.pct_queries_saved());

@@ -164,23 +164,18 @@ fn main() -> ExitCode {
 
     let t = std::time::Instant::now();
     let (clustering, extra): (Clustering, String) = match args.algorithm.as_str() {
-        "mu" => {
-            let out = Runner::new(params).run(&dataset).expect("sequential run");
+        "mu" | "mu-par" => {
+            let threads = if args.algorithm == "mu-par" { args.threads } else { 1 };
+            let out = Runner::new(params).threads(threads).run(&dataset).expect("μDBSCAN run");
             let mc_count = match out.details {
-                RunDetails::Sequential { mc_count, .. } => mc_count,
-                ref other => panic!("expected Sequential details, got {other:?}"),
+                RunDetails::MuDbscan { mc_count, .. } => mc_count,
+                ref other => panic!("expected MuDbscan details, got {other:?}"),
             };
             let x = format!(
-                "micro-clusters: {}, queries saved: {:.1}%",
-                mc_count,
+                "threads: {threads}, micro-clusters: {mc_count}, queries saved: {:.1}%",
                 out.counters.pct_queries_saved()
             );
             (out.clustering, x)
-        }
-        "mu-par" => {
-            let out =
-                Runner::new(params).threads(args.threads).run(&dataset).expect("parallel run");
-            (out.clustering, format!("threads: {}", args.threads))
         }
         "mu-dist" => match Runner::new(params).ranks(args.ranks).run(&dataset) {
             Ok(out) => {

@@ -5,7 +5,7 @@
 //! Umbrella crate re-exporting the whole workspace. Most users want:
 //!
 //! * [`mudbscan::prelude::Runner`] — the unified entry point over all
-//!   seven algorithm families (sequential, parallel, distributed,
+//!   six algorithm families (μDBSCAN on one or more threads, distributed,
 //!   out-of-core sharded — fed from a memory-mapped chunk store via
 //!   [`mudbscan::prelude::Runner::run_source`] — streaming, OPTICS,
 //!   serving — the last via [`mudbscan::prelude::Runner::serve`], see
@@ -44,10 +44,10 @@ pub mod prelude {
     pub use data;
     pub use dist::DistConfig;
     pub use mudbscan::prelude::{
-        write_store, ChunkedStore, Cluster, Clustering, Counters, DataSource, Dataset,
-        DbscanParams, Family, Fault, FaultConfig, FaultPlan, FaultStats, Membership, MuDbscanError,
-        RetryConfig, RunDetails, RunOutput, Runner, ServeHandle, ServeOp, ServeOptions, Snapshot,
-        StoreError, NOISE,
+        write_store, ChunkedStore, Clustering, Counters, DataSource, Dataset, DbscanParams, Family,
+        Fault, FaultConfig, FaultPlan, FaultStats, Membership, MuDbscanError, RetryConfig,
+        RunDetails, RunOutput, Runner, ServeHandle, ServeOp, ServeOptions, Snapshot, StoreError,
+        NOISE,
     };
     pub use mudbscan::{check_exact, naive_dbscan};
 }

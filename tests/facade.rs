@@ -76,8 +76,14 @@ fn run_details_report_the_resolved_family() {
     assert!(supersteps > 0);
     assert!(fault_stats.is_quiet(), "fault-free run must report quiet fault stats");
 
-    let out = Runner::new(params).threads(2).run(&dataset).unwrap();
-    assert!(matches!(out.details, RunDetails::Parallel { .. }));
+    // One engine: every thread count reports the same μDBSCAN details.
+    for threads in [1, 2] {
+        let out = Runner::new(params).threads(threads).run(&dataset).unwrap();
+        let RunDetails::MuDbscan { mc_count, peak_heap_bytes, .. } = out.details else {
+            panic!("t{threads}: expected MuDbscan details");
+        };
+        assert!(mc_count > 0 && peak_heap_bytes > 0, "t{threads}");
+    }
 }
 
 #[test]
