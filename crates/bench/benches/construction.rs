@@ -1,5 +1,5 @@
 //! Ablation: micro-cluster construction — the 2ε deferral rule
-//! (DESIGN.md §7.1) and STR vs incremental auxiliary trees (§7.4).
+//! (DESIGN.md §7.1).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mcs::{build_micro_clusters, BuildOptions};
@@ -13,8 +13,7 @@ fn bench_construction(c: &mut Criterion) {
     let mut g = c.benchmark_group("mc_construction");
     let variants = [
         ("default", BuildOptions::default()),
-        ("no_2eps_deferral", BuildOptions { two_eps_deferral: false, ..Default::default() }),
-        ("incremental_aux", BuildOptions { str_aux: false, ..Default::default() }),
+        ("no_2eps_deferral", BuildOptions { two_eps_deferral: false }),
     ];
     for (name, opts) in variants {
         g.bench_function(name, |b| {

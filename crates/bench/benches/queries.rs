@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use geom::DbscanParams;
-use mcs::{build_micro_clusters, BuildOptions};
+use mcs::{build_micro_clusters, scan_block, BuildOptions};
 use metrics::Counters;
 use rtree::{RTree, RTreeConfig};
 use std::hint::black_box;
@@ -52,7 +52,7 @@ fn bench_queries(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    // Ablation: search every MC's aux tree instead of only reachable ones.
+    // Ablation: scan every MC's block instead of only reachable ones.
     g.bench_function(BenchmarkId::new("murtree_no_filter", n), |b| {
         b.iter(|| {
             let mut acc = 0usize;
@@ -61,9 +61,8 @@ fn bench_queries(c: &mut Criterion) {
                 let eps_sq = eps * eps;
                 for mc in &mur.mcs {
                     if mc.mbr.min_dist_sq(coords) < eps_sq {
-                        let aux = mc.aux.as_ref().unwrap();
                         let mut out = Vec::new();
-                        aux.search_sphere(coords, eps, |i| out.push(i));
+                        scan_block(&mc.block, coords, eps_sq, |i| out.push(i));
                         acc += out.len();
                     }
                 }

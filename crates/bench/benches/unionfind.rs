@@ -1,4 +1,4 @@
-//! Union–find micro-benchmark (DESIGN.md §7.5): the sequential
+//! Union–find micro-benchmark (DESIGN.md §7.4): the sequential
 //! structure with path halving against the lock-free concurrent one on
 //! a single thread.
 

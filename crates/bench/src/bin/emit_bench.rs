@@ -21,7 +21,7 @@
 //!
 //! Parallel runs carry a `tree_construction_makespan` field: the wall
 //! time of the `tree_construction` phase (Algorithm 3's scans plus the
-//! per-MC aux trees built on the worker threads), the minimum over
+//! per-MC member blocks filled on the worker threads), the minimum over
 //! `EMIT_BENCH_MAKESPAN_REPS` runs. It is a measured wall time, not a
 //! model.
 //!

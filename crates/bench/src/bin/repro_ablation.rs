@@ -14,7 +14,7 @@ use mudbscan::prelude::*;
 fn main() {
     banner(
         "Ablations — μDBSCAN design choices",
-        "2ε deferral, STR aux build, dynamic promotion, post-core MC skip",
+        "2ε deferral, dynamic promotion, post-core MC skip",
         "galaxy analogue, 60K points, eps=0.8, MinPts=5",
     );
 
@@ -30,13 +30,7 @@ fn main() {
         Variant { name: "default (paper + MC-skip)", runner: base.clone() },
         Variant {
             name: "no 2ε deferral",
-            runner: base
-                .clone()
-                .options(BuildOptions { two_eps_deferral: false, ..Default::default() }),
-        },
-        Variant {
-            name: "incremental aux R-trees",
-            runner: base.clone().options(BuildOptions { str_aux: false, ..Default::default() }),
+            runner: base.clone().options(BuildOptions { two_eps_deferral: false }),
         },
         Variant {
             name: "no dynamic promotion",
@@ -89,7 +83,7 @@ fn main() {
     println!("measured (every variant produces the identical exact clustering):");
     t.print();
     println!("\nreading guide: the 2ε rule trades construction work for fewer MCs;");
-    println!("STR packing beats repeated insertion; dynamic promotion buys extra");
-    println!("query savings; the MC-granularity post-core skip (DESIGN.md §8.1)");
-    println!("is where this implementation improves on the paper's Algorithm 7.");
+    println!("dynamic promotion buys extra query savings; the MC-granularity");
+    println!("post-core skip (DESIGN.md §8.1) is where this implementation");
+    println!("improves on the paper's Algorithm 7.");
 }

@@ -73,7 +73,11 @@ fn main() {
     }
     paper.print();
 
-    println!("\nshape checks: G-DBSCAN smallest (no index); R-DBSCAN < μDBSCAN");
-    println!("(single R-tree vs two-level μR-tree); GridDBSCAN largest and");
-    println!("exploding with dimension (MemErr at d=14).");
+    println!("\nshape checks: G-DBSCAN smallest (no index); GridDBSCAN largest and");
+    println!("exploding with dimension (MemErr at d=14); R-DBSCAN < μDBSCAN.");
+    println!("deviation from the paper: level 2 here is one flat member block per");
+    println!("micro-cluster, not one auxiliary R-tree each, so μDBSCAN's margin over");
+    println!("R-DBSCAN's single R-tree is its per-MC records (members, block, reach");
+    println!("list, MBR), not a second tree level; it is smallest where MCs are");
+    println!("large (KDDB145K14D).");
 }

@@ -116,10 +116,6 @@ impl ExactDbscan for GridBaseline {
     }
 }
 
-fn seq_opts(two_eps_deferral: bool, str_aux: bool) -> BuildOptions {
-    BuildOptions { two_eps_deferral, str_aux }
-}
-
 /// Every registered implementation/configuration.
 pub fn registry() -> Vec<Box<dyn ExactDbscan>> {
     vec![
@@ -138,15 +134,11 @@ pub fn registry() -> Vec<Box<dyn ExactDbscan>> {
             name: "mu-seq/no-promotion/no-mc-skip",
             configure: |r| r.disable_dynamic_promotion(true).disable_post_core_mc_skip(true),
         }),
-        // ...plus the two build-stage ablations, which change the MC
+        // ...plus the build-stage ablation, which changes the MC
         // decomposition itself and therefore every downstream step.
         Box::new(Facade {
             name: "mu-seq/no-2eps-deferral",
-            configure: |r| r.options(seq_opts(false, true)),
-        }),
-        Box::new(Facade {
-            name: "mu-seq/inserted-aux",
-            configure: |r| r.options(seq_opts(true, false)),
+            configure: |r| r.options(BuildOptions { two_eps_deferral: false }),
         }),
         // The same engine on worker threads (the one-thread run is
         // `mu-seq`; 8 usually oversubscribes CI and stresses the

@@ -12,7 +12,7 @@
 //!    is thread-count-invariant by construction.
 //!
 //! (`postproc/node_visits` is deliberately excluded from pin 2: the
-//! post-processing aux queries' execution depends on the union order,
+//! post-processing block scans' execution depends on the union order,
 //! which is interleaving-dependent at t > 1.) The one-thread engine's
 //! histograms are pinned by `engine_golden`.
 
@@ -105,9 +105,7 @@ fn par_query_histograms_identical_across_thread_counts() {
 
     let (_, base) = &runs[0];
     for (threads, h) in &runs[1..] {
-        for key in
-            ["query/node_visits", "query/candidates", "query/leaf_evals", "rtree/bulk_load_entries"]
-        {
+        for key in ["query/node_visits", "query/candidates", "query/leaf_evals"] {
             let (a, b) = (hist(base, key), hist(h, key));
             assert_eq!(a, b, "t={threads}: histogram {key} drifted from t=1");
             assert!(a.count() > 0, "{key} must have samples");

@@ -1,5 +1,5 @@
-//! Differential suite for the micro-cluster builder with its aux trees
-//! on worker threads (`mcs::build_micro_clusters_par`), over the same
+//! Differential suite for the micro-cluster builder with its member
+//! blocks filled on worker threads (`mcs::build_micro_clusters_par`), over the same
 //! randomized dataset families the main conformance sweep uses. Three
 //! properties per case:
 //!
@@ -8,7 +8,7 @@
 //!    `center == members[0]`, no point unassigned;
 //! 2. **one builder** — at threads ∈ {1, 2, 4, 8} the result equals
 //!    `build_micro_clusters`'s: the same centers, member lists,
-//!    `assignment` and `inner_count`, the same aux-tree answers, and the
+//!    `assignment` and `inner_count`, the same block-scan answers, and the
 //!    same construction counters;
 //! 3. **downstream exactness** — `MuDbscan` at two threads running on
 //!    top of the build still matches the O(n²) `naive_dbscan` oracle.
@@ -17,7 +17,9 @@
 
 use conformance::{DatasetSpec, Family, FAMILIES};
 use geom::{dist_euclidean, Dataset, DbscanParams};
-use mcs::{build_micro_clusters, build_micro_clusters_par, BuildOptions, McId, MuRTree};
+use mcs::{
+    build_micro_clusters, build_micro_clusters_par, scan_block, BuildOptions, McId, MuRTree,
+};
 use metrics::Counters;
 use mudbscan::{check_exact, naive_dbscan, MuDbscan};
 use proptest::prelude::*;
@@ -48,8 +50,8 @@ fn assert_partition(label: &str, data: &Dataset, t: &MuRTree, eps: f64) {
     }
 }
 
-/// Per MC: center, member list, `inner_count`, and the sorted answer of
-/// its aux tree to an ε-query around every member — the identity of a
+/// Per MC: center, member list, `inner_count`, and the answer of its
+/// block scan to an ε-query around every member — the identity of a
 /// build result as the clustering steps see it.
 type Fingerprint = Vec<(u32, Vec<u32>, u32, Vec<Vec<u32>>)>;
 
@@ -57,13 +59,12 @@ fn fingerprint(data: &Dataset, t: &MuRTree, eps: f64) -> Fingerprint {
     t.mcs
         .iter()
         .map(|mc| {
-            let aux = mc.aux.as_ref().expect("every MC has an aux tree");
             let answers = mc
                 .members
                 .iter()
                 .map(|&m| {
-                    let mut hits = aux.sphere_neighbors(data.point(m), eps);
-                    hits.sort_unstable();
+                    let mut hits = Vec::new();
+                    scan_block(&mc.block, data.point(m), eps * eps, |q| hits.push(q));
                     hits
                 })
                 .collect();
@@ -152,8 +153,8 @@ proptest! {
     }
 }
 
-/// The proptest cases hold fewer than 64 points, so their aux trees are
-/// all built on the calling thread. This anchor runs every family at a
+/// The proptest cases hold fewer than 64 points, so their blocks are
+/// all filled on the calling thread. This anchor runs every family at a
 /// size whose MCs fill several worker chunks (all but `duplicates`, whose
 /// few distinct points form few MCs).
 #[test]

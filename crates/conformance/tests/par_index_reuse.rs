@@ -1,36 +1,16 @@
-//! The `stream` and `optics` front-ends build their μR-tree with its aux
-//! trees on worker threads when the full dataset is available up front.
-//! Neither algorithm's *output* may depend on how the aux trees were
-//! built: OPTICS only consumes exact ε-neighbourhoods, and the streaming
-//! bulk loader replays the same union rules the incremental path
-//! applies. These tests pin that equality, and that point-at-a-time
-//! ingestion stays exact.
+//! The `stream` and `optics` front-ends build their μR-tree with its
+//! member blocks filled on worker threads when the full dataset is
+//! available up front. OPTICS extraction must stay exact on top of that
+//! build, and the streaming bulk loader, which replays the same union
+//! rules the incremental path applies, must agree with point-at-a-time
+//! ingestion. These tests pin both, and that ingestion after a bulk load
+//! stays exact.
 
 use conformance::{DatasetSpec, FAMILIES};
 use geom::{Dataset, DbscanParams};
-use mcs::BuildOptions;
 use mudbscan::{check_exact, naive_dbscan};
 use optics::Optics;
 use stream::StreamingMuDbscan;
-
-#[test]
-fn optics_output_is_independent_of_the_aux_build() {
-    for family in FAMILIES {
-        let spec = DatasetSpec { family, n: 250, dim: 3, seed: 2019 };
-        let data = Dataset::from_rows(&spec.rows());
-        let params = DbscanParams::new(0.6, 5);
-
-        // STR-packed aux trees (default) against trees built by insertion.
-        let par = Optics::from_params(params).run(&data);
-        let inserted = BuildOptions { str_aux: false, ..BuildOptions::default() };
-        let seq = Optics::from_params(params).with_options(inserted).run(&data);
-
-        let label = family.as_str();
-        assert_eq!(par.order, seq.order, "{label}: OPTICS order depends on the aux build");
-        assert_eq!(par.reachability, seq.reachability, "{label}: reachability drifted");
-        assert_eq!(par.core_distance, seq.core_distance, "{label}: core distances drifted");
-    }
-}
 
 #[test]
 fn optics_parallel_build_extraction_stays_exact() {

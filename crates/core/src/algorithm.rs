@@ -12,7 +12,7 @@
 //!         (Algorithms 7–8): establish the final connections.
 //!
 //! Step 1 runs Algorithm 3's ordered scans on the calling thread and
-//! builds the per-MC aux trees on the workers, so every thread count
+//! fills the per-MC member blocks on the workers, so every thread count
 //! builds the same μR-tree. Steps 1b–4 run over disjoint chunks of MCs,
 //! points or list entries on a pool of workers that share a lock-free
 //! [`ConcurrentUnionFind`] and per-point atomic flags. When one worker
@@ -32,7 +32,7 @@
 
 use crate::clustering::Clustering;
 use geom::{dist_sq, Dataset, DbscanParams, PointId};
-use mcs::{build_micro_clusters_par, BuildOptions, McId, McKind, MuRTree};
+use mcs::{build_micro_clusters_par, scan_block, BuildOptions, McId, McKind, MuRTree};
 use metrics::mem::vec_bytes;
 use metrics::{Counters, PhaseTimer};
 use std::ops::Range;
@@ -454,25 +454,24 @@ impl<'a> State<'a> {
                         if self.uf.same(p, mc.center) {
                             continue;
                         }
-                        let aux = mc.aux.as_ref().expect("aux trees built");
                         let mut hit: Option<PointId> = None;
-                        let cost = aux.search_sphere(pc, self.params.eps, |q| {
+                        let cost = scan_block(&mc.block, pc, eps_sq, |q| {
                             if hit.is_none() && q != p && self.is_core(q) {
                                 hit = Some(q);
                             }
                         });
-                        // Same accounting as the other aux query sites:
-                        // this IS a range query, and its node visits count
-                        // like any other.
+                        // Same accounting as the other block scans: this
+                        // IS a range query, charged for the whole block,
+                        // and its node visit counts like any other.
                         counters.count_range_query();
                         counters.count_dists(cost.mbr_tests);
-                        counters.count_node_visits(cost.nodes_visited.max(1));
-                        // Separate histogram key: which aux queries execute
+                        counters.count_node_visits(cost.nodes_visited);
+                        // Separate histogram key: which block scans execute
                         // here depends on union order, which is
                         // interleaving-dependent at t>1 — keep `query/*`
                         // strictly deterministic.
                         if obs::enabled() {
-                            obs::record_hist("postproc/node_visits", cost.nodes_visited.max(1));
+                            obs::record_hist("postproc/node_visits", cost.nodes_visited);
                         }
                         if let Some(q) = hit {
                             self.uf.union(p, q);

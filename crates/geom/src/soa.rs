@@ -7,20 +7,22 @@
 //! [`PointBlock`] holds the same coordinates column-major — all `x₀`s
 //! contiguous, then all `x₁`s, … — so the batched kernels in
 //! [`crate::kernels`] stream unit-stride columns and autovectorize. A
-//! block is sized for one R-tree leaf (tens of points); its columns
-//! share one allocation at a fixed stride, so a leaf carries exactly one
-//! heap block instead of two boxed bounds slices per entry.
+//! block holds one R-tree leaf or one micro-cluster's members (tens of
+//! points); its columns share one allocation at a common stride, so a
+//! block carries exactly one heap block of coordinates instead of one
+//! slice per point.
 
 use crate::kernels;
 use crate::Mbr;
 
-/// A fixed-capacity column-major block of points with `u32` item ids —
-/// the storage behind an R-tree point leaf.
+/// A column-major block of points with `u32` item ids — the storage
+/// behind an R-tree point leaf and a micro-cluster's members.
 ///
 /// Column `k` lives at `cols[k*cap .. k*cap + len]`; slots past `len`
-/// are uninitialised padding that no kernel reads. The capacity is fixed
-/// at construction (a leaf's capacity is known from the tree's fan-out
-/// config), so pushes never reallocate or re-stride.
+/// are padding that no kernel reads. A push into a full block doubles
+/// the capacity and re-strides the columns. R-tree leaves are sized
+/// from the tree's fan-out and split before they fill, so their pushes
+/// never reallocate; a streaming micro-cluster's block grows this way.
 #[derive(Debug, Clone)]
 pub struct PointBlock {
     dim: usize,
@@ -30,10 +32,10 @@ pub struct PointBlock {
 }
 
 impl PointBlock {
-    /// Empty block for `dim`-dimensional points holding up to `cap`.
+    /// Empty block for `dim`-dimensional points with room for `cap`
+    /// before the first regrowth. A zero capacity allocates nothing.
     pub fn with_capacity(dim: usize, cap: usize) -> Self {
         assert!(dim > 0, "dim must be positive");
-        assert!(cap > 0, "capacity must be positive");
         Self { dim, cap, items: Vec::with_capacity(cap), cols: vec![0.0; dim * cap].into() }
     }
 
@@ -49,7 +51,7 @@ impl PointBlock {
         self.items.is_empty()
     }
 
-    /// Fixed capacity (also the column stride).
+    /// Current capacity (also the column stride).
     #[inline]
     pub fn capacity(&self) -> usize {
         self.cap
@@ -93,11 +95,20 @@ impl PointBlock {
         (&self.cols, self.cap)
     }
 
-    /// Append a point. Panics when full or on a dimensionality mismatch.
+    /// Append a point, doubling the capacity first when the block is
+    /// full. Panics on a dimensionality mismatch.
     pub fn push(&mut self, item: u32, coords: &[f64]) {
         assert_eq!(coords.len(), self.dim, "point dimensionality mismatch");
         let i = self.items.len();
-        assert!(i < self.cap, "PointBlock full");
+        if i == self.cap {
+            let cap = (2 * self.cap).max(1);
+            let mut cols = vec![0.0; self.dim * cap].into_boxed_slice();
+            for k in 0..self.dim {
+                cols[k * cap..k * cap + i].copy_from_slice(self.col(k));
+            }
+            self.cols = cols;
+            self.cap = cap;
+        }
         for (k, &x) in coords.iter().enumerate() {
             self.cols[k * self.cap + i] = x;
         }
@@ -299,11 +310,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "PointBlock full")]
-    fn point_block_capacity_enforced() {
-        let mut b = PointBlock::with_capacity(1, 2);
-        b.push(0, &[0.0]);
-        b.push(1, &[1.0]);
-        b.push(2, &[2.0]);
+    fn a_full_point_block_grows_and_keeps_every_row() {
+        for start in [0, 1, 3] {
+            let mut b = PointBlock::with_capacity(2, start);
+            for i in 0..20u32 {
+                b.push(100 + i, &[i as f64, -0.5 * i as f64]);
+                assert!(b.capacity() >= b.len());
+                let want: Vec<u32> = (100..=100 + i).collect();
+                assert_eq!(b.items(), &want[..], "start {start}");
+                for r in 0..=i as usize {
+                    assert_eq!(b.coord(r, 0), r as f64);
+                    assert_eq!(b.coord(r, 1), -0.5 * r as f64);
+                }
+            }
+            assert_eq!(b.capacity(), if start == 3 { 24 } else { 32 });
+            let q = [1.0, 2.0];
+            let mut batch = [0.0; 20];
+            b.dist_sq_batch(&q, &mut batch);
+            for (r, d) in batch.iter().enumerate() {
+                assert_eq!(d.to_bits(), dist_sq(&[r as f64, -0.5 * r as f64], &q).to_bits());
+            }
+        }
     }
 }

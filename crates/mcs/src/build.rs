@@ -11,19 +11,18 @@
 //! 3. otherwise the point becomes the center of a new MC.
 //!
 //! A second scan assigns the deferred points: join an MC within ε if one
-//! exists by now, else become a new center. Finally each MC gets an STR
-//! bulk-loaded auxiliary R-tree. The scans are ordered (every placement
-//! depends on the MCs created so far) and stay on the calling thread; the
-//! aux trees are independent per MC and are built on worker threads by
-//! [`build_micro_clusters_par`]. Every thread count builds the same
-//! μR-tree.
+//! exists by now, else become a new center. Finally each MC's members
+//! are copied into its column-major block (level 2). The scans are
+//! ordered (every placement depends on the MCs created so far) and stay
+//! on the calling thread; the blocks are independent per MC and are
+//! filled on worker threads by [`build_micro_clusters_par`]. Every thread
+//! count builds the same μR-tree.
 
 use crate::level1::Level1;
 use crate::micro::{McId, MicroCluster, NO_MC};
 use crate::murtree::MuRTree;
-use geom::{Dataset, PointId};
+use geom::{Dataset, PointBlock, PointId};
 use metrics::Counters;
-use rtree::RTree;
 use std::sync::Mutex;
 
 /// Construction options (the knobs the ablation benches turn).
@@ -32,19 +31,16 @@ pub struct BuildOptions {
     /// Apply the 2ε deferral rule (paper default). Disabling it creates an
     /// MC at every point that is not within ε of an existing center.
     pub two_eps_deferral: bool,
-    /// Build auxiliary R-trees with STR bulk loading (default) instead of
-    /// repeated insertion.
-    pub str_aux: bool,
 }
 
 impl Default for BuildOptions {
     fn default() -> Self {
-        Self { two_eps_deferral: true, str_aux: true }
+        Self { two_eps_deferral: true }
     }
 }
 
-/// MCs a worker takes from the queue at a time when building aux trees.
-const AUX_CHUNK: usize = 64;
+/// MCs a worker takes from the queue at a time when filling blocks.
+const BLOCK_CHUNK: usize = 64;
 
 /// Build all micro-clusters and the μR-tree for `data` on the calling
 /// thread: [`build_micro_clusters_par`] at one thread.
@@ -58,7 +54,7 @@ pub fn build_micro_clusters(
 }
 
 /// Build all micro-clusters and the μR-tree for `data`, with the per-MC
-/// aux trees built on `threads` workers. The result and the counter
+/// blocks filled on `threads` workers. The result and the counter
 /// totals do not depend on `threads`.
 pub fn build_micro_clusters_par(
     data: &Dataset,
@@ -133,24 +129,24 @@ pub fn build_micro_clusters_par(
 
     drop(scan2);
 
-    // Level 2: auxiliary R-trees, independent per MC. Workers take
-    // chunks of MCs from a shared queue, so uneven MC sizes balance.
-    let aux = obs::span!("aux_trees");
-    let workers = threads.min(mcs.len().div_ceil(AUX_CHUNK));
+    // Level 2: one block per MC, independent per MC. Workers take chunks
+    // of MCs from a shared queue, so uneven MC sizes balance.
+    let blocks = obs::span!("mc_blocks");
+    let workers = threads.min(mcs.len().div_ceil(BLOCK_CHUNK));
     if workers <= 1 {
-        mcs.iter_mut().for_each(|mc| build_aux(data, opts, mc));
+        mcs.iter_mut().for_each(|mc| fill_block(data, mc));
     } else {
-        let queue = Mutex::new(mcs.chunks_mut(AUX_CHUNK));
+        let queue = Mutex::new(mcs.chunks_mut(BLOCK_CHUNK));
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| loop {
                     let Some(chunk) = queue.lock().expect("poisoned").next() else { break };
-                    chunk.iter_mut().for_each(|mc| build_aux(data, opts, mc));
+                    chunk.iter_mut().for_each(|mc| fill_block(data, mc));
                 });
             }
         });
     }
-    drop(aux);
+    drop(blocks);
 
     if obs::enabled() {
         obs::record_count("mc/count", mcs.len() as u64);
@@ -159,18 +155,14 @@ pub fn build_micro_clusters_par(
     MuRTree::from_parts(eps, level1, mcs, assignment)
 }
 
-/// Build one MC's aux tree: STR bulk load, or repeated insertion in
-/// member order when [`BuildOptions::str_aux`] is off.
-fn build_aux(data: &Dataset, opts: &BuildOptions, mc: &mut MicroCluster) {
-    if opts.str_aux {
-        mc.build_aux(data);
-    } else {
-        let mut t = RTree::new(data.dim());
-        for &m in &mc.members {
-            t.insert_point(m, data.point(m));
-        }
-        mc.aux = Some(t);
+/// Copy one MC's members, in member order, into a block of exactly
+/// their number.
+fn fill_block(data: &Dataset, mc: &mut MicroCluster) {
+    let mut block = PointBlock::with_capacity(data.dim(), mc.members.len());
+    for &m in &mc.members {
+        block.push(m, data.point(m));
     }
+    mc.block = block;
 }
 
 #[cfg(test)]
@@ -221,12 +213,8 @@ mod tests {
         let data = grid(14, 0.35);
         let c = Counters::new();
         let with = build_micro_clusters(&data, 1.0, &BuildOptions::default(), &c);
-        let without = build_micro_clusters(
-            &data,
-            1.0,
-            &BuildOptions { two_eps_deferral: false, ..Default::default() },
-            &c,
-        );
+        let without =
+            build_micro_clusters(&data, 1.0, &BuildOptions { two_eps_deferral: false }, &c);
         check_partition(&data, &with, 1.0);
         check_partition(&data, &without, 1.0);
         assert!(
@@ -255,36 +243,12 @@ mod tests {
     }
 
     #[test]
-    fn incremental_aux_matches_str() {
-        let data = grid(8, 0.4);
-        let c = Counters::new();
-        let a = build_micro_clusters(&data, 1.0, &BuildOptions::default(), &c);
-        let b = build_micro_clusters(
-            &data,
-            1.0,
-            &BuildOptions { str_aux: false, ..Default::default() },
-            &c,
-        );
-        assert_eq!(a.mcs.len(), b.mcs.len());
-        for (ma, mb) in a.mcs.iter().zip(&b.mcs) {
-            assert_eq!(ma.members, mb.members);
-            let qa = ma.aux.as_ref().unwrap();
-            let qb = mb.aux.as_ref().unwrap();
-            let mut na = qa.sphere_neighbors(data.point(ma.center), 0.7);
-            let mut nb = qb.sphere_neighbors(data.point(ma.center), 0.7);
-            na.sort_unstable();
-            nb.sort_unstable();
-            assert_eq!(na, nb);
-        }
-    }
-
-    #[test]
     fn a_point_within_eps_of_two_centers_joins_the_minimum_id() {
         // Without deferral, 0 and 1 both become centers (exactly ε apart);
         // point 2 lies within ε of both. The grid probes center 1's cell
         // first, and the point still joins center 0.
         let data = Dataset::from_rows(&[vec![2.5, 0.0], vec![1.5, 0.0], vec![2.0, 0.0]]);
-        let opts = BuildOptions { two_eps_deferral: false, ..Default::default() };
+        let opts = BuildOptions { two_eps_deferral: false };
         let t = build_micro_clusters(&data, 1.0, &opts, &Counters::new());
         assert_eq!(t.mcs.len(), 2);
         assert_eq!((t.mcs[0].center, t.mcs[1].center), (0, 1));
@@ -293,12 +257,12 @@ mod tests {
 
     #[test]
     fn worker_threads_build_the_same_tree() {
-        // Enough MCs (eps small against the spacing) that the aux trees
-        // are split over several workers.
+        // Enough MCs (eps small against the spacing) that the blocks are
+        // split over several workers.
         let data = grid(30, 0.4);
         let c1 = Counters::new();
         let one = build_micro_clusters(&data, 0.5, &BuildOptions::default(), &c1);
-        assert!(one.mcs.len() > 4 * AUX_CHUNK);
+        assert!(one.mcs.len() > 4 * BLOCK_CHUNK);
         for threads in [2, 3, 8] {
             let c = Counters::new();
             let t = build_micro_clusters_par(&data, 0.5, &BuildOptions::default(), threads, &c);
@@ -310,12 +274,13 @@ mod tests {
                     (a.center, &a.members, a.inner_count),
                     (b.center, &b.members, b.inner_count)
                 );
-                let q = data.point(a.center);
-                let mut na = a.aux.as_ref().unwrap().sphere_neighbors(q, 0.5);
-                let mut nb = b.aux.as_ref().unwrap().sphere_neighbors(q, 0.5);
-                na.sort_unstable();
-                nb.sort_unstable();
-                assert_eq!(na, nb, "t{threads}");
+                assert_eq!(a.block.items(), &a.members[..], "t{threads}");
+                assert_eq!(a.block.capacity(), a.members.len(), "t{threads}");
+                for (i, &m) in a.members.iter().enumerate() {
+                    for (k, &x) in data.point(m).iter().enumerate() {
+                        assert_eq!(a.block.coord(i, k), x, "t{threads}");
+                    }
+                }
             }
         }
     }

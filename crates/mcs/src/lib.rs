@@ -6,8 +6,9 @@
 //! ε of a chosen *center point* `p` (including `p` itself); every point
 //! belongs to exactly one MC. The **μR-tree** indexes MC centers in a
 //! level-1 index — a hashed grid of cell side 2ε at `dim ≤ 3`, an R-tree
-//! above ([`level1`]) — and each MC's member points in a per-MC auxiliary
-//! R-tree, so an ε-query only ever descends small trees.
+//! above ([`level1`]) — and each MC's member points in one column-major
+//! block, so an ε-query scans a few small blocks ([`scan_block`]) after
+//! the reachable-list and MBR filters.
 //!
 //! Classification (with `MinPts`):
 //!
@@ -51,5 +52,5 @@ pub mod murtree;
 
 pub use build::{build_micro_clusters, build_micro_clusters_par, BuildOptions};
 pub use level1::{CenterGrid, Level1};
-pub use micro::{McId, McKind, MicroCluster, NO_MC};
+pub use micro::{scan_block, McId, McKind, MicroCluster, NO_MC};
 pub use murtree::MuRTree;

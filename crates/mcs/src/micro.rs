@@ -1,7 +1,8 @@
-//! The micro-cluster record and its classification.
+//! The micro-cluster record, its classification and the level-2 scan.
 
-use geom::{dist_sq, Dataset, DbscanParams, Mbr, PointId};
-use rtree::{RTree, RTreeConfig};
+use geom::{dist_sq, Dataset, DbscanParams, Mbr, PointBlock, PointId};
+use rtree::QueryCost;
+use std::cell::Cell;
 
 /// Index of a micro-cluster in the [`crate::MuRTree`]'s MC list.
 pub type McId = u32;
@@ -35,9 +36,10 @@ pub struct MicroCluster {
     /// Number of members strictly within ε/2 of the center (center
     /// included) — `|IC|`.
     pub inner_count: u32,
-    /// Auxiliary R-tree over the member points (level 2 of the μR-tree);
-    /// built once membership is final.
-    pub aux: Option<RTree>,
+    /// The member points' coordinates, column-major in member order
+    /// (level 2 of the μR-tree; item ids are the members). Empty until
+    /// membership is final, then filled at exact capacity.
+    pub block: PointBlock,
     /// Ids of reachable MCs — centers strictly within 3ε (self included).
     pub reach: Vec<McId>,
 }
@@ -50,7 +52,7 @@ impl MicroCluster {
             members: vec![center],
             mbr: Mbr::point(coords),
             inner_count: 1, // the center is inside its own inner circle
-            aux: None,
+            block: PointBlock::with_capacity(coords.len(), 0),
             reach: Vec::new(),
         }
     }
@@ -101,19 +103,51 @@ impl MicroCluster {
         self.members.iter().copied().filter(move |&m| dist_sq(data.point(m), c) < half_sq)
     }
 
-    /// Build the auxiliary R-tree over the member points via STR packing.
-    pub fn build_aux(&mut self, data: &Dataset) {
-        let pts = self.members.iter().map(|&m| (m, data.point(m)));
-        self.aux = Some(RTree::bulk_load_points(data.dim(), RTreeConfig::default(), pts));
-    }
-
-    /// Estimated owned heap bytes (members, reach list, aux tree, MBR).
+    /// Estimated owned heap bytes (members, reach list, block, MBR).
     pub fn heap_bytes(&self) -> usize {
         self.members.capacity() * std::mem::size_of::<PointId>()
             + self.reach.capacity() * std::mem::size_of::<McId>()
             + self.mbr.heap_bytes()
-            + self.aux.as_ref().map_or(0, |t| t.heap_bytes())
+            + self.block.heap_bytes()
     }
+}
+
+thread_local! {
+    /// Squared distances of [`scan_block`], reused from scan to scan.
+    static DISTS: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
+/// Visit, in row order, every point of `block` strictly within ε of `q`
+/// (`DIST(q, p)² < eps_sq`) — the level-2 search of every ε-query.
+///
+/// One batched kernel call computes all distances (the scalar reference
+/// loop when `rtree::force_scalar_leaf_eval` is on). The cost is what a
+/// one-leaf R-tree charges: one node visit, and one distance evaluation
+/// and one candidate per stored point. The distance buffer is per-thread
+/// scratch, so a warm scan allocates nothing.
+pub fn scan_block(
+    block: &PointBlock,
+    q: &[f64],
+    eps_sq: f64,
+    mut visit: impl FnMut(PointId),
+) -> QueryCost {
+    let len = block.len();
+    let mut dists = DISTS.take();
+    dists.resize(len, 0.0);
+    if rtree::scalar_leaf_eval_forced() {
+        block.dist_sq_scalar(q, &mut dists);
+    } else {
+        block.dist_sq_batch(q, &mut dists);
+    }
+    let mut matches = 0;
+    for (i, &d) in dists.iter().enumerate() {
+        if d < eps_sq {
+            matches += 1;
+            visit(block.item(i));
+        }
+    }
+    DISTS.set(dists);
+    QueryCost { nodes_visited: 1, mbr_tests: len as u64, candidates: len as u64, matches }
 }
 
 #[cfg(test)]
@@ -160,18 +194,16 @@ mod tests {
     }
 
     #[test]
-    fn aux_tree_answers_queries() {
+    fn block_scan_answers_queries() {
         let d = data();
-        let mut mc = MicroCluster::new(0, d.point(0));
-        for p in 1..5u32 {
-            mc.insert(p, d.point(p), d.point(0), 1.0);
+        let mut block = PointBlock::with_capacity(2, 5);
+        for p in 0..5u32 {
+            block.push(p, d.point(p));
         }
-        mc.build_aux(&d);
-        let aux = mc.aux.as_ref().unwrap();
-        let mut n = aux.sphere_neighbors(&[0.0, 0.0], 0.5);
-        n.sort_unstable();
+        let mut n = Vec::new();
+        let cost = scan_block(&block, &[0.0, 0.0], 0.25, |q| n.push(q));
         assert_eq!(n, vec![0, 1, 2]); // strict: point 4 at exactly 0.5 excluded
-        assert!(mc.heap_bytes() > 0);
+        assert_eq!(cost, QueryCost { nodes_visited: 1, mbr_tests: 5, candidates: 5, matches: 3 });
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! The μR-tree: level-1 index over MC centers + per-MC auxiliary trees,
+//! The μR-tree: level-1 index over MC centers + per-MC member blocks,
 //! reachable-MC lists (Lemma 3) and the restricted ε-neighbourhood query
 //! (paper Algorithm 6, FIND-NBHD).
 
 use crate::level1::Level1;
-use crate::micro::{McId, MicroCluster};
+use crate::micro::{scan_block, McId, MicroCluster};
 use geom::{Dataset, PointId};
 use metrics::Counters;
 use rtree::QueryCost;
@@ -81,9 +81,9 @@ impl MuRTree {
     }
 
     /// Restricted ε-neighbourhood query for dataset point `p`
-    /// (FIND-NBHD): search only the auxiliary trees of `p`'s MC's
-    /// reachable list, and only those whose member-MBR meets the open
-    /// ε-ball of `p`. Appends neighbour ids (including `p` itself) to
+    /// (FIND-NBHD): scan only the member blocks of `p`'s MC's reachable
+    /// list, and only those whose member-MBR meets the open ε-ball of
+    /// `p`. Appends neighbour ids (including `p` itself) to
     /// `out` and returns the query cost.
     pub fn neighborhood(&self, data: &Dataset, p: PointId, out: &mut Vec<PointId>) -> QueryCost {
         let coords = data.point(p);
@@ -94,8 +94,7 @@ impl MuRTree {
             let mc = &self.mcs[r as usize];
             cost.mbr_tests += 1;
             if mc.mbr.min_dist_sq(coords) < eps_sq {
-                let aux = mc.aux.as_ref().expect("aux trees must be built before queries");
-                cost.add(aux.search_sphere(coords, self.eps, |q| out.push(q)));
+                cost.add(scan_block(&mc.block, coords, eps_sq, |q| out.push(q)));
             }
         }
         cost
@@ -200,8 +199,8 @@ mod tests {
 
     #[test]
     fn neighborhood_skips_far_mcs() {
-        // Two far-apart blobs: queries in one must not search the other's
-        // aux tree.
+        // Two far-apart blobs: queries in one must not scan the other's
+        // blocks.
         let mut rows = Vec::new();
         for i in 0..20 {
             rows.push(vec![i as f64 * 0.1, 0.0]);

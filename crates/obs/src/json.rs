@@ -133,7 +133,9 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => out.push_str(&render_number(*n)),
+            // `Display` writes integral values without a fraction ("42")
+            // and keeps the sign of -0.0 ("-0").
+            Json::Num(n) => out.push_str(&n.to_string()),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -198,14 +200,6 @@ impl Json {
 
 /// Integral values print as integers (counter snapshots stay readable and
 /// round-trip exactly); everything else uses shortest-f64 formatting.
-fn render_number(n: f64) -> String {
-    if n.fract() == 0.0 && n.abs() < 9e15 {
-        format!("{}", n as i64)
-    } else {
-        format!("{n}")
-    }
-}
-
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
@@ -392,10 +386,18 @@ mod tests {
         assert_eq!(Json::Num(42.0).render(), "42");
         assert_eq!(Json::Num(-7.0).render(), "-7");
         assert_eq!(Json::Num(0.5).render(), "0.5");
-        // Huge magnitudes fall back to `Display` (full decimal expansion)
+        // Huge magnitudes render as a full decimal expansion
         // but still round-trip exactly.
         let huge = Json::Num(1e300);
         assert_eq!(Json::parse(&huge.render()).unwrap(), huge);
+    }
+
+    #[test]
+    fn negative_zero_keeps_its_sign() {
+        let text = Json::Num(-0.0).render();
+        assert_eq!(text, "-0");
+        let n = Json::parse(&text).unwrap().as_f64().unwrap();
+        assert_eq!(n.to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

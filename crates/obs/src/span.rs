@@ -18,7 +18,7 @@
 //!
 //! Hierarchy comes from a thread-local stack of open span names: a span
 //! opened while another is open on the *same thread* is charged to the
-//! slash-joined path (`"mudbscan/tree_construction/aux_trees"`). Spans
+//! slash-joined path (`"mudbscan/tree_construction/mc_build/mc_blocks"`). Spans
 //! opened on freshly spawned worker threads start a new root — worker
 //! phases therefore appear as their own top-level paths, which is what
 //! the per-rank/per-thread breakdowns want anyway.

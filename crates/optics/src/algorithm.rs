@@ -66,7 +66,7 @@ impl Ord for Seed {
 
 impl Optics {
     /// New instance. OPTICS always sees the full dataset up front, so the
-    /// μR-tree's aux trees are built on `available_parallelism` workers;
+    /// μR-tree's member blocks are filled on `available_parallelism` workers;
     /// the micro-clusters are the ones Algorithm 3's scans form at any
     /// thread count.
     ///

@@ -1,10 +1,9 @@
 //! Sort-Tile-Recursive (STR) bulk loading (Leutenegger et al., ICDE'97).
 //!
-//! The auxiliary R-trees of the μR-tree are built *after* micro-cluster
-//! membership is final, so their point sets are static — STR packs them
-//! into near-100 %-full leaves with low overlap, which is both faster to
-//! build and faster to query than repeated insertion. The incremental vs
-//! STR choice is one of the ablation benches.
+//! For a static point set — R-DBSCAN's tree, the serving engine's
+//! published index, OPTICS' core points — STR packs near-100 %-full
+//! leaves with low overlap, which is both faster to build and faster to
+//! query than repeated insertion.
 
 use crate::node::Node;
 use crate::tree::{RTree, RTreeConfig};
@@ -88,9 +87,9 @@ impl RTree {
         if obs::enabled() {
             obs::record_count("rtree/bulk_loaded_entries", len as u64);
             obs::record_count("rtree/bulk_loaded_nodes", self.nodes.len() as u64);
-            // Distribution of bulk-load sizes: one sample per tree, so the
-            // μR-tree's many small auxiliary trees vs the one level-1 tree
-            // show up as separate modes.
+            // Distribution of bulk-load sizes: one sample per tree, so
+            // many small trees and one large tree show up as separate
+            // modes.
             obs::record_hist("rtree/bulk_load_entries", len as u64);
         }
     }

@@ -2,12 +2,16 @@
 
 //! A point R-tree (Guttman, SIGMOD'84) implemented from scratch.
 //!
-//! Every tree in the workspace indexes points, in three roles:
+//! Every tree in the workspace indexes points. Its main roles:
 //!
 //! * the **single flat R-tree** used by the classical R-DBSCAN baseline,
 //! * the **level-1 μR-tree** over micro-cluster centers above d = 3
 //!   (at d ≤ 3 `mcs::Level1` is a hashed 2ε grid instead),
-//! * the per-micro-cluster **auxiliary R-trees** over member points.
+//! * the serving engine's published point index, OPTICS' core-point
+//!   tree and the distributed merge's halo tree.
+//!
+//! Level 2 of the μR-tree is not a tree: each micro-cluster's members
+//! are one [`geom::PointBlock`], scanned by `mcs::scan_block`.
 //!
 //! Features: ChooseLeaf insertion with Guttman's quadratic split, point
 //! removal, Sort-Tile-Recursive (STR) bulk loading for static point sets,

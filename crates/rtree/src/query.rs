@@ -54,7 +54,7 @@ impl RTree {
     /// evaluated with one batched kernel call over its column block. Matches arrive roughly near-to-far, but the visited
     /// node set — and therefore every [`QueryCost`] counter — is identical
     /// to a depth-first scan with the same strict pruning. A tree that is
-    /// a single leaf (most μR-tree auxiliary trees) is scanned directly,
+    /// a single leaf is scanned directly,
     /// with the same one-node charge, and the heap and distance buffer are
     /// per-thread scratch, so a warm query allocates nothing.
     pub fn search_sphere(&self, center: &[f64], r: f64, mut visit: impl FnMut(u32)) -> QueryCost {

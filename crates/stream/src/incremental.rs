@@ -1,18 +1,10 @@
 //! The insertion-incremental algorithm.
 
-use geom::{Dataset, DbscanParams, PointId};
-use mcs::{build_micro_clusters_par, BuildOptions, Level1};
+use geom::{Dataset, DbscanParams, PointBlock, PointId};
+use mcs::{build_micro_clusters_par, scan_block, BuildOptions, Level1};
 use metrics::Counters;
 use mudbscan::Clustering;
-use rtree::RTree;
 use unionfind::UnionFind;
-
-/// One online micro-cluster: an incrementally built auxiliary R-tree over
-/// its members. Its center lives in the level-1 index.
-struct StreamMc {
-    aux: RTree,
-    members: u32,
-}
 
 /// Outcome of [`StreamingMuDbscan::try_remove`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +40,9 @@ pub struct StreamingMuDbscan {
     /// Level-1 index over MC centers (item = MC index): a 2ε grid at
     /// `dim ≤ 3`, an R-tree above.
     level1: Level1,
-    mcs: Vec<StreamMc>,
+    /// Each online micro-cluster's live members, column-major (item =
+    /// point id); its center lives in the level-1 index.
+    mcs: Vec<PointBlock>,
     /// `counts[p] = |N_ε(p)|` over the live points inserted so far (self
     /// included; 0 for tombstoned points).
     counts: Vec<u32>,
@@ -64,7 +58,7 @@ pub struct StreamingMuDbscan {
     assigned: Vec<bool>,
     /// `live[p]` is false once `p` has been removed. Tombstoned points
     /// keep their internal id (dataset slots are never compacted) but
-    /// are deleted from their MC's aux tree, so no ε-query returns them.
+    /// are deleted from their MC's block, so no ε-query returns them.
     live: Vec<bool>,
     dead_count: usize,
     /// Micro-cluster index of every point (tombstones keep their last
@@ -99,12 +93,12 @@ impl StreamingMuDbscan {
 
     /// Bulk-load a dataset that is fully available up front, then keep
     /// streaming: the μR-tree is built by [`build_micro_clusters_par`]
-    /// with its aux trees on worker threads, every ε-neighbourhood
-    /// is computed in parallel against it, and the disjoint-set union
-    /// rules are replayed sequentially in id order. The resulting
-    /// structure is a valid streaming state — [`Self::snapshot`] is
-    /// exactly the batch DBSCAN clustering, and later [`Self::insert`]
-    /// calls continue incrementally from it.
+    /// with its member blocks filled on worker threads, every
+    /// ε-neighbourhood is computed in parallel against it, and the
+    /// disjoint-set union rules are replayed sequentially in id order.
+    /// The resulting structure is a valid streaming state —
+    /// [`Self::snapshot`] is exactly the batch DBSCAN clustering, and
+    /// later [`Self::insert`] calls continue incrementally from it.
     ///
     /// This is the low-level entry point the facade builds on:
     /// applications should run `Runner::new(params)
@@ -185,10 +179,10 @@ impl StreamingMuDbscan {
         }
 
         // Convert the μR-tree into the online representation: the level-1
-        // index maps to MC indices, each MC keeps its (STR-packed) aux
-        // tree, and both keep accepting incremental insertions. Every
-        // member sits strictly within ε of its MC center, so the online
-        // 2ε center-search invariant holds.
+        // index maps to MC indices, each MC keeps its member block, and
+        // both keep accepting incremental insertions. Every member sits
+        // strictly within ε of its MC center, so the online 2ε
+        // center-search invariant holds.
         let level1 =
             Level1::from_centers(dim, params.eps, tree.mcs.iter().map(|mc| data.point(mc.center)));
         let mut mc_of = vec![u32::MAX; n];
@@ -198,20 +192,7 @@ impl StreamingMuDbscan {
             }
         }
         debug_assert!(mc_of.iter().all(|&m| m != u32::MAX), "MCs must partition the dataset");
-        let mcs = std::mem::take(&mut tree.mcs)
-            .into_iter()
-            .map(|mc| {
-                let members = mc.members.len() as u32;
-                let aux = mc.aux.unwrap_or_else(|| {
-                    let mut t = RTree::new(dim);
-                    for &p in &mc.members {
-                        t.insert_point(p, data.point(p));
-                    }
-                    t
-                });
-                StreamMc { aux, members }
-            })
-            .collect();
+        let mcs = std::mem::take(&mut tree.mcs).into_iter().map(|mc| mc.block).collect();
 
         Self {
             params,
@@ -314,7 +295,7 @@ impl StreamingMuDbscan {
         self.level1.within(coords, 2.0 * eps, &mut mcs_hit);
         let mut out = Vec::new();
         for mc in mcs_hit {
-            let cost = self.mcs[mc as usize].aux.search_sphere(coords, eps, |q| out.push(q));
+            let cost = scan_block(&self.mcs[mc as usize], coords, eps * eps, |q| out.push(q));
             self.counters.count_dists(cost.mbr_tests);
         }
         self.counters.count_range_query();
@@ -347,15 +328,14 @@ impl StreamingMuDbscan {
         self.counters.count_dists(probe_cost.mbr_tests);
         match hit {
             Some(mc) => {
-                self.mcs[mc as usize].aux.insert_point(p, coords);
-                self.mcs[mc as usize].members += 1;
+                self.mcs[mc as usize].push(p, coords);
                 self.mc_of.push(mc);
             }
             None => {
                 let id = self.mcs.len() as u32;
-                let mut aux = RTree::new(self.data.dim());
-                aux.insert_point(p, coords);
-                self.mcs.push(StreamMc { aux, members: 1 });
+                let mut block = PointBlock::with_capacity(self.data.dim(), 1);
+                block.push(p, coords);
+                self.mcs.push(block);
                 self.level1.insert(id, coords);
                 self.mc_of.push(id);
             }
@@ -436,10 +416,9 @@ impl StreamingMuDbscan {
     /// the caller can fall back to a full rebuild.
     ///
     /// The repair is micro-cluster-local in the paper's sense: `p` is
-    /// deleted from its MC's aux R-tree (one [`rtree::RTree::remove_point`]
-    /// with MBR shrink), every live ε-neighbour's count is decremented,
-    /// cores that fall below MinPts are demoted, and connectivity is
-    /// repaired in two tiers:
+    /// deleted from its MC's block (one [`PointBlock::remove`]), every
+    /// live ε-neighbour's count is decremented, cores that fall below
+    /// MinPts are demoted, and connectivity is repaired in two tiers:
     ///
     /// 1. **No-split fast path** (`no_split_repair`): a bounded
     ///    probe tries to certify that deleting `p` and the demoted
@@ -471,10 +450,8 @@ impl StreamingMuDbscan {
         let pi = p as usize;
         assert!(pi < self.data.len() && self.live[pi], "remove of a dead or unknown point");
         let min_pts = self.params.min_pts as u32;
-        let coords = self.data.point(p).to_vec();
-
         // ε-neighbours while p is still indexed (p included).
-        let nbhrs = self.query(&coords);
+        let nbhrs = self.query(self.data.point(p));
         debug_assert_eq!(nbhrs.len() as u32, self.counts[pi]);
 
         if !self.assigned[pi] {
@@ -482,7 +459,7 @@ impl StreamingMuDbscan {
             // core would have captured p at promotion or insert time),
             // so no neighbour can be demoted and no component is
             // affected — constant-size repair.
-            self.detach(p, &coords);
+            self.detach(p);
             for &q in &nbhrs {
                 if q != p {
                     self.counts[q as usize] -= 1;
@@ -505,7 +482,7 @@ impl StreamingMuDbscan {
             .filter(|&q| q != p && self.is_core[q as usize] && self.counts[q as usize] == min_pts)
             .collect();
 
-        if let Some(outcome) = self.no_split_repair(p, &coords, &nbhrs, &demoted, budget) {
+        if let Some(outcome) = self.no_split_repair(p, &nbhrs, &demoted, budget) {
             return outcome;
         }
 
@@ -525,7 +502,7 @@ impl StreamingMuDbscan {
         }
 
         // Commit: drop p, decrement neighbour counts, apply demotions.
-        self.detach(p, &coords);
+        self.detach(p);
         for &q in &nbhrs {
             if q != p {
                 self.counts[q as usize] -= 1;
@@ -625,7 +602,6 @@ impl StreamingMuDbscan {
     fn no_split_repair(
         &mut self,
         p: PointId,
-        coords: &[f64],
         nbhrs: &[PointId],
         demoted: &[PointId],
         budget: usize,
@@ -780,7 +756,7 @@ impl StreamingMuDbscan {
         }
 
         // Commit: drop p, decrement neighbour counts, apply demotions.
-        self.detach(p, coords);
+        self.detach(p);
         self.uf_excise(p);
         for &q in nbhrs {
             if q != p {
@@ -822,16 +798,15 @@ impl StreamingMuDbscan {
         Some(RemoveOutcome::Removed { touched })
     }
 
-    /// Tombstone `p`: delete it from its MC's aux tree (so no ε-query
+    /// Tombstone `p`: delete it from its MC's block (so no ε-query
     /// ever returns it again) and clear its clustering state. The MC's
     /// center may become *virtual* (the removed point), which keeps both
     /// the level-1 2ε search invariant and the members-within-ε bound
     /// intact; an emptied MC simply stops matching queries.
-    fn detach(&mut self, p: PointId, coords: &[f64]) {
-        let mc = self.mc_of[p as usize] as usize;
-        let removed = self.mcs[mc].aux.remove_point(p, coords);
-        debug_assert!(removed, "point missing from its micro-cluster aux tree");
-        self.mcs[mc].members -= 1;
+    fn detach(&mut self, p: PointId) {
+        let block = &mut self.mcs[self.mc_of[p as usize] as usize];
+        let row = block.items().iter().position(|&q| q == p);
+        block.remove(row.expect("a live point is in its micro-cluster block"));
         self.live[p as usize] = false;
         self.dead_count += 1;
         self.is_core[p as usize] = false;
@@ -1182,6 +1157,39 @@ mod tests {
             &params,
         );
         assert!(rep.is_exact(), "{rep:?}");
+    }
+
+    #[test]
+    fn one_mc_block_grows_and_shrinks_exactly() {
+        // Every point lies within ε of the first one, so all join its MC:
+        // the block outgrows its initial capacity of one, and removals of
+        // members and of the centre (which then stays virtual) shrink it.
+        // The points span 1.8 > ε, so cores, borders and noise all occur.
+        let params = DbscanParams::new(1.0, 5);
+        let mut s = StreamingMuDbscan::empty(2, params);
+        let mut live: Vec<PointId> = Vec::new();
+        let mut max_cap = 0;
+        for i in 0..60u32 {
+            let x = [0.0, 0.45, -0.45, 0.9, -0.9][i as usize % 5] + 1e-4 * f64::from(i);
+            live.push(s.insert(&[x, 1e-4 * f64::from(i % 3)]));
+            if i == 20 {
+                assert!(s.is_live(0));
+                s.remove(0);
+                live.retain(|&p| p != 0);
+            } else if i % 3 == 2 {
+                // Members only until the centre goes at step 20.
+                let skip = usize::from(i < 20);
+                s.remove(live.remove(skip + (i as usize * 7) % (live.len() - skip)));
+            }
+            assert_eq!(s.mc_count(), 1);
+            assert_eq!(s.mcs[0].len(), s.live_len());
+            max_cap = max_cap.max(s.mcs[0].capacity());
+            let survivors = live_dataset(&s);
+            let want = naive_dbscan(&survivors, &params);
+            let rep = check_exact(&s.canonical_snapshot(), &want, &survivors, &params);
+            assert!(rep.is_exact(), "after step {i}: {rep:?}");
+        }
+        assert!(max_cap >= 32, "the block never grew: capacity {max_cap}");
     }
 
     #[test]

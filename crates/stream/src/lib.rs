@@ -23,7 +23,8 @@
 //!
 //! * points are assigned to ε-ball micro-clusters maintained online
 //!   (the center index is `mcs::Level1`: a hashed 2ε grid at d ≤ 3 and
-//!   an R-tree above; one incremental aux R-tree per MC);
+//!   an R-tree above), and each MC's live members are one column-major
+//!   block that grows on insert and shrinks on removal;
 //! * an ε-query for a point only searches MCs whose center is strictly
 //!   within 2ε (a point within ε of `p` is within ε of its own center,
 //!   so its center is within 2ε of `p`);
@@ -35,7 +36,7 @@
 //!
 //! Deletions are exact too, and **local**: removing a point
 //! ([`StreamingMuDbscan::try_remove`]) tombstones it, deletes it from
-//! its MC's aux R-tree, decrements its live neighbours' counts and
+//! its MC's block, decrements its live neighbours' counts and
 //! demotes cores that fall below `MinPts` — then, because a deletion
 //! can split clusters and the union–find cannot unsplit, replays the
 //! union rules only over the affected component(s). The serving layer
