@@ -77,7 +77,7 @@ fn main() {
     println!("exploding with dimension (MemErr at d=14); R-DBSCAN < μDBSCAN.");
     println!("deviation from the paper: level 2 here is one flat member block per");
     println!("micro-cluster, not one auxiliary R-tree each, so μDBSCAN's margin over");
-    println!("R-DBSCAN's single R-tree is its per-MC records (members, block, reach");
+    println!("R-DBSCAN's single R-tree is its per-MC records (member block, reach");
     println!("list, MBR), not a second tree level; it is smallest where MCs are");
     println!("large (KDDB145K14D).");
 }

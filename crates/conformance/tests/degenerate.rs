@@ -79,7 +79,7 @@ fn single_point_is_noise() {
     let c = Counters::new();
     let tree = build_micro_clusters(&data, p.eps, &BuildOptions::default(), &c);
     assert_eq!(tree.mc_count(), 1);
-    assert_eq!(tree.mcs[0].members, vec![0]);
+    assert_eq!(tree.mcs[0].block.items(), [0]);
 
     all_algorithms(&data, &p, |name, clustering| {
         assert_eq!(clustering.n_clusters, 0, "{name}");

@@ -28,8 +28,8 @@ use proptest::prelude::*;
 fn assert_partition(label: &str, data: &Dataset, t: &MuRTree, eps: f64) {
     let mut seen = vec![false; data.len()];
     for (id, mc) in t.mcs.iter().enumerate() {
-        assert_eq!(mc.center, mc.members[0], "{label}: center must be first member");
-        for &m in &mc.members {
+        assert_eq!(mc.center, mc.block.item(0), "{label}: center must be first member");
+        for &m in mc.block.items() {
             assert!(!seen[m as usize], "{label}: point {m} in two MCs");
             seen[m as usize] = true;
             assert_eq!(t.assignment[m as usize], id as McId, "{label}: assignment mismatch");
@@ -60,7 +60,8 @@ fn fingerprint(data: &Dataset, t: &MuRTree, eps: f64) -> Fingerprint {
         .iter()
         .map(|mc| {
             let answers = mc
-                .members
+                .block
+                .items()
                 .iter()
                 .map(|&m| {
                     let mut hits = Vec::new();
@@ -68,7 +69,7 @@ fn fingerprint(data: &Dataset, t: &MuRTree, eps: f64) -> Fingerprint {
                     hits
                 })
                 .collect();
-            (mc.center, mc.members.clone(), mc.inner_count, answers)
+            (mc.center, mc.block.items().to_vec(), mc.inner_count, answers)
         })
         .collect()
 }

@@ -321,7 +321,7 @@ impl<'a> State<'a> {
                     }
                     McKind::Sparse => continue,
                 }
-                for &p in &mc.members {
+                for &p in mc.block.items() {
                     self.uf.union(mc.center, p);
                     self.assign(p);
                     counters.count_union();
@@ -480,7 +480,7 @@ impl<'a> State<'a> {
                     } else {
                         // Sparse MCs are small (< MinPts members): scan
                         // directly.
-                        for &q in &mc.members {
+                        for &q in mc.block.items() {
                             if q == p || !self.is_core(q) {
                                 continue;
                             }

@@ -3,25 +3,25 @@
 //! Single scan over the points:
 //!
 //! 1. if some MC center lies strictly within ε of the point, the point
-//!    joins that MC — the minimum-id one when level 1 is the grid
-//!    ([`crate::level1`]), the first one found when it is an R-tree;
+//!    joins the minimum-id such MC (level 1 is the center grid,
+//!    [`crate::level1`], at every dimension);
 //! 2. otherwise, if some center lies within 2ε, the point is *deferred* to
 //!    an `unassignedList` — creating a center here would produce a heavily
 //!    overlapping MC, and the paper's 2ε rule keeps the MC count low;
 //! 3. otherwise the point becomes the center of a new MC.
 //!
 //! A second scan assigns the deferred points: join an MC within ε if one
-//! exists by now, else become a new center. Finally each MC's members
-//! are copied into its column-major block (level 2). The scans are
+//! exists by now, else become a new center. Finally each MC's member
+//! list is copied into its column-major block (level 2). The scans are
 //! ordered (every placement depends on the MCs created so far) and stay
 //! on the calling thread; the blocks are independent per MC and are
 //! filled on worker threads by [`build_micro_clusters_par`]. Every thread
 //! count builds the same μR-tree.
 
-use crate::level1::Level1;
+use crate::level1::CenterGrid;
 use crate::micro::{McId, MicroCluster, NO_MC};
 use crate::murtree::MuRTree;
-use geom::{Dataset, PointBlock, PointId};
+use geom::{Dataset, PointId};
 use metrics::Counters;
 use std::sync::Mutex;
 
@@ -65,68 +65,65 @@ pub fn build_micro_clusters_par(
 ) -> MuRTree {
     assert!(threads >= 1);
     let _span = obs::span!("mc_build");
-    let dim = data.dim();
-    let mut level1 = Level1::for_dim(dim, eps);
+    let mut level1 = CenterGrid::new(data.dim(), eps);
     let mut mcs: Vec<MicroCluster> = Vec::new();
+    // Each MC's member ids, center first, until they are copied into its
+    // block.
+    let mut members: Vec<Vec<PointId>> = Vec::new();
     let mut assignment: Vec<McId> = vec![NO_MC; data.len()];
     let mut unassigned: Vec<PointId> = Vec::new();
 
-    let create_mc = |p: PointId,
-                     coords: &[f64],
-                     level1: &mut Level1,
-                     mcs: &mut Vec<MicroCluster>,
-                     assignment: &mut Vec<McId>| {
-        let id = mcs.len() as McId;
-        mcs.push(MicroCluster::new(p, coords));
-        level1.insert(id, coords);
+    // Each probe charges the real cost the grid paid: cells visited and
+    // centers tested.
+    let charge = |cost: rtree::QueryCost| {
+        counters.count_node_visits(cost.nodes_visited.max(1));
+        counters.count_dists(cost.mbr_tests);
+    };
+    // Put `p` into MC `hit`, or make it the center of a new MC.
+    let mut place = |p: PointId, coords: &[f64], hit: Option<McId>, level1: &mut CenterGrid| {
+        let id = match hit {
+            Some(id) => {
+                let mc = &mut mcs[id as usize];
+                mc.insert(coords, data.point(mc.center), eps);
+                members[id as usize].push(p);
+                id
+            }
+            None => {
+                level1.insert(coords);
+                mcs.push(MicroCluster::new(p, coords));
+                members.push(vec![p]);
+                (mcs.len() - 1) as McId
+            }
+        };
         assignment[p as usize] = id;
     };
 
-    // First scan (Algorithm 3, PROCESS-POINT). Each probe charges the real
-    // cost the level-1 index paid: cells or nodes visited, and centers or
-    // boxes tested.
+    // First scan (Algorithm 3, PROCESS-POINT).
     let scan1 = obs::span!("scan_assign");
     for (p, coords) in data.iter() {
-        let (hit, cost) = level1.join(coords, eps);
-        counters.count_node_visits(cost.nodes_visited.max(1));
-        counters.count_dists(cost.mbr_tests);
-        if let Some(mc) = hit {
-            let center = mcs[mc as usize].center;
-            mcs[mc as usize].insert(p, coords, data.point(center), eps);
-            assignment[p as usize] = mc;
-        } else if opts.two_eps_deferral {
-            let (near, cost2) = level1.any_within(coords, 2.0 * eps);
-            counters.count_node_visits(cost2.nodes_visited.max(1));
-            counters.count_dists(cost2.mbr_tests);
+        let (hit, cost) = level1.min_within(coords, eps);
+        charge(cost);
+        if hit.is_none() && opts.two_eps_deferral {
+            let (near, cost) = level1.any_within(coords, 2.0 * eps);
+            charge(cost);
             if near {
                 unassigned.push(p);
-            } else {
-                create_mc(p, coords, &mut level1, &mut mcs, &mut assignment);
+                continue;
             }
-        } else {
-            create_mc(p, coords, &mut level1, &mut mcs, &mut assignment);
         }
+        place(p, coords, hit, &mut level1);
     }
-
     drop(scan1);
     let deferred = unassigned.len();
 
-    // Second scan (PROCESS-UNASSIGNED-POINT), same real-cost accounting.
+    // Second scan (PROCESS-UNASSIGNED-POINT).
     let scan2 = obs::span!("scan_unassigned");
     for p in unassigned {
         let coords = data.point(p);
-        let (hit, cost) = level1.join(coords, eps);
-        counters.count_node_visits(cost.nodes_visited.max(1));
-        counters.count_dists(cost.mbr_tests);
-        if let Some(mc) = hit {
-            let center = mcs[mc as usize].center;
-            mcs[mc as usize].insert(p, coords, data.point(center), eps);
-            assignment[p as usize] = mc;
-        } else {
-            create_mc(p, coords, &mut level1, &mut mcs, &mut assignment);
-        }
+        let (hit, cost) = level1.min_within(coords, eps);
+        charge(cost);
+        place(p, coords, hit, &mut level1);
     }
-
     drop(scan2);
 
     // Level 2: one block per MC, independent per MC. Workers take chunks
@@ -134,14 +131,14 @@ pub fn build_micro_clusters_par(
     let blocks = obs::span!("mc_blocks");
     let workers = threads.min(mcs.len().div_ceil(BLOCK_CHUNK));
     if workers <= 1 {
-        mcs.iter_mut().for_each(|mc| fill_block(data, mc));
+        mcs.iter_mut().zip(&members).for_each(|(mc, ids)| mc.fill_block(data, ids));
     } else {
-        let queue = Mutex::new(mcs.chunks_mut(BLOCK_CHUNK));
+        let queue = Mutex::new(mcs.chunks_mut(BLOCK_CHUNK).zip(members.chunks(BLOCK_CHUNK)));
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| loop {
-                    let Some(chunk) = queue.lock().expect("poisoned").next() else { break };
-                    chunk.iter_mut().for_each(|mc| fill_block(data, mc));
+                    let Some((chunk, ids)) = queue.lock().expect("poisoned").next() else { break };
+                    chunk.iter_mut().zip(ids).for_each(|(mc, ids)| mc.fill_block(data, ids));
                 });
             }
         });
@@ -153,16 +150,6 @@ pub fn build_micro_clusters_par(
         obs::record_count("mc/deferred_points", deferred as u64);
     }
     MuRTree::from_parts(eps, level1, mcs, assignment)
-}
-
-/// Copy one MC's members, in member order, into a block of exactly
-/// their number.
-fn fill_block(data: &Dataset, mc: &mut MicroCluster) {
-    let mut block = PointBlock::with_capacity(data.dim(), mc.members.len());
-    for &m in &mc.members {
-        block.push(m, data.point(m));
-    }
-    mc.block = block;
 }
 
 #[cfg(test)]
@@ -184,7 +171,7 @@ mod tests {
         // Every point assigned to exactly one MC, within eps of its center.
         let mut seen = vec![false; data.len()];
         for (id, mc) in t.mcs.iter().enumerate() {
-            for &m in &mc.members {
+            for &m in mc.block.items() {
                 assert!(!seen[m as usize], "point {m} in two MCs");
                 seen[m as usize] = true;
                 assert_eq!(t.assignment[m as usize], id as McId);
@@ -193,7 +180,7 @@ mod tests {
                     "member outside its MC ball"
                 );
             }
-            assert_eq!(mc.center, mc.members[0], "center must be first member");
+            assert_eq!(mc.center, mc.block.item(0), "center must be first member");
         }
         assert!(seen.iter().all(|&s| s), "unassigned point");
     }
@@ -271,12 +258,11 @@ mod tests {
             assert_eq!(c.dist_computations(), c1.dist_computations(), "t{threads}");
             for (a, b) in t.mcs.iter().zip(&one.mcs) {
                 assert_eq!(
-                    (a.center, &a.members, a.inner_count),
-                    (b.center, &b.members, b.inner_count)
+                    (a.center, a.block.items(), a.inner_count),
+                    (b.center, b.block.items(), b.inner_count)
                 );
-                assert_eq!(a.block.items(), &a.members[..], "t{threads}");
-                assert_eq!(a.block.capacity(), a.members.len(), "t{threads}");
-                for (i, &m) in a.members.iter().enumerate() {
+                assert_eq!(a.block.capacity(), a.len(), "t{threads}");
+                for (i, &m) in a.block.items().iter().enumerate() {
                     for (k, &x) in data.point(m).iter().enumerate() {
                         assert_eq!(a.block.coord(i, k), x, "t{threads}");
                     }
@@ -299,7 +285,7 @@ mod tests {
         let c = Counters::new();
         let t = build_micro_clusters(&data, 0.5, &BuildOptions::default(), &c);
         assert_eq!(t.mcs.len(), 1);
-        assert_eq!(t.mcs[0].members, vec![0]);
+        assert_eq!(t.mcs[0].block.items(), [0]);
         assert_eq!(t.mcs[0].inner_count, 1);
     }
 

@@ -7,122 +7,15 @@
 //! * every center strictly within 3ε of a center (the reachable list of
 //!   Lemma 3).
 //!
-//! At `dim ≤ 3` the answer comes from a [`CenterGrid`]: a hashed grid of
-//! cell side 2ε, so each probe visits only the cells the query ball's
-//! bounding box overlaps (about 2^d, 3^d and 4^d cells) and its work per
-//! point does not grow with n. Above three dimensions those cell counts
-//! grow too fast and level 1 stays an R-tree. [`Level1::for_dim`] picks
-//! the index from the dimension alone.
+//! At every dimension the answer comes from a [`CenterGrid`]: a hashed
+//! grid of cell side 2ε on the first three coordinates. Each probe
+//! visits only the cells the query ball's bounding box overlaps (about
+//! 2^k, 3^k and 4^k cells on k = min(d, 3) keyed axes) and tests the
+//! centers found there with the full-dimensional distance.
 
 use crate::micro::McId;
 use geom::dist_sq;
-use rtree::{QueryCost, RTree};
-
-/// Highest dimension served by the [`CenterGrid`].
-pub const GRID_MAX_DIM: usize = 3;
-
-/// The level-1 index of a μR-tree: a [`CenterGrid`] at `dim ≤ 3`, an
-/// R-tree above. Item ids are [`McId`]s, inserted in ascending order.
-///
-/// Every probe returns the work it did as a [`QueryCost`]: for the grid
-/// `nodes_visited` counts the cells probed and `mbr_tests` the centers
-/// whose distance was tested.
-#[derive(Debug, Clone)]
-pub enum Level1 {
-    /// Hashed grid of cell side 2ε (`dim ≤ 3`).
-    Grid(CenterGrid),
-    /// R-tree over the center points (`dim > 3`).
-    Tree(RTree),
-}
-
-impl Level1 {
-    /// An empty index for `dim`-dimensional centers and radius `eps`.
-    pub fn for_dim(dim: usize, eps: f64) -> Self {
-        if dim <= GRID_MAX_DIM {
-            Level1::Grid(CenterGrid::new(dim, eps))
-        } else {
-            Level1::Tree(RTree::new(dim))
-        }
-    }
-
-    /// An index over `centers`, whose ids are their positions.
-    pub fn from_centers<'a>(
-        dim: usize,
-        eps: f64,
-        centers: impl Iterator<Item = &'a [f64]>,
-    ) -> Self {
-        if dim <= GRID_MAX_DIM {
-            let mut grid = CenterGrid::new(dim, eps);
-            for c in centers {
-                grid.insert(c);
-            }
-            Level1::Grid(grid)
-        } else {
-            let items = centers.enumerate().map(|(id, c)| (id as McId, c));
-            Level1::Tree(RTree::bulk_load_points(dim, Default::default(), items))
-        }
-    }
-
-    /// Index center `id` at `coords`; `id` must equal [`Self::len`].
-    pub fn insert(&mut self, id: McId, coords: &[f64]) {
-        debug_assert_eq!(id as usize, self.len());
-        match self {
-            Level1::Grid(g) => g.insert(coords),
-            Level1::Tree(t) => t.insert_point(id, coords),
-        }
-    }
-
-    /// Number of indexed centers.
-    pub fn len(&self) -> usize {
-        match self {
-            Level1::Grid(g) => g.len(),
-            Level1::Tree(t) => t.len(),
-        }
-    }
-
-    /// True when no center is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The MC a point at `coords` joins: a center strictly within `eps`.
-    /// The grid returns the minimum id, the R-tree the first one its
-    /// traversal meets.
-    pub fn join(&self, coords: &[f64], eps: f64) -> (Option<McId>, QueryCost) {
-        match self {
-            Level1::Grid(g) => g.min_within(coords, eps),
-            Level1::Tree(t) => t.first_in_sphere(coords, eps),
-        }
-    }
-
-    /// Whether any center lies strictly within `r` of `coords`.
-    pub fn any_within(&self, coords: &[f64], r: f64) -> (bool, QueryCost) {
-        match self {
-            Level1::Grid(g) => g.any_within(coords, r),
-            Level1::Tree(t) => {
-                let (hit, cost) = t.first_in_sphere(coords, r);
-                (hit.is_some(), cost)
-            }
-        }
-    }
-
-    /// Append every center strictly within `r` of `coords` to `out`
-    /// (ascending for the grid, traversal order for the R-tree).
-    pub fn within(&self, coords: &[f64], r: f64, out: &mut Vec<McId>) -> QueryCost {
-        match self {
-            Level1::Grid(g) => g.all_within(coords, r, out),
-            Level1::Tree(t) => t.search_sphere(coords, r, |mc| out.push(mc)),
-        }
-    }
-
-    /// Estimated heap footprint in bytes.
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            Level1::Grid(g) => g.heap_bytes(),
-            Level1::Tree(t) => t.heap_bytes(),
-        }
-    }
-}
+use rtree::QueryCost;
 
 /// Marks the end of a cell's center chain and an empty cell.
 const NONE: u32 = u32::MAX;
@@ -136,15 +29,20 @@ const RUN: usize = 4;
 /// A hashed grid of cell side 2ε over center points, ids `0..len` in
 /// insertion order.
 ///
-/// Cell `(x, y, z)` is `floor(coord_k / 2ε)` per axis, saturated to the
+/// Cells are keyed on the first `min(dim, 3)` coordinates: cell
+/// `(x, y, z)` is `floor(coord_k / 2ε)` per keyed axis, saturated to the
 /// `i64` range, with unused axes 0. Each occupied cell holds the head of
 /// a chain of center ids threaded through `next`, so a cell lists its
 /// centers in ascending id order and inserting allocates nothing beyond
-/// amortized growth. Centers lie at least ε apart, so a chain is short.
+/// amortized growth. Centers lie at least ε apart, so at `dim ≤ 3` a
+/// chain is short; above, centers that differ only past the third
+/// coordinate share a cell.
 ///
 /// A probe of radius `r` around `q` visits the cells between those of
-/// `q_k − r` and `q_k + r` on every axis. The cell index is monotone in
-/// the coordinate, so every center that passes the strict `dist² < r²`
+/// `q_k − r` and `q_k + r` on every keyed axis and tests each center in
+/// them with the full-dimensional distance. Projected distance never
+/// exceeds full distance, and the cell index is monotone in the
+/// coordinate, so every center that passes the strict `dist² < r²`
 /// test lies in a visited cell, whatever the rounding or saturation. When
 /// that range holds more cells than are occupied (saturated indices, a
 /// radius far above the data's scale), the probe walks the occupied cells
@@ -161,9 +59,8 @@ pub struct CenterGrid {
 }
 
 impl CenterGrid {
-    /// An empty grid of cell side `2 · eps` for `dim ≤ 3` dimensions.
+    /// An empty grid of cell side `2 · eps` for `dim`-dimensional centers.
     pub fn new(dim: usize, eps: f64) -> Self {
-        assert!(dim <= GRID_MAX_DIM, "the center grid serves at most {GRID_MAX_DIM} dimensions");
         Self {
             dim,
             side: 2.0 * eps,
@@ -292,12 +189,12 @@ impl CenterGrid {
     }
 
     /// Call `f` with the chain head of every occupied cell that the box
-    /// `[q − r, q + r]` overlaps, until `f` returns true. Returns the
-    /// number of cells probed.
+    /// `[q − r, q + r]`, projected on the keyed axes, overlaps, until `f`
+    /// returns true. Returns the number of cells probed.
     fn visit_cells(&self, q: &[f64], r: f64, mut f: impl FnMut(u32) -> bool) -> u64 {
         let (mut lo, mut hi) = ([0i64; 3], [0i64; 3]);
         let mut span = 1u64;
-        for k in 0..self.dim {
+        for k in 0..self.dim.min(3) {
             lo[k] = self.cell_of(q[k] - r);
             hi[k] = self.cell_of(q[k] + r);
             span = span.saturating_mul(hi[k].abs_diff(lo[k]).saturating_add(1));
@@ -373,10 +270,10 @@ const FREE: Slot = Slot { run: [0; 3], heads: [NONE; RUN] };
 /// (at half full it was no faster and held more memory), keys hashed
 /// with a full 64-bit mixer so that every bit of every axis reaches the
 /// slot index. It is 25–35% faster than `std`'s keyed `HashMap` on
-/// shard-sized inputs (`level1_probe` at n = 3 000–6 000), and its fixed
-/// mixer keeps every probe count the same between runs. The price:
-/// coordinates crafted to collide slow the probes down, though their
-/// answers stay exact.
+/// shard-sized inputs (3-d galaxy, n = 3 000–6 000; EXPERIMENTS.md,
+/// "Level-1 grid"), and its fixed mixer keeps every probe count the same
+/// between runs. The price: coordinates crafted to collide slow the
+/// probes down, though their answers stay exact.
 #[derive(Debug, Clone)]
 struct CellTable {
     slots: Vec<Slot>,

@@ -5,8 +5,8 @@
 //! A **micro-cluster** `MC(p)` is the set of points lying strictly within
 //! ε of a chosen *center point* `p` (including `p` itself); every point
 //! belongs to exactly one MC. The **μR-tree** indexes MC centers in a
-//! level-1 index — a hashed grid of cell side 2ε at `dim ≤ 3`, an R-tree
-//! above ([`level1`]) — and each MC's member points in one column-major
+//! level-1 index — a hashed 2ε grid on the first three coordinates at
+//! every d ([`level1`]) — and each MC's member points in one column-major
 //! block, so an ε-query scans a few small blocks ([`scan_block`]) after
 //! the reachable-list and MBR filters.
 //!
@@ -51,6 +51,6 @@ pub mod micro;
 pub mod murtree;
 
 pub use build::{build_micro_clusters, build_micro_clusters_par, BuildOptions};
-pub use level1::{CenterGrid, Level1};
+pub use level1::CenterGrid;
 pub use micro::{scan_block, McId, McKind, MicroCluster, NO_MC};
 pub use murtree::MuRTree;

@@ -28,17 +28,16 @@ pub enum McKind {
 pub struct MicroCluster {
     /// The center point (a dataset point, `MC(p).center == p`).
     pub center: PointId,
-    /// All member points, center included (assignment is exclusive: each
-    /// dataset point belongs to exactly one MC).
-    pub members: Vec<PointId>,
     /// Bounding box of the member points (tight, not the ε-ball box).
     pub mbr: Mbr,
     /// Number of members strictly within ε/2 of the center (center
     /// included) — `|IC|`.
     pub inner_count: u32,
-    /// The member points' coordinates, column-major in member order
-    /// (level 2 of the μR-tree; item ids are the members). Empty until
-    /// membership is final, then filled at exact capacity.
+    /// The member points, center first, and their coordinates,
+    /// column-major in member order (level 2 of the μR-tree; item ids are
+    /// the members, and assignment is exclusive: each dataset point
+    /// belongs to exactly one MC). Empty until membership is final, then
+    /// filled at exact capacity.
     pub block: PointBlock,
     /// Ids of reachable MCs — centers strictly within 3ε (self included).
     pub reach: Vec<McId>,
@@ -49,7 +48,6 @@ impl MicroCluster {
     pub fn new(center: PointId, coords: &[f64]) -> Self {
         Self {
             center,
-            members: vec![center],
             mbr: Mbr::point(coords),
             inner_count: 1, // the center is inside its own inner circle
             block: PointBlock::with_capacity(coords.len(), 0),
@@ -59,20 +57,20 @@ impl MicroCluster {
 
     /// Number of member points.
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.block.len()
     }
 
-    /// True when the MC holds only its center... which cannot happen after
-    /// construction (the center is always a member), so this is `false` in
-    /// practice; provided for API completeness.
+    /// True before the block is filled; a built MC holds at least its
+    /// center.
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.block.is_empty()
     }
 
-    /// Add a member point, maintaining the MBR and the inner-circle count.
-    pub fn insert(&mut self, p: PointId, coords: &[f64], center_coords: &[f64], eps: f64) {
+    /// Count a joining member at `coords` in the MBR and the inner-circle
+    /// count; the builder copies its id into the block when membership is
+    /// final.
+    pub fn insert(&mut self, coords: &[f64], center_coords: &[f64], eps: f64) {
         debug_assert!(dist_sq(coords, center_coords) < eps * eps);
-        self.members.push(p);
         self.mbr.merge_point(coords);
         let half = eps / 2.0;
         if dist_sq(coords, center_coords) < half * half {
@@ -84,7 +82,7 @@ impl MicroCluster {
     pub fn kind(&self, params: &DbscanParams) -> McKind {
         if self.inner_count as usize >= params.min_pts {
             McKind::Dense
-        } else if self.members.len() >= params.min_pts {
+        } else if self.len() >= params.min_pts {
             McKind::Core
         } else {
             McKind::Sparse
@@ -100,13 +98,23 @@ impl MicroCluster {
     ) -> impl Iterator<Item = PointId> + 'a {
         let half_sq = (eps / 2.0) * (eps / 2.0);
         let c = data.point(self.center);
-        self.members.iter().copied().filter(move |&m| dist_sq(data.point(m), c) < half_sq)
+        self.block.items().iter().copied().filter(move |&m| dist_sq(data.point(m), c) < half_sq)
     }
 
-    /// Estimated owned heap bytes (members, reach list, block, MBR).
+    /// Copy `members` (center first), in order, with their coordinates
+    /// into a block of exactly their number.
+    pub(crate) fn fill_block(&mut self, data: &Dataset, members: &[PointId]) {
+        debug_assert_eq!(members.first(), Some(&self.center));
+        let mut block = PointBlock::with_capacity(data.dim(), members.len());
+        for &m in members {
+            block.push(m, data.point(m));
+        }
+        self.block = block;
+    }
+
+    /// Estimated owned heap bytes (reach list, block, MBR).
     pub fn heap_bytes(&self) -> usize {
-        self.members.capacity() * std::mem::size_of::<PointId>()
-            + self.reach.capacity() * std::mem::size_of::<McId>()
+        self.reach.capacity() * std::mem::size_of::<McId>()
             + self.mbr.heap_bytes()
             + self.block.heap_bytes()
     }
@@ -164,14 +172,21 @@ mod tests {
         ])
     }
 
+    /// The MC of center 0 holding every point of `data()`.
+    fn built_mc(d: &Dataset, eps: f64) -> MicroCluster {
+        let mut mc = MicroCluster::new(0, d.point(0));
+        for p in 1..5u32 {
+            mc.insert(d.point(p), d.point(0), eps);
+        }
+        mc.fill_block(d, &[0, 1, 2, 3, 4]);
+        mc
+    }
+
     #[test]
     fn insert_tracks_inner_circle_strictly() {
         let d = data();
         let eps = 1.0;
-        let mut mc = MicroCluster::new(0, d.point(0));
-        for p in 1..5u32 {
-            mc.insert(p, d.point(p), d.point(0), eps);
-        }
+        let mc = built_mc(&d, eps);
         assert_eq!(mc.len(), 5);
         assert_eq!(mc.inner_count, 3); // center + points 1, 2
         let ic: Vec<_> = mc.inner_circle(&d, eps).collect();
@@ -182,10 +197,7 @@ mod tests {
     fn classification_thresholds() {
         let d = data();
         let eps = 1.0;
-        let mut mc = MicroCluster::new(0, d.point(0));
-        for p in 1..5u32 {
-            mc.insert(p, d.point(p), d.point(0), eps);
-        }
+        let mc = built_mc(&d, eps);
         // inner_count = 3, |MC| = 5.
         assert_eq!(mc.kind(&DbscanParams::new(eps, 3)), McKind::Dense);
         assert_eq!(mc.kind(&DbscanParams::new(eps, 4)), McKind::Core);
@@ -195,13 +207,9 @@ mod tests {
 
     #[test]
     fn block_scan_answers_queries() {
-        let d = data();
-        let mut block = PointBlock::with_capacity(2, 5);
-        for p in 0..5u32 {
-            block.push(p, d.point(p));
-        }
+        let mc = built_mc(&data(), 1.0);
         let mut n = Vec::new();
-        let cost = scan_block(&block, &[0.0, 0.0], 0.25, |q| n.push(q));
+        let cost = scan_block(&mc.block, &[0.0, 0.0], 0.25, |q| n.push(q));
         assert_eq!(n, vec![0, 1, 2]); // strict: point 4 at exactly 0.5 excluded
         assert_eq!(cost, QueryCost { nodes_visited: 1, mbr_tests: 5, candidates: 5, matches: 3 });
     }
@@ -209,10 +217,7 @@ mod tests {
     #[test]
     fn mbr_is_tight() {
         let d = data();
-        let mut mc = MicroCluster::new(0, d.point(0));
-        for p in 1..5u32 {
-            mc.insert(p, d.point(p), d.point(0), 1.0);
-        }
+        let mc = built_mc(&d, 1.0);
         assert_eq!(mc.mbr.lo(), &[0.0, 0.0]);
         assert_eq!(mc.mbr.hi(), &[0.8, 0.5]);
     }

@@ -1,8 +1,8 @@
-//! The μR-tree: level-1 index over MC centers + per-MC member blocks,
+//! The μR-tree: level-1 center grid over MC centers + per-MC member blocks,
 //! reachable-MC lists (Lemma 3) and the restricted ε-neighbourhood query
 //! (paper Algorithm 6, FIND-NBHD).
 
-use crate::level1::Level1;
+use crate::level1::CenterGrid;
 use crate::micro::{scan_block, McId, MicroCluster};
 use geom::{Dataset, PointId};
 use metrics::Counters;
@@ -13,8 +13,8 @@ use rtree::QueryCost;
 pub struct MuRTree {
     /// The ε the structure was built for (all queries use this radius).
     pub eps: f64,
-    /// Level-1 index; items are [`McId`]s located at their center points.
-    level1: Level1,
+    /// Level-1 index; ids are [`McId`]s located at their center points.
+    level1: CenterGrid,
     /// All micro-clusters.
     pub mcs: Vec<MicroCluster>,
     /// `assignment[p]` is the MC that point `p` belongs to.
@@ -25,11 +25,18 @@ impl MuRTree {
     /// Assemble from construction output (see [`crate::build_micro_clusters`]).
     pub(crate) fn from_parts(
         eps: f64,
-        level1: Level1,
+        level1: CenterGrid,
         mcs: Vec<MicroCluster>,
         assignment: Vec<McId>,
     ) -> Self {
         Self { eps, level1, mcs, assignment }
+    }
+
+    /// Take the tree apart for a caller that keeps maintaining it: the
+    /// level-1 grid (ids are MC indices), the MCs and the point→MC
+    /// assignment.
+    pub fn into_parts(self) -> (CenterGrid, Vec<MicroCluster>, Vec<McId>) {
+        (self.level1, self.mcs, self.assignment)
     }
 
     /// Number of micro-clusters (`m` in the paper's complexity analysis).
@@ -75,7 +82,7 @@ impl MuRTree {
     pub fn reachable_from(&self, data: &Dataset, mc: McId, out: &mut Vec<McId>) -> QueryCost {
         let start = out.len();
         let center = data.point(self.mcs[mc as usize].center);
-        let cost = self.level1.within(center, 3.0 * self.eps, out);
+        let cost = self.level1.all_within(center, 3.0 * self.eps, out);
         debug_assert!(out[start..].contains(&mc));
         cost
     }

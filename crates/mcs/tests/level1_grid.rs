@@ -1,6 +1,8 @@
 //! The center grid's three probes — minimum id within r, any center within
-//! r, every center within r — against brute force over the same centers,
-//! at d = 1..3 and radii ε, 2ε and 3ε.
+//! r, every center within r — against brute force over the full-d
+//! distance to the same centers, at d = 1..8, 14, 24 and 74 and radii ε,
+//! 2ε and 3ε. Above d = 3 the grid keys on the first three coordinates
+//! only, so centers that differ past them share a cell.
 //!
 //! Coordinates sit on a lattice of step ε/2 (so centers lie exactly ε,
 //! 2ε and 3ε apart and on exact multiples of the cell side 2ε), with
@@ -30,6 +32,9 @@ const SCALES: [(f64, f64, f64); 10] = [
     (1e300, 1e300, f64::MAX),
 ];
 
+/// The dimensions drawn: every d up to 8 and the catalog's high ones.
+const DIMS: [usize; 11] = [1, 2, 3, 4, 5, 6, 7, 8, 14, 24, 74];
+
 /// A drawn coordinate: lattice index, fraction of a step, jitter on/off.
 type Draw = (i64, f64, bool);
 
@@ -43,7 +48,8 @@ fn coord(scale: usize, (k, frac, jitter): Draw) -> f64 {
 
 /// `(dim, scale index, points)`.
 fn case() -> impl Strategy<Value = (usize, usize, Vec<Vec<Draw>>)> {
-    (1usize..4, 0..SCALES.len()).prop_flat_map(|(dim, scale)| {
+    (0..DIMS.len(), 0..SCALES.len()).prop_flat_map(|(d, scale)| {
+        let dim = DIMS[d];
         let c = (-12i64..13, 0.0..1.0f64, any::<bool>());
         (Just(dim), Just(scale), prop::collection::vec(prop::collection::vec(c, dim), 1..48))
     })
@@ -89,16 +95,21 @@ proptest! {
 
 #[test]
 fn the_probes_visit_at_most_the_cells_the_ball_box_overlaps() {
-    // 3-d lattice of centers at spacing ε over 10³ cells: every probe's
-    // box overlaps at most 2, 3 and 4 cells per axis for radii ε, 2ε, 3ε.
+    // Lattice of centers at spacing ε over 10³ cells, in 3-d and with two
+    // more coordinates in 5-d: every probe's box overlaps at most 2, 3
+    // and 4 cells per keyed axis for radii ε, 2ε, 3ε.
     let eps = 1.0;
-    let mut grid = CenterGrid::new(3, eps);
-    for i in 0..8000 {
-        grid.insert(&[(i % 20) as f64, (i / 20 % 20) as f64, (i / 400) as f64]);
+    for dim in [3, 5] {
+        let mut grid = CenterGrid::new(dim, eps);
+        for i in 0..8000 {
+            let c = [(i % 20) as f64, (i / 20 % 20) as f64, (i / 400) as f64, 0.5, (i % 3) as f64];
+            grid.insert(&c[..dim]);
+        }
+        assert_eq!(grid.occupied_cells(), 1000, "d={dim}");
+        let q = [9.3, 9.1, 9.9, 0.2, 1.0];
+        let q = &q[..dim];
+        assert!(grid.min_within(q, eps).1.nodes_visited <= 8, "d={dim}");
+        assert!(grid.any_within(q, 2.0 * eps).1.nodes_visited <= 27, "d={dim}");
+        assert!(grid.all_within(q, 3.0 * eps, &mut Vec::new()).nodes_visited <= 64, "d={dim}");
     }
-    assert_eq!(grid.occupied_cells(), 1000);
-    let q = [9.3, 9.1, 9.9];
-    assert!(grid.min_within(&q, eps).1.nodes_visited <= 8);
-    assert!(grid.any_within(&q, 2.0 * eps).1.nodes_visited <= 27);
-    assert!(grid.all_within(&q, 3.0 * eps, &mut Vec::new()).nodes_visited <= 64);
 }

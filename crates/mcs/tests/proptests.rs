@@ -21,9 +21,9 @@ proptest! {
         // Exclusive, complete membership within eps of the center.
         let mut owner = vec![NO_MC; data.len()];
         for (mi, mc) in t.mcs.iter().enumerate() {
-            prop_assert!(!mc.members.is_empty());
-            prop_assert_eq!(mc.members[0], mc.center);
-            for &m in &mc.members {
+            prop_assert!(!mc.is_empty());
+            prop_assert_eq!(mc.block.item(0), mc.center);
+            for &m in mc.block.items() {
                 prop_assert_eq!(owner[m as usize], NO_MC);
                 owner[m as usize] = mi as u32;
                 prop_assert!(dist_euclidean(data.point(m), data.point(mc.center)) < eps);

@@ -29,7 +29,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A finite number. Emitted without a fractional part when integral.
+    /// A number. Emitted without a fractional part when integral; a
+    /// non-finite value (NaN, ±∞) has no JSON spelling and is emitted as
+    /// `null`, as `JSON.stringify` does.
     Num(f64),
     /// A string.
     Str(String),
@@ -135,7 +137,8 @@ impl Json {
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             // `Display` writes integral values without a fraction ("42")
             // and keeps the sign of -0.0 ("-0").
-            Json::Num(n) => out.push_str(&n.to_string()),
+            Json::Num(n) if n.is_finite() => out.push_str(&n.to_string()),
+            Json::Num(_) => out.push_str("null"),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
@@ -398,6 +401,20 @@ mod tests {
         assert_eq!(text, "-0");
         let n = Json::parse(&text).unwrap().as_f64().unwrap();
         assert_eq!(n.to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn non_finite_numbers_render_as_null() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let num = Json::Num(x);
+            let arr = Json::Arr(vec![Json::Num(1.0), num.clone()]);
+            let obj = Json::Obj(vec![("k".to_string(), num.clone())]);
+            let nulled = |doc: &Json| Json::parse(&doc.render()).unwrap();
+            assert_eq!(nulled(&num), Json::Null, "{x}");
+            assert_eq!(nulled(&arr), Json::Arr(vec![Json::Num(1.0), Json::Null]), "{x}");
+            assert_eq!(nulled(&obj), Json::Obj(vec![("k".to_string(), Json::Null)]), "{x}");
+            assert_eq!(Json::parse(&obj.render_pretty()).unwrap(), nulled(&obj), "{x}");
+        }
     }
 
     #[test]

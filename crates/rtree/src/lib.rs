@@ -5,13 +5,13 @@
 //! Every tree in the workspace indexes points. Its main roles:
 //!
 //! * the **single flat R-tree** used by the classical R-DBSCAN baseline,
-//! * the **level-1 μR-tree** over micro-cluster centers above d = 3
-//!   (at d ≤ 3 `mcs::Level1` is a hashed 2ε grid instead),
 //! * the serving engine's published point index, OPTICS' core-point
 //!   tree and the distributed merge's halo tree.
 //!
-//! Level 2 of the μR-tree is not a tree: each micro-cluster's members
-//! are one [`geom::PointBlock`], scanned by `mcs::scan_block`.
+//! Neither level of the μR-tree is an R-tree: level 1 is
+//! `mcs::CenterGrid`, a hashed 2ε grid on the first three coordinates
+//! at every d, and each micro-cluster's members are one
+//! [`geom::PointBlock`], scanned by `mcs::scan_block`.
 //!
 //! Features: ChooseLeaf insertion with Guttman's quadratic split, point
 //! removal, Sort-Tile-Recursive (STR) bulk loading for static point sets,

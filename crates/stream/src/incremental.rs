@@ -1,7 +1,7 @@
 //! The insertion-incremental algorithm.
 
 use geom::{Dataset, DbscanParams, PointBlock, PointId};
-use mcs::{build_micro_clusters_par, scan_block, BuildOptions, Level1};
+use mcs::{build_micro_clusters_par, scan_block, BuildOptions, CenterGrid};
 use metrics::Counters;
 use mudbscan::Clustering;
 use unionfind::UnionFind;
@@ -37,9 +37,8 @@ pub enum RemoveOutcome {
 pub struct StreamingMuDbscan {
     params: DbscanParams,
     data: Dataset,
-    /// Level-1 index over MC centers (item = MC index): a 2ε grid at
-    /// `dim ≤ 3`, an R-tree above.
-    level1: Level1,
+    /// Level-1 index over MC centers (id = MC index): the 2ε center grid.
+    level1: CenterGrid,
     /// Each online micro-cluster's live members, column-major (item =
     /// point id); its center lives in the level-1 index.
     mcs: Vec<PointBlock>,
@@ -77,7 +76,7 @@ impl StreamingMuDbscan {
         Self {
             params,
             data: Dataset::empty(dim),
-            level1: Level1::for_dim(dim, params.eps),
+            level1: CenterGrid::new(dim, params.eps),
             mcs: Vec::new(),
             counts: Vec::new(),
             uf: UnionFind::new(0),
@@ -109,7 +108,6 @@ impl StreamingMuDbscan {
     /// [`Self::extend_from`] remains the sequential path.
     pub fn from_dataset(data: &Dataset, params: DbscanParams) -> Self {
         let n = data.len();
-        let dim = data.dim();
         let counters = Counters::new();
         let threads = std::thread::available_parallelism().map_or(4, |p| p.get());
         let mut tree = build_micro_clusters_par(
@@ -178,21 +176,14 @@ impl StreamingMuDbscan {
             }
         }
 
-        // Convert the μR-tree into the online representation: the level-1
-        // index maps to MC indices, each MC keeps its member block, and
-        // both keep accepting incremental insertions. Every member sits
-        // strictly within ε of its MC center, so the online 2ε
-        // center-search invariant holds.
-        let level1 =
-            Level1::from_centers(dim, params.eps, tree.mcs.iter().map(|mc| data.point(mc.center)));
-        let mut mc_of = vec![u32::MAX; n];
-        for (i, mc) in tree.mcs.iter().enumerate() {
-            for &p in &mc.members {
-                mc_of[p as usize] = i as u32;
-            }
-        }
-        debug_assert!(mc_of.iter().all(|&m| m != u32::MAX), "MCs must partition the dataset");
-        let mcs = std::mem::take(&mut tree.mcs).into_iter().map(|mc| mc.block).collect();
+        // Take over the μR-tree as the online representation: the level-1
+        // grid's ids are MC indices, each MC keeps its member block, the
+        // build's assignment is every point's MC, and all of them keep
+        // accepting incremental insertions. Every member sits strictly
+        // within ε of its MC center, so the online 2ε center-search
+        // invariant holds.
+        let (level1, mcs, mc_of) = tree.into_parts();
+        let mcs = mcs.into_iter().map(|mc| mc.block).collect();
 
         Self {
             params,
@@ -292,7 +283,7 @@ impl StreamingMuDbscan {
     fn query(&self, coords: &[f64]) -> Vec<PointId> {
         let eps = self.params.eps;
         let mut mcs_hit: Vec<u32> = Vec::new();
-        self.level1.within(coords, 2.0 * eps, &mut mcs_hit);
+        self.level1.all_within(coords, 2.0 * eps, &mut mcs_hit);
         let mut out = Vec::new();
         for mc in mcs_hit {
             let cost = scan_block(&self.mcs[mc as usize], coords, eps * eps, |q| out.push(q));
@@ -320,10 +311,10 @@ impl StreamingMuDbscan {
         self.uf_slot.push(slot);
 
         // Micro-cluster maintenance: join an MC whose center is strictly
-        // within ε (the minimum id on the grid), else start a new one. (A removed center
+        // within ε (the minimum id), else start a new one. (A removed center
         // leaves its MC behind as a *virtual* center: the level-1 entry
         // and the members-within-ε invariant both stay valid.)
-        let (hit, probe_cost) = self.level1.join(coords, self.params.eps);
+        let (hit, probe_cost) = self.level1.min_within(coords, self.params.eps);
         self.counters.count_node_visits(probe_cost.nodes_visited.max(1));
         self.counters.count_dists(probe_cost.mbr_tests);
         match hit {
@@ -336,7 +327,7 @@ impl StreamingMuDbscan {
                 let mut block = PointBlock::with_capacity(self.data.dim(), 1);
                 block.push(p, coords);
                 self.mcs.push(block);
-                self.level1.insert(id, coords);
+                self.level1.insert(coords);
                 self.mc_of.push(id);
             }
         }

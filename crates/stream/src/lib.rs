@@ -22,9 +22,10 @@
 //! micro-cluster machinery:
 //!
 //! * points are assigned to ε-ball micro-clusters maintained online
-//!   (the center index is `mcs::Level1`: a hashed 2ε grid at d ≤ 3 and
-//!   an R-tree above), and each MC's live members are one column-major
-//!   block that grows on insert and shrinks on removal;
+//!   (the center index is `mcs::CenterGrid`: a hashed 2ε grid on the
+//!   first three coordinates at every d), and each MC's live members
+//!   are one column-major block that grows on insert and shrinks on
+//!   removal;
 //! * an ε-query for a point only searches MCs whose center is strictly
 //!   within 2ε (a point within ε of `p` is within ε of its own center,
 //!   so its center is within 2ε of `p`);
