@@ -10,8 +10,6 @@
 //! the crossovers and failures are. See EXPERIMENTS.md for the recorded
 //! outcomes.
 
-pub mod diff;
-
 use std::time::Instant;
 
 /// Time a closure, returning `(result, seconds)`.

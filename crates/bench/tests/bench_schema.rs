@@ -5,16 +5,19 @@
 //! file, so the same assertions guard both the committed artifact and
 //! every regeneration — a schema change without a doc/test update fails
 //! here, and an exactness drift fails inside `emit_bench` itself (it
-//! exits non-zero and never writes the file).
+//! exits non-zero and never writes the file). A fresh file is also
+//! compared with the committed one on the observables that do not
+//! depend on its size ([`smoke_violations`]).
 
 use obs::Json;
+use std::path::{Path, PathBuf};
 
 /// The algorithms every workload must cover: sequential μDBSCAN, the
 /// parallel variant with 1 and 4 threads, μDBSCAN-D with 1 and 4 ranks,
 /// (schema v4) the fault-injected 4-rank recovery arm, (schema v6) the
 /// served-traffic arm through the concurrent serving layer, and
 /// (schema v7) the delete-heavy twin arms — the micro-cluster-local
-/// repair path vs the rebuild-every-structural-delete baseline.
+/// repair path vs the budget-0 rebuild baseline.
 const REQUIRED_ALGORITHMS: [&str; 9] = [
     "mudbscan_seq",
     "par_mudbscan_t1",
@@ -36,12 +39,26 @@ const MAKESPAN_GATE_MIN_N: f64 = 4000.0;
 /// wall time must beat t1 by at least this factor.
 const MAKESPAN_MIN_SPEEDUP: f64 = 1.5;
 
-fn trajectory_path() -> std::path::PathBuf {
-    if let Ok(p) = std::env::var("BENCH_SCHEMA_FILE") {
-        return p.into();
-    }
+/// How many points a fresh file's `pct_queries_saved` may sit below the
+/// committed run's. Query savings track dataset density, so the
+/// n = 1500 smoke emission sits ~20 points below the committed n = 4000
+/// file on 3DSRN; 25 points absorbs that shift and still catches a
+/// broken wndq path (savings collapse toward zero).
+const PCT_SAVED_TOL: f64 = 25.0;
+
+fn committed_path() -> PathBuf {
     // crates/bench -> repository root.
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR10.json")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_PR10.json")
+}
+
+fn trajectory_path() -> PathBuf {
+    std::env::var("BENCH_SCHEMA_FILE").map_or_else(|_| committed_path(), PathBuf::from)
+}
+
+fn load(path: &Path) -> Json {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    Json::parse(&text).unwrap_or_else(|e| panic!("{} is not valid JSON: {e}", path.display()))
 }
 
 /// The acceptance budget for the live-telemetry arm of the overhead
@@ -67,10 +84,7 @@ fn get_f64(v: &Json, key: &str) -> f64 {
 
 #[test]
 fn committed_trajectory_matches_schema() {
-    let path = trajectory_path();
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    let root = Json::parse(&text).expect("BENCH_PR10.json must be valid JSON");
+    let root = load(&trajectory_path());
 
     assert_eq!(get_f64(&root, "schema_version"), 9.0, "schema_version must be 9");
     assert_eq!(get_f64(&root, "seed"), 2019.0, "pinned seed");
@@ -380,7 +394,7 @@ fn committed_trajectory_matches_schema() {
 
         // Schema v7 acceptance gate on the committed file: at bench
         // size, the repair arm's per-batch ingest latency p99 beats the
-        // rebuild-every-structural-delete baseline by ≥ 2×. (Skipped for
+        // budget-0 rebuild baseline by ≥ 2×. (Skipped for
         // smoke-sized runs, where a rebuild costs microseconds and the
         // ratio is noise.)
         if points_per_workload >= MAKESPAN_GATE_MIN_N {
@@ -520,5 +534,150 @@ fn committed_trajectory_matches_schema() {
             live_pct < LIVE_OVERHEAD_BUDGET_PCT,
             "live-telemetry overhead {live_pct:.2}% exceeds the {LIVE_OVERHEAD_BUDGET_PCT}% budget"
         );
+    }
+}
+
+/// The elements of the array under `key` (none when absent).
+fn items<'a>(v: &'a Json, key: &str) -> &'a [Json] {
+    v.get(key).and_then(Json::as_array).unwrap_or(&[])
+}
+
+/// The element of `list` whose string field `key` equals `name`.
+fn find<'a>(list: &'a [Json], key: &str, name: &str) -> Option<&'a Json> {
+    list.iter().find(|x| x.get(key).and_then(Json::as_str) == Some(name))
+}
+
+/// Compare a fresh emission (`fresh`, usually at a smaller n) with the
+/// committed trajectory on the observables that do not depend on n:
+/// every committed workload (`dataset`), run (`algorithm`) and sharded
+/// arm (`label`) is present, and no run's `pct_queries_saved` sits more
+/// than [`PCT_SAVED_TOL`] points below the committed run's. Returns one
+/// line per violation. The exactness bits need no comparison: the
+/// emitter exits before writing a file in which one would be false, and
+/// `committed_trajectory_matches_schema` asserts each one on either file.
+fn smoke_violations(committed: &Json, fresh: &Json) -> Vec<String> {
+    let mut out = Vec::new();
+    for cw in items(committed, "workloads") {
+        let name = cw.get("dataset").and_then(Json::as_str).unwrap_or("?");
+        let Some(fw) = find(items(fresh, "workloads"), "dataset", name) else {
+            out.push(format!("{name}: workload missing"));
+            continue;
+        };
+        for cr in items(cw, "runs") {
+            let algo = cr.get("algorithm").and_then(Json::as_str).unwrap_or("?");
+            let Some(fr) = find(items(fw, "runs"), "algorithm", algo) else {
+                out.push(format!("{name}/{algo}: run missing"));
+                continue;
+            };
+            let pct = |r: &Json| r.get("pct_queries_saved").and_then(Json::as_f64);
+            if let (Some(c), Some(f)) = (pct(cr), pct(fr)) {
+                if f < c - PCT_SAVED_TOL {
+                    out.push(format!(
+                        "{name}/{algo}: pct_queries_saved {f:.2} is {:.2} points below the \
+                         committed {c:.2} (tolerance {PCT_SAVED_TOL})",
+                        c - f
+                    ));
+                }
+            }
+        }
+    }
+    fn arms(root: &Json) -> &[Json] {
+        root.get("sharded_scale").map_or(&[], |s| items(s, "arms"))
+    }
+    for arm in arms(committed) {
+        let label = arm.get("label").and_then(Json::as_str).unwrap_or("?");
+        if find(arms(fresh), "label", label).is_none() {
+            out.push(format!("sharded_scale/{label}: arm missing"));
+        }
+    }
+    out
+}
+
+#[test]
+fn fresh_trajectory_keeps_the_committed_runs_and_savings() {
+    let (path, committed) = (trajectory_path(), committed_path());
+    let same = |p: &Path| std::fs::canonicalize(p).ok();
+    if same(&path) == same(&committed) {
+        return; // nothing fresh to compare
+    }
+    let violations = smoke_violations(&load(&committed), &load(&path));
+    assert!(
+        violations.is_empty(),
+        "{} against the committed {}:\n{}",
+        path.display(),
+        committed.display(),
+        violations.join("\n")
+    );
+}
+
+/// Doctored copies of the committed file for the comparison's own tests.
+mod smoke_comparison {
+    use super::*;
+
+    fn committed() -> Json {
+        load(&committed_path())
+    }
+
+    /// The array under `key` of an object, mutably.
+    fn array_mut<'a>(v: &'a mut Json, key: &str) -> &'a mut Vec<Json> {
+        let Json::Obj(pairs) = v else { panic!("not an object") };
+        match pairs.iter_mut().find(|(k, _)| k == key) {
+            Some((_, Json::Arr(a))) => a,
+            _ => panic!("no array {key:?}"),
+        }
+    }
+
+    #[test]
+    fn the_committed_file_passes_against_itself() {
+        let c = committed();
+        assert_eq!(smoke_violations(&c, &c), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_missing_workload_is_reported() {
+        let c = committed();
+        let mut fresh = c.clone();
+        array_mut(&mut fresh, "workloads").remove(0);
+        let v = smoke_violations(&c, &fresh);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].ends_with("workload missing"), "{v:?}");
+    }
+
+    #[test]
+    fn a_missing_run_is_reported() {
+        let c = committed();
+        let mut fresh = c.clone();
+        array_mut(&mut array_mut(&mut fresh, "workloads")[1], "runs").remove(0);
+        let v = smoke_violations(&c, &fresh);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].ends_with("run missing"), "{v:?}");
+    }
+
+    #[test]
+    fn a_missing_sharded_arm_is_reported() {
+        let c = committed();
+        let mut fresh = c.clone();
+        let Json::Obj(pairs) = &mut fresh else { panic!("not an object") };
+        let sharded = &mut pairs.iter_mut().find(|(k, _)| k == "sharded_scale").unwrap().1;
+        array_mut(sharded, "arms").pop();
+        let v = smoke_violations(&c, &fresh);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].ends_with("arm missing"), "{v:?}");
+    }
+
+    #[test]
+    fn savings_may_fall_by_the_tolerance_but_not_one_point_more() {
+        let c = committed();
+        let lowered = |drop: f64| {
+            let mut fresh = c.clone();
+            let run = &mut array_mut(&mut array_mut(&mut fresh, "workloads")[0], "runs")[0];
+            let pct = run.get("pct_queries_saved").and_then(Json::as_f64).unwrap();
+            run.set("pct_queries_saved", Json::Num(pct - drop));
+            smoke_violations(&c, &fresh)
+        };
+        assert_eq!(lowered(PCT_SAVED_TOL), Vec::<String>::new());
+        let v = lowered(PCT_SAVED_TOL + 1.0);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("pct_queries_saved"), "{v:?}");
     }
 }

@@ -1,11 +1,13 @@
 //! Registry audit: every obs key emitted by an instrumented full run
-//! must be documented in `docs/BENCH_SCHEMA.md`.
+//! must be documented in `docs/OBSERVABILITY.md`.
 //!
 //! The doc's "## Key registry" section lists every counter, value,
 //! histogram, and span name as a backticked entry. Entries may use
-//! `<...>`-style wildcard segments (e.g. `bsp/<phase>/comm_bytes`) for
-//! families keyed by a dynamic name. A new `obs::record_*` call or span
-//! whose key is not in the registry fails here, keeping the docs and the
+//! angle-bracket wildcard segments (e.g. `bsp/<phase>/comm_bytes`) for
+//! families keyed by a dynamic name; an entry made only of wildcards
+//! matches nothing, so prose that names the wildcard syntax cannot
+//! document every key. A new `obs::record_*` call or span whose key is
+//! not in the registry fails here, keeping the docs and the
 //! instrumentation in lock-step.
 
 use data::paper_table2_specs;
@@ -14,20 +16,30 @@ use mudbscan::MuDbscan;
 use std::collections::BTreeSet;
 
 /// `key` matches `entry` if they are equal segment-by-segment, with
-/// `<...>` entry segments matching any single key segment.
+/// `<...>` entry segments matching any single key segment. An entry
+/// with no literal segment matches nothing.
 fn matches(entry: &str, key: &str) -> bool {
+    let wild = |s: &&str| s.starts_with('<') && s.ends_with('>');
     let es: Vec<&str> = entry.split('/').collect();
     let ks: Vec<&str> = key.split('/').collect();
-    es.len() == ks.len()
-        && es.iter().zip(&ks).all(|(e, k)| *e == *k || (e.starts_with('<') && e.ends_with('>')))
+    !es.iter().all(wild)
+        && es.len() == ks.len()
+        && es.iter().zip(&ks).all(|(e, k)| e == k || wild(e))
 }
 
-/// All backticked strings in the doc's "## Key registry" section.
+fn registry_doc() -> String {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/OBSERVABILITY.md");
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+}
+
+/// All backticked strings in the doc's "## Key registry" section, up to
+/// the next `## ` heading.
 fn registry_entries(doc: &str) -> Vec<String> {
     let section = doc
-        .split("## Key registry")
+        .split("\n## Key registry\n")
         .nth(1)
-        .expect("docs/BENCH_SCHEMA.md must have a '## Key registry' section");
+        .expect("docs/OBSERVABILITY.md must have a '## Key registry' section");
+    let section = section.split("\n## ").next().unwrap_or(section);
     let mut out = Vec::new();
     for chunk in section.split('`').skip(1).step_by(2) {
         if !chunk.is_empty() && !chunk.contains('\n') {
@@ -40,11 +52,7 @@ fn registry_entries(doc: &str) -> Vec<String> {
 
 #[test]
 fn every_emitted_key_is_documented() {
-    let doc_path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/BENCH_SCHEMA.md");
-    let doc = std::fs::read_to_string(&doc_path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", doc_path.display()));
-    let entries = registry_entries(&doc);
+    let entries = registry_entries(&registry_doc());
 
     // One instrumented run of each execution mode on a small workload
     // exercises every emission site: sequential, shared-memory parallel
@@ -81,7 +89,7 @@ fn every_emitted_key_is_documented() {
         keys.iter().filter(|k| !entries.iter().any(|e| matches(e, k))).collect();
     assert!(
         undocumented.is_empty(),
-        "obs keys missing from the '## Key registry' section of docs/BENCH_SCHEMA.md: \
+        "obs keys missing from the '## Key registry' section of docs/OBSERVABILITY.md: \
          {undocumented:?}"
     );
 }
@@ -92,4 +100,14 @@ fn wildcard_matching_rules() {
     assert!(matches("bsp/<phase>/comm_bytes", "bsp/halo_exchange/comm_bytes"));
     assert!(!matches("bsp/<phase>/comm_bytes", "bsp/comm_bytes"));
     assert!(!matches("query/node_visits", "query/candidates"));
+    assert!(!matches("<...>", "mudbscan"));
+    assert!(!matches("<a>/<b>", "bsp/comm_bytes"));
+}
+
+#[test]
+fn an_undocumented_segment_is_reported() {
+    let entries = registry_entries(&registry_doc());
+    let documented: Vec<&String> =
+        entries.iter().filter(|e| matches(e, "undocumented_made_up_span")).collect();
+    assert!(documented.is_empty(), "a made-up segment matched {documented:?}");
 }

@@ -28,7 +28,7 @@ pub fn run_case(rows: &[Vec<f64>], params: &DbscanParams) -> CaseOutcome {
     for imp in registry() {
         match imp.run(&data, params) {
             Err(reason) => outcome.skipped.push((imp.name().to_string(), reason)),
-            Ok(clustering) => {
+            Ok((clustering, _)) => {
                 let report = check_exact(&clustering, &reference, &data, params);
                 if !report.is_exact() {
                     outcome.disagreements.push((imp.name().to_string(), report));

@@ -16,6 +16,7 @@
 use baselines::{GDbscan, GridDbscan, RDbscan};
 use geom::{Dataset, DbscanParams};
 use metrics::mem::MemBudget;
+use metrics::Counters;
 use mudbscan::prelude::{BuildOptions, Family, Runner, ServeOp};
 use mudbscan::Clustering;
 
@@ -27,8 +28,8 @@ use mudbscan::Clustering;
 pub trait ExactDbscan: Sync {
     /// Stable identifier used in failure artifacts and reports.
     fn name(&self) -> &'static str;
-    /// Cluster `data` under `params`.
-    fn run(&self, data: &Dataset, params: &DbscanParams) -> Result<Clustering, String>;
+    /// Cluster `data` under `params`, with the run's work counters.
+    fn run(&self, data: &Dataset, params: &DbscanParams) -> Result<(Clustering, Counters), String>;
 }
 
 /// Any μDBSCAN family, via the facade: `configure` turns the fresh
@@ -43,17 +44,18 @@ impl ExactDbscan for Facade {
         self.name
     }
 
-    fn run(&self, data: &Dataset, params: &DbscanParams) -> Result<Clustering, String> {
+    fn run(&self, data: &Dataset, params: &DbscanParams) -> Result<(Clustering, Counters), String> {
         (self.configure)(Runner::new(*params))
             .run(data)
-            .map(|out| out.clustering)
+            .map(|out| (out.clustering, out.counters))
             .map_err(|e| e.to_string())
     }
 }
 
 /// The serving engine, started by `Runner::serve`: every point is
 /// ingested as one batch through the writer thread, then the engine is
-/// shut down and the drained snapshot's clustering returned.
+/// shut down and the drained snapshot's clustering returned with the
+/// writer's counters.
 struct Served;
 
 impl ExactDbscan for Served {
@@ -61,12 +63,12 @@ impl ExactDbscan for Served {
         "mu-serve"
     }
 
-    fn run(&self, data: &Dataset, params: &DbscanParams) -> Result<Clustering, String> {
+    fn run(&self, data: &Dataset, params: &DbscanParams) -> Result<(Clustering, Counters), String> {
         let handle = Runner::new(*params).serve(data.dim()).map_err(|e| e.to_string())?;
         let ops = data.iter().map(|(_, c)| ServeOp::insert(c.to_vec())).collect();
         handle.ingest(ops).map_err(|e| e.to_string())?;
         let drained = handle.shutdown().map_err(|e| e.to_string())?;
-        Ok(drained.snapshot.clustering().clone())
+        Ok((drained.snapshot.clustering().clone(), drained.counters))
     }
 }
 
@@ -77,8 +79,9 @@ impl ExactDbscan for RBaseline {
         "rdbscan"
     }
 
-    fn run(&self, data: &Dataset, params: &DbscanParams) -> Result<Clustering, String> {
-        Ok(RDbscan::new(*params).run(data).clustering)
+    fn run(&self, data: &Dataset, params: &DbscanParams) -> Result<(Clustering, Counters), String> {
+        let out = RDbscan::new(*params).run(data);
+        Ok((out.clustering, out.counters))
     }
 }
 
@@ -89,8 +92,9 @@ impl ExactDbscan for GBaseline {
         "gdbscan"
     }
 
-    fn run(&self, data: &Dataset, params: &DbscanParams) -> Result<Clustering, String> {
-        Ok(GDbscan::new(*params).run(data).clustering)
+    fn run(&self, data: &Dataset, params: &DbscanParams) -> Result<(Clustering, Counters), String> {
+        let out = GDbscan::new(*params).run(data);
+        Ok((out.clustering, out.counters))
     }
 }
 
@@ -101,7 +105,7 @@ impl ExactDbscan for GridBaseline {
         "grid-dbscan"
     }
 
-    fn run(&self, data: &Dataset, params: &DbscanParams) -> Result<Clustering, String> {
+    fn run(&self, data: &Dataset, params: &DbscanParams) -> Result<(Clustering, Counters), String> {
         // The grid baseline's neighbour-cell lists grow ~(2⌈√d⌉+1)^d; under
         // its default 4 GB budget a d=8 case still enumerates hundreds of
         // thousands of offsets before finishing, which would dominate the
@@ -111,7 +115,7 @@ impl ExactDbscan for GridBaseline {
         GridDbscan::new(*params)
             .with_budget(MemBudget::new(256 << 10))
             .run(data)
-            .map(|out| out.clustering)
+            .map(|out| (out.clustering, out.counters))
             .map_err(|e| e.to_string())
     }
 }
@@ -189,7 +193,7 @@ mod tests {
         let params = DbscanParams::new(0.5, 3);
         let reference = mudbscan::naive_dbscan(&data, &params);
         for imp in registry() {
-            let clustering = imp
+            let (clustering, _) = imp
                 .run(&data, &params)
                 .unwrap_or_else(|e| panic!("{} declined a 2-d toy input: {e}", imp.name()));
             let report = mudbscan::check_exact(&clustering, &reference, &data, &params);

@@ -9,8 +9,8 @@ A line counts when it is neither blank nor a comment (`//`, `///`,
 module: the attribute, the `mod name {` line and everything up to the
 closing brace at the same indentation (the code is rustfmt-formatted,
 so that brace is the module's end). A `#[cfg(test)] mod name;` leaves
-out the module's file. The root package counts `src/` and `examples/`.
-Prints one row per crate and a workspace total.
+out the module's file. Every crate, and the root package, counts its
+`src/` and `examples/`. Prints one row per crate and a workspace total.
 """
 
 import pathlib
@@ -80,7 +80,7 @@ def count_tree(roots):
 
 def main():
     repo = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else pathlib.Path(__file__).resolve().parent.parent)
-    rows = [(c.name, count_tree([c / "src"])) for c in sorted((repo / "crates").iterdir()) if (c / "Cargo.toml").exists()]
+    rows = [(c.name, count_tree([c / "src", c / "examples"])) for c in sorted((repo / "crates").iterdir()) if (c / "Cargo.toml").exists()]
     rows.append(("(root)", count_tree([repo / "src", repo / "examples"])))
     width = max(len(name) for name, _ in rows)
     for name, n in rows:
