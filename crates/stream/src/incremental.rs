@@ -3,8 +3,12 @@
 use geom::{Dataset, DbscanParams, PointBlock, PointId};
 use mcs::{build_micro_clusters_par, scan_block, BuildOptions, CenterGrid};
 use metrics::Counters;
-use mudbscan::Clustering;
+use mudbscan::{Clustering, NOISE};
 use unionfind::UnionFind;
+
+/// [`StreamingMuDbscan`]'s anchor of a point with no live core strictly
+/// within ε: a noise point (or a tombstone).
+const NO_ANCHOR: PointId = PointId::MAX;
 
 /// Outcome of [`StreamingMuDbscan::try_remove`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +58,15 @@ pub struct StreamingMuDbscan {
     /// reset member-by-member.
     uf_slot: Vec<PointId>,
     is_core: Vec<bool>,
-    assigned: Vec<bool>,
+    /// Canonical anchor of every live non-core point: its minimum-id
+    /// live core strictly within ε, or [`NO_ANCHOR`] for noise (the
+    /// value is stale and unread while the point is core). Anchors only
+    /// fall under insertion (`make_core`) and are re-resolved by
+    /// [`Self::try_remove`] exactly where a core vanished, so
+    /// [`Self::canonical_snapshot`] needs no ε-query. A non-core is
+    /// *captured* (sits in the union–find set of a live core within ε)
+    /// iff it has an anchor.
+    anchor: Vec<PointId>,
     /// `live[p]` is false once `p` has been removed. Tombstoned points
     /// keep their internal id (dataset slots are never compacted) but
     /// are deleted from their MC's block, so no ε-query returns them.
@@ -82,7 +94,7 @@ impl StreamingMuDbscan {
             uf: UnionFind::new(0),
             uf_slot: Vec::new(),
             is_core: Vec::new(),
-            assigned: Vec::new(),
+            anchor: Vec::new(),
             live: Vec::new(),
             dead_count: 0,
             mc_of: Vec::new(),
@@ -149,17 +161,18 @@ impl StreamingMuDbscan {
         // Replay the same union rules `insert`/`make_core` apply, in id
         // order: deterministic, and exact by the classical DBSCAN
         // argument (border ties may attach differently than some other
-        // insertion order, which DBSCAN itself leaves unspecified).
+        // insertion order, which DBSCAN itself leaves unspecified). Cores
+        // run in ascending id, so the first core to capture a border is
+        // its minimum-id core neighbour: its anchor.
         let min_pts = params.min_pts as u32;
         let counts: Vec<u32> = nbhd.iter().map(|nb| nb.len() as u32).collect();
         let is_core: Vec<bool> = counts.iter().map(|&c| c >= min_pts).collect();
         let mut uf = UnionFind::new(n);
-        let mut assigned = vec![false; n];
+        let mut anchor = vec![NO_ANCHOR; n];
         for p in 0..n {
             if !is_core[p] {
                 continue;
             }
-            assigned[p] = true;
             for &q in &nbhd[p] {
                 let qi = q as usize;
                 if qi == p {
@@ -168,10 +181,10 @@ impl StreamingMuDbscan {
                 if is_core[qi] {
                     uf.union(q, p as PointId);
                     counters.count_union();
-                } else if !assigned[qi] {
+                } else if anchor[qi] == NO_ANCHOR {
                     uf.union(p as PointId, q);
                     counters.count_union();
-                    assigned[qi] = true;
+                    anchor[qi] = p as PointId;
                 }
             }
         }
@@ -194,7 +207,7 @@ impl StreamingMuDbscan {
             uf,
             uf_slot: (0..n as PointId).collect(),
             is_core,
-            assigned,
+            anchor,
             live: vec![true; n],
             dead_count: 0,
             mc_of,
@@ -305,7 +318,7 @@ impl StreamingMuDbscan {
         let p = self.data.push(coords);
         self.counts.push(nbhrs.len() as u32 + 1);
         self.is_core.push(false);
-        self.assigned.push(false);
+        self.anchor.push(NO_ANCHOR);
         self.live.push(true);
         let slot = self.uf.push();
         self.uf_slot.push(slot);
@@ -342,18 +355,14 @@ impl StreamingMuDbscan {
             }
         }
 
-        // Process p itself.
+        // Process p itself: a non-core p is captured by its anchor, the
+        // minimum-id core neighbour (promotions below may lower it).
         if self.counts[p as usize] >= min_pts {
             self.make_core(p, &nbhrs);
-        } else {
-            for &q in &nbhrs {
-                if self.is_core[q as usize] {
-                    self.uf_union(q, p);
-                    self.counters.count_union();
-                    self.assigned[p as usize] = true;
-                    break;
-                }
-            }
+        } else if let Some(a) = nbhrs.iter().copied().filter(|&q| self.is_core[q as usize]).min() {
+            self.anchor[p as usize] = a;
+            self.uf_union(a, p);
+            self.counters.count_union();
         }
 
         // Process promotions: each newly-core point wires up its edges
@@ -372,21 +381,25 @@ impl StreamingMuDbscan {
     }
 
     /// Mark `x` core and apply the disjoint-set union rules against its
-    /// neighbour list.
+    /// neighbour list: join every core neighbour, capture every
+    /// uncaptured non-core one, and lower each non-core neighbour's
+    /// anchor to `x` where `x` is smaller.
     fn make_core(&mut self, x: PointId, nbhrs: &[PointId]) {
         self.is_core[x as usize] = true;
-        self.assigned[x as usize] = true;
         for &q in nbhrs {
             if q == x {
                 continue;
             }
-            if self.is_core[q as usize] {
+            let qi = q as usize;
+            if self.is_core[qi] {
                 self.uf_union(q, x);
                 self.counters.count_union();
-            } else if !self.assigned[q as usize] {
-                self.uf_union(x, q);
-                self.counters.count_union();
-                self.assigned[q as usize] = true;
+            } else {
+                if self.anchor[qi] == NO_ANCHOR {
+                    self.uf_union(x, q);
+                    self.counters.count_union();
+                }
+                self.anchor[qi] = self.anchor[qi].min(x);
             }
         }
     }
@@ -415,8 +428,8 @@ impl StreamingMuDbscan {
     ///    probe tries to certify that deleting `p` and the demoted
     ///    cores from the core graph cannot split any component. When it
     ///    succeeds the union–find is already correct restricted to the
-    ///    surviving cores — only the capture (`assigned`) of the
-    ///    demoted cores and of the borders they or `p` anchored needs
+    ///    surviving cores — only the capture and the anchors of the
+    ///    demoted cores and of the borders near them or `p` need
     ///    re-resolving, a constant-size repair even when the component
     ///    is the whole dataset. This is what keeps deletions cheap in
     ///    one-giant-cluster regimes, where the replay below would cost
@@ -426,17 +439,19 @@ impl StreamingMuDbscan {
     ///    components: `p`'s own component plus the component of every
     ///    demoted core (a border `p` can sit between clusters, so these
     ///    need not coincide). Those members are reset to singletons
-    ///    (sound because parent chains never leave a set) and the exact
-    ///    union rules of [`Self::from_dataset`] are replayed over them
-    ///    in id order, one ε-query per surviving core. Borders whose
-    ///    every in-component anchor was demoted are re-attached with
-    ///    one ε-query each, since they may still be held by a core of
-    ///    an untouched component.
+    ///    (sound because parent chains never leave a set), the core
+    ///    edges are replayed over them in id order (one ε-query per
+    ///    surviving core), and every non-core member re-attaches to its
+    ///    anchor, which may be a core of an untouched component.
     ///
-    /// Deletions never promote (counts only decrease), so the replay is
-    /// closed over the affected components: a core in the region cannot
-    /// union outside it (a cross-component core edge would have merged
-    /// the components before the removal).
+    /// Either tier re-resolves anchors exactly where a core vanished:
+    /// the demoted cores (from their neighbour lists, queried once here
+    /// for both tiers) and the non-cores anchored by `p` or by a demoted
+    /// core (one ε-query each). Every other anchor stays valid, because
+    /// deletions never promote (counts only decrease). The same fact
+    /// closes the replay over the affected components: a core in the
+    /// region cannot union outside it (a cross-component core edge
+    /// would have merged the components before the removal).
     pub fn try_remove(&mut self, p: PointId, budget: usize) -> RemoveOutcome {
         let pi = p as usize;
         assert!(pi < self.data.len() && self.live[pi], "remove of a dead or unknown point");
@@ -445,11 +460,10 @@ impl StreamingMuDbscan {
         let nbhrs = self.query(self.data.point(p));
         debug_assert_eq!(nbhrs.len() as u32, self.counts[pi]);
 
-        if !self.assigned[pi] {
-            // p is noise: no live core has p in its ε-ball (any such
-            // core would have captured p at promotion or insert time),
-            // so no neighbour can be demoted and no component is
-            // affected — constant-size repair.
+        if !self.is_core[pi] && self.anchor[pi] == NO_ANCHOR {
+            // p is noise: no live core has p in its ε-ball, so no
+            // neighbour can be demoted, no anchor is p and no component
+            // is affected — constant-size repair.
             self.detach(p);
             for &q in &nbhrs {
                 if q != p {
@@ -472,8 +486,14 @@ impl StreamingMuDbscan {
             .copied()
             .filter(|&q| q != p && self.is_core[q as usize] && self.counts[q as usize] == min_pts)
             .collect();
+        // Neighbour lists of the demoted cores while everything is
+        // still indexed: both tiers read them (seeds, at-risk borders,
+        // the demoted cores' own anchors). Nothing is mutated until a
+        // tier commits, so an `ExceedsBudget` leaves the state untouched.
+        let demoted_nbhrs: Vec<Vec<PointId>> =
+            demoted.iter().map(|&d| self.query(self.data.point(d))).collect();
 
-        if let Some(outcome) = self.no_split_repair(p, &nbhrs, &demoted, budget) {
+        if let Some(outcome) = self.no_split_repair(p, &nbhrs, &demoted, &demoted_nbhrs, budget) {
             return outcome;
         }
 
@@ -492,6 +512,11 @@ impl StreamingMuDbscan {
             return RemoveOutcome::ExceedsBudget { component: touched };
         }
 
+        // Non-cores anchored by p or by a demoted core. Each lies
+        // within ε of its anchor, so the neighbour lists in hand hold
+        // them all.
+        let orphans = self.orphans(p, &nbhrs, &demoted, &demoted_nbhrs);
+
         // Commit: drop p, decrement neighbour counts, apply demotions.
         self.detach(p);
         for &q in &nbhrs {
@@ -502,16 +527,18 @@ impl StreamingMuDbscan {
         for &d in &demoted {
             self.is_core[d as usize] = false;
         }
+        self.reanchor(&demoted, &demoted_nbhrs, &orphans);
 
         // Local union–find repair: reset every member of the affected
         // sets (p included — parent chains are intra-set, so a whole-set
         // reset cannot dangle; ghost elements left in these sets by
-        // earlier excisions are unreferenced either way), then replay
-        // the exact `from_dataset` union rules in id order over the
-        // surviving cores.
+        // earlier excisions are unreferenced either way), replay the
+        // core edges in id order over the surviving cores, then attach
+        // every captured non-core to its anchor. (An orphan outside
+        // the region keeps its set: the core that captured it is in
+        // that untouched set, hence still a core within ε.)
         for &q in &comp {
             self.uf.reset_to_singleton(self.uf_slot[q as usize]);
-            self.assigned[q as usize] = false;
         }
         for &q in &comp {
             if q == p || !self.is_core[q as usize] {
@@ -519,22 +546,70 @@ impl StreamingMuDbscan {
             }
             let qn = self.query(self.data.point(q));
             debug_assert_eq!(qn.len() as u32, self.counts[q as usize]);
-            self.make_core(q, &qn);
-        }
-        // Borders whose every in-component anchor was demoted may still
-        // be held by a core of an untouched component.
-        for &q in &comp {
-            if q == p || self.is_core[q as usize] || self.assigned[q as usize] {
-                continue;
+            for c in qn {
+                if c != q && self.is_core[c as usize] {
+                    self.uf_union(c, q);
+                    self.counters.count_union();
+                }
             }
-            let qn = self.query(self.data.point(q));
-            if let Some(&c) = qn.iter().find(|&&c| self.is_core[c as usize]) {
-                self.uf_union(c, q);
+        }
+        for &q in &comp {
+            let a = self.anchor[q as usize];
+            if q != p && !self.is_core[q as usize] && a != NO_ANCHOR {
+                self.uf_union(a, q);
                 self.counters.count_union();
-                self.assigned[q as usize] = true;
             }
         }
         RemoveOutcome::Removed { touched }
+    }
+
+    /// The live non-cores whose anchor is `p` or one of the `demoted`
+    /// cores, sorted: exactly the anchors a removal invalidates besides
+    /// the demoted cores' own. Read before the commit (the demoted
+    /// cores are still core, so they are not listed).
+    fn orphans(
+        &self,
+        p: PointId,
+        nbhrs: &[PointId],
+        demoted: &[PointId],
+        demoted_nbhrs: &[Vec<PointId>],
+    ) -> Vec<PointId> {
+        let mut orphans: Vec<PointId> = nbhrs
+            .iter()
+            .chain(demoted_nbhrs.iter().flatten())
+            .copied()
+            .filter(|&q| {
+                let a = self.anchor[q as usize];
+                q != p && !self.is_core[q as usize] && (a == p || demoted.contains(&a))
+            })
+            .collect();
+        orphans.sort_unstable();
+        orphans.dedup();
+        orphans
+    }
+
+    /// After a removal's commit, re-resolve the anchors it invalidated
+    /// against the new core flags: each demoted core from its neighbour
+    /// list (a scan, no query), each orphan with one ε-query (the
+    /// removed point is gone from the index, so no query returns it).
+    fn reanchor(
+        &mut self,
+        demoted: &[PointId],
+        demoted_nbhrs: &[Vec<PointId>],
+        orphans: &[PointId],
+    ) {
+        for (&d, list) in demoted.iter().zip(demoted_nbhrs) {
+            self.anchor[d as usize] = self.min_core(list);
+        }
+        for &q in orphans {
+            let qn = self.query(self.data.point(q));
+            self.anchor[q as usize] = self.min_core(&qn);
+        }
+    }
+
+    /// The minimum-id core in `list`, or [`NO_ANCHOR`].
+    fn min_core(&self, list: &[PointId]) -> PointId {
+        list.iter().copied().filter(|&q| self.is_core[q as usize]).min().unwrap_or(NO_ANCHOR)
     }
 
     /// Upper bound on ε-queries the no-split probe may spend walking
@@ -572,17 +647,18 @@ impl StreamingMuDbscan {
     ///
     /// **Repair.** With no split, the union–find restricted to the
     /// surviving cores is already exact ([`Self::canonical_snapshot`]
-    /// reads only the core partition plus the `assigned` flags), so
-    /// the commit is: tombstone `p`, decrement neighbour counts, drop
-    /// the demoted cores' core flags, and re-resolve capture exactly
+    /// reads only the core partition plus the anchors), so the commit
+    /// is: tombstone `p`, decrement neighbour counts, drop the demoted
+    /// cores' core flags, and re-resolve capture and anchors exactly
     /// where a core vertex vanished — each demoted core and each
-    /// assigned border within ε of `p`-when-core or of a demoted core
-    /// is excised from its old set ([`Self::uf_excise`]) and, when it
-    /// keeps a surviving anchor core (one ε-query per border),
-    /// re-attached to the minimum-id one. The excision is what keeps
-    /// later *insertions* sound: a stale set membership would let a
-    /// future promotion or capture union two unrelated components
-    /// through the moved point.
+    /// captured border within ε of `p`-when-core or of a demoted core
+    /// is excised from its old set ([`Self::uf_excise`]), gets the
+    /// minimum-id surviving core within ε as its new anchor (one
+    /// ε-query per border; every border anchored by a vanished core is
+    /// among them) and, when it has one, re-attaches to it. The
+    /// excision is what keeps later *insertions* sound: a stale set
+    /// membership would let a future promotion or capture union two
+    /// unrelated components through the moved point.
     ///
     /// Returns `None` to fall through to the replay tier; the repair
     /// region (`touched` = probed cores + re-anchored borders +
@@ -595,17 +671,15 @@ impl StreamingMuDbscan {
         p: PointId,
         nbhrs: &[PointId],
         demoted: &[PointId],
+        demoted_nbhrs: &[Vec<PointId>],
         budget: usize,
     ) -> Option<RemoveOutcome> {
         let p_core = self.is_core[p as usize];
         let alive_core = |s: &Self, q: PointId| -> bool {
             q != p && s.is_core[q as usize] && !demoted.contains(&q)
         };
-        // Neighbour lists of the demoted cores while everything is
-        // still indexed. Nothing is mutated until the certificate is in
-        // hand, so a `None` return leaves the state untouched.
-        let demoted_nbhrs: Vec<Vec<PointId>> =
-            demoted.iter().map(|&d| self.query(self.data.point(d))).collect();
+        // Nothing is mutated until the certificate is in hand, so a
+        // `None` return leaves the state untouched.
 
         // Seed groups, keyed by old component root.
         let mut groups: Vec<(PointId, Vec<PointId>)> = Vec::new();
@@ -727,16 +801,16 @@ impl StreamingMuDbscan {
             touched += visited.len().saturating_sub(seeds.len());
         }
 
-        // Borders at risk of losing their last anchor: the assigned
+        // Borders at risk of losing their last anchor: the captured
         // non-cores within ε of a vanished core vertex.
         let mut recheck: Vec<PointId> = Vec::new();
         let at_risk = |s: &Self, q: PointId| -> bool {
-            q != p && !s.is_core[q as usize] && s.assigned[q as usize]
+            q != p && !s.is_core[q as usize] && s.anchor[q as usize] != NO_ANCHOR
         };
         if p_core {
             recheck.extend(nbhrs.iter().copied().filter(|&q| at_risk(self, q)));
         }
-        for list in &demoted_nbhrs {
+        for list in demoted_nbhrs {
             recheck.extend(list.iter().copied().filter(|&q| at_risk(self, q)));
         }
         recheck.sort_unstable();
@@ -757,31 +831,17 @@ impl StreamingMuDbscan {
         for &d in demoted {
             self.is_core[d as usize] = false;
         }
-        // Re-resolve capture against the post-removal core flags: a
-        // membership scan per demoted core (its neighbour list is in
-        // hand), one ε-query per at-risk border (p is gone from the
-        // index, so the query cannot return it). Every such point is
+        // Re-resolve anchors against the post-removal core flags (the
+        // at-risk borders hold every orphan). Every such point is
         // excised from the raw union–find first — its old set may no
         // longer hold any of its anchors, and a later promotion or
         // capture through a stale membership would union two unrelated
-        // components — then points that keep an anchor re-attach to
-        // their minimum-id surviving one.
-        for (i, &d) in demoted.iter().enumerate() {
-            self.uf_excise(d);
-            let anchor =
-                demoted_nbhrs[i].iter().copied().filter(|&q| self.is_core[q as usize]).min();
-            self.assigned[d as usize] = anchor.is_some();
-            if let Some(a) = anchor {
-                self.uf_union(a, d);
-                self.counters.count_union();
-            }
-        }
-        for &q in &recheck {
+        // components — then points that keep an anchor re-attach to it.
+        self.reanchor(demoted, demoted_nbhrs, &recheck);
+        for &q in demoted.iter().chain(&recheck) {
             self.uf_excise(q);
-            let qn = self.query(self.data.point(q));
-            let anchor = qn.into_iter().filter(|&c| self.is_core[c as usize]).min();
-            self.assigned[q as usize] = anchor.is_some();
-            if let Some(a) = anchor {
+            let a = self.anchor[q as usize];
+            if a != NO_ANCHOR {
                 self.uf_union(a, q);
                 self.counters.count_union();
             }
@@ -801,7 +861,7 @@ impl StreamingMuDbscan {
         self.live[p as usize] = false;
         self.dead_count += 1;
         self.is_core[p as usize] = false;
-        self.assigned[p as usize] = false;
+        self.anchor[p as usize] = NO_ANCHOR;
         self.counts[p as usize] = 0;
     }
 
@@ -845,66 +905,40 @@ impl StreamingMuDbscan {
     /// in id order. [`Self::snapshot`]'s border attachment depends on
     /// insertion order (classical DBSCAN leaves the tie unspecified),
     /// so two orders of the same points can disagree on borders while
-    /// both being exact. This method re-resolves the ties, making the
-    /// result compare `==` against a batch run on the compacted live
+    /// both being exact. This method resolves the ties through the
+    /// maintained anchors instead, making the result compare `==` against a batch run on the compacted live
     /// set — the serving layer ([`crate::serve`]) publishes canonical
     /// snapshots for precisely that bit-identical epoch contract.
     /// (Compaction preserves insertion order, so the minimum internal
     /// id and the minimum compacted id pick the same anchor.)
     ///
-    /// Costs one ε-query per captured border point; core components
-    /// are copied from the incremental union–find (they are already
-    /// order-independent).
+    /// Runs no ε-query: one pass over the live points keys each core by
+    /// its union–find root (core components are already
+    /// order-independent) and each border by the root of its stored
+    /// anchor, and numbers the keys in first-appearance order — the
+    /// labels [`Clustering::from_union_find`] gives the canonical
+    /// forest, without building it.
     pub fn canonical_snapshot(&self) -> Clustering {
-        use std::collections::hash_map::Entry;
-        let n = self.data.len();
-        // Compacted position of every live point.
-        let mut pos = vec![u32::MAX; n];
-        let mut live_n = 0u32;
-        for (slot, &alive) in pos.iter_mut().zip(&self.live) {
-            if alive {
-                *slot = live_n;
-                live_n += 1;
-            }
-        }
-        let mut uf = UnionFind::new(live_n as usize);
-        // Each incremental union–find set holds exactly one core
-        // component plus the borders it captured; restricted to cores
-        // the partition is order-independent. Copy it by unioning every
-        // core point with the first core seen in its set. (Tombstones
-        // are never core, so they cannot leak in.)
-        let mut rep: std::collections::HashMap<PointId, u32> = std::collections::HashMap::new();
-        for (p, &cpos) in pos.iter().enumerate() {
-            if !self.is_core[p] {
-                continue;
-            }
-            match rep.entry(self.uf_root(p as PointId)) {
-                Entry::Occupied(e) => {
-                    uf.union(*e.get(), cpos);
+        // Cluster label per union–find element (only roots are read).
+        let mut label_of = vec![NOISE; self.uf.len()];
+        let mut labels = Vec::with_capacity(self.live_len());
+        let mut is_core = Vec::with_capacity(self.live_len());
+        let mut next = 0u32;
+        for p in (0..self.data.len()).filter(|&p| self.live[p]) {
+            let key = if self.is_core[p] { p as PointId } else { self.anchor[p] };
+            labels.push(if key == NO_ANCHOR {
+                NOISE
+            } else {
+                let label = &mut label_of[self.uf_root(key) as usize];
+                if *label == NOISE {
+                    *label = next;
+                    next += 1;
                 }
-                Entry::Vacant(e) => {
-                    e.insert(cpos);
-                }
-            }
+                *label
+            });
+            is_core.push(self.is_core[p]);
         }
-        // Re-attach each captured border to its minimum-id core
-        // neighbour (fresh unions only: the incremental attachment is
-        // deliberately not copied).
-        for p in 0..n {
-            if !self.live[p] || self.is_core[p] || !self.assigned[p] {
-                continue;
-            }
-            let anchor = self
-                .query(self.data.point(p as PointId))
-                .into_iter()
-                .filter(|&q| self.is_core[q as usize])
-                .min()
-                .expect("assigned border point must have a core neighbour");
-            uf.union(pos[anchor as usize], pos[p]);
-        }
-        let is_core: Vec<bool> =
-            (0..n).filter(|&p| self.live[p]).map(|p| self.is_core[p]).collect();
-        Clustering::from_union_find(&mut uf, is_core)
+        Clustering { labels, is_core, n_clusters: next as usize }
     }
 
     /// Convenience: bulk-ingest a dataset in row order.
@@ -940,6 +974,7 @@ impl StreamingMuDbscan {
 mod tests {
     use super::*;
     use mudbscan::{check_exact, naive_dbscan};
+    use proptest::prelude::*;
 
     fn blobs(n_per: usize, seed: u64) -> Dataset {
         let mut rows = Vec::new();
@@ -1336,6 +1371,99 @@ mod tests {
             &params,
         );
         assert!(rep.is_exact(), "{rep:?}");
+    }
+
+    /// Every live non-core's stored anchor is its brute-force
+    /// minimum-id live core strictly within ε ([`NO_ANCHOR`] exactly
+    /// for noise, and for every tombstone).
+    fn check_anchors(s: &StreamingMuDbscan) -> Result<(), String> {
+        let eps_sq = s.params.eps * s.params.eps;
+        if let Some(q) = (0..s.len()).find(|&q| !s.live[q] && s.anchor[q] != NO_ANCHOR) {
+            return Err(format!("tombstone {q} keeps anchor {}", s.anchor[q]));
+        }
+        let live = || (0..s.len() as PointId).filter(|&q| s.is_live(q));
+        for q in live().filter(|&q| !s.is_core[q as usize]) {
+            let want = live()
+                .filter(|&c| {
+                    s.is_core[c as usize] && geom::dist_sq(s.point(c), s.point(q)) < eps_sq
+                })
+                .min()
+                .unwrap_or(NO_ANCHOR);
+            if s.anchor[q as usize] != want {
+                return Err(format!("point {q}: anchor {} != {want}", s.anchor[q as usize]));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Seeded insert/remove churn under a zero, a small and an
+        /// unbounded repair budget, so the noise path, the no-split
+        /// tier and the component replay all commit: after every op
+        /// the anchors are exact and the canonical snapshot equals a
+        /// bulk-loaded twin's; an over-budget removal mutates nothing.
+        #[test]
+        fn anchors_stay_exact_under_churn(
+            seed in any::<u64>(),
+            eps in 0.4..1.0f64,
+            min_pts in 2usize..6,
+        ) {
+            let params = DbscanParams::new(eps, min_pts);
+            for budget in [0, 3, usize::MAX] {
+                let mut rng = seed ^ budget as u64;
+                let mut next = move || {
+                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (rng >> 33) as f64 / (1u64 << 31) as f64
+                };
+                let mut s = StreamingMuDbscan::empty(2, params);
+                let mut live: Vec<PointId> = Vec::new();
+                for step in 0..90 {
+                    if step < 30 || next() < 0.5 {
+                        let c = if next() < 0.5 { -1.0 } else { 1.0 };
+                        live.push(s.insert(&[c + 2.0 * next() - 1.0, 2.0 * next() - 1.0]));
+                    } else {
+                        let k = (next() * live.len() as f64) as usize % live.len();
+                        let before = s.canonical_snapshot();
+                        match s.try_remove(live[k], budget) {
+                            RemoveOutcome::Removed { .. } => {
+                                live.swap_remove(k);
+                            }
+                            RemoveOutcome::ExceedsBudget { .. } => {
+                                prop_assert_eq!(s.canonical_snapshot(), before);
+                            }
+                        }
+                    }
+                    if let Err(e) = check_anchors(&s) {
+                        return Err(TestCaseError::fail(format!(
+                            "budget {budget}, step {step}: {e}"
+                        )));
+                    }
+                    let twin = StreamingMuDbscan::from_dataset(&live_dataset(&s), params);
+                    prop_assert_eq!(
+                        s.canonical_snapshot(),
+                        twin.canonical_snapshot(),
+                        "budget {}, step {}",
+                        budget,
+                        step
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn canonical_snapshot_runs_no_query() {
+        let data = blobs(30, 3);
+        let params = DbscanParams::new(0.6, 4);
+        let mut s = StreamingMuDbscan::empty(2, params);
+        s.extend_from(&data);
+        s.remove(5);
+        let before = s.counters().range_queries();
+        let snap = s.canonical_snapshot();
+        assert!(snap.n_clusters > 0 && snap.is_core.iter().any(|&c| !c));
+        assert_eq!(s.counters().range_queries(), before);
     }
 
     #[test]

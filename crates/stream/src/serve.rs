@@ -7,8 +7,10 @@
 //! not have — then publishes an immutable epoch [`Snapshot`] through an
 //! RCU-style pointer swap. Any number of concurrent readers answer
 //! ε-neighbourhood and cluster-membership lookups against the snapshot
-//! they pinned, never blocking on writer compute; an old epoch is freed
-//! when its last pinned reader releases it (plain [`Arc`] reclamation).
+//! they pinned, never blocking on writer compute. The writer frees a
+//! replaced epoch one publish later, unless a reader still pins it (then
+//! plain [`Arc`] reclamation frees it when that reader lets go): a reader
+//! thus never pays for freeing a snapshot inside its timed query.
 //!
 //! **Exactness contract.** Every published epoch's clustering is
 //! *bit-identical* (`==` on [`Clustering`]) to a batch
@@ -16,8 +18,9 @@
 //! at that epoch, in insertion order. Two mechanisms pay for this:
 //!
 //! * inserts are applied incrementally, then the writer publishes
-//!   [`StreamingMuDbscan::canonical_snapshot`], which re-resolves
-//!   border ties to the batch answer;
+//!   [`StreamingMuDbscan::canonical_snapshot`], which resolves border
+//!   ties to the batch answer through the engine's maintained anchors
+//!   (no ε-query per epoch);
 //! * deletions and TTL expiries are applied per-op through the
 //!   engine's exact [`StreamingMuDbscan::try_remove`] — a
 //!   **micro-cluster-local repair** that tombstones the point, demotes
@@ -285,7 +288,9 @@ pub struct Snapshot {
     params: DbscanParams,
     data: Dataset,
     ext: Vec<ExtId>,
-    lookup: HashMap<ExtId, PointId>,
+    /// The writer's external id → *writer-internal* id map at this
+    /// epoch (mapped through `compact`), shared by `Arc` like `index`.
+    lookup: Arc<HashMap<ExtId, PointId>>,
     clustering: Clustering,
     /// The writer's live-point R-tree, shared by reference: items are
     /// *writer-internal* ids (mapped through `compact`), and the `Arc`
@@ -304,7 +309,7 @@ impl Snapshot {
             params,
             data: Dataset::empty(dim),
             ext: Vec::new(),
-            lookup: HashMap::new(),
+            lookup: Arc::default(),
             clustering: Clustering::from_union_find(&mut unionfind::UnionFind::new(0), Vec::new()),
             index: Arc::new(RTree::new(dim)),
             compact: Vec::new(),
@@ -369,11 +374,11 @@ impl Snapshot {
     /// Cluster membership of a live point, `None` when the id is
     /// unknown, deleted, or expired in this epoch.
     pub fn membership(&self, id: ExtId) -> Option<Membership> {
-        let p = *self.lookup.get(&id)?;
-        let label = self.clustering.labels[p as usize];
+        let i = self.compact[*self.lookup.get(&id)? as usize] as usize;
+        let label = self.clustering.labels[i];
         Some(Membership {
             cluster: (label != mudbscan::NOISE).then_some(label),
-            is_core: self.clustering.is_core[p as usize],
+            is_core: self.clustering.is_core[i],
         })
     }
 }
@@ -638,8 +643,9 @@ pub struct ServingMuDbscan {
     /// Internal id → first epoch the point is dead in (`u64::MAX` =
     /// lives forever).
     expire_at: Vec<u64>,
-    /// External id → internal id, live points only.
-    lookup: HashMap<ExtId, PointId>,
+    /// External id → internal id, live points only; shared with every
+    /// published [`Snapshot`] by `Arc` and copied on write, like `index`.
+    lookup: Arc<HashMap<ExtId, PointId>>,
     /// Persistent R-tree over the live points (writer-internal ids),
     /// maintained per-op — inserts insert, repaired removals remove —
     /// and shared with every published [`Snapshot`] by `Arc`.
@@ -647,6 +653,12 @@ pub struct ServingMuDbscan {
     /// a publish clones once, epochs without structural change republish
     /// the same tree, and nothing ever re-bulk-loads except a rebuild.
     index: Arc<RTree>,
+    /// The snapshot the last publish replaced. The writer drops it at
+    /// the start of the next publish, outside the lock: by then readers
+    /// have usually let go of it, so freeing it (and the R-tree or map
+    /// version only it still holds) costs the writer, not a reader's
+    /// timed query.
+    retired: Option<Arc<Snapshot>>,
     epoch: u64,
     /// One-shot latch: the first poisoned-lock publish dumps a
     /// postmortem; later publishes through the same poisoned lock
@@ -704,8 +716,9 @@ impl ServingMuDbscan {
             opts,
             ext: Vec::new(),
             expire_at: Vec::new(),
-            lookup: HashMap::new(),
+            lookup: Arc::default(),
             index: Arc::new(RTree::new(dim)),
+            retired: None,
             epoch: 0,
             poison_dumped: false,
         };
@@ -794,7 +807,7 @@ impl ServingMuDbscan {
                     RemoveOutcome::Removed { touched } => {
                         repairs += 1;
                         touched_total += touched as u64;
-                        self.lookup.remove(&self.ext[p as usize]);
+                        Arc::make_mut(&mut self.lookup).remove(&self.ext[p as usize]);
                         let coords = self.stream.point(p).to_vec();
                         Arc::make_mut(&mut self.index).remove_point(p, &coords);
                     }
@@ -844,7 +857,7 @@ impl ServingMuDbscan {
                 // its own epoch) and saturates at "lives forever" — see
                 // `ServeOp::insert_ttl`.
                 self.expire_at.push(ttl.map_or(u64::MAX, |d| self.epoch.saturating_add(d.max(1))));
-                self.lookup.insert(ext, p);
+                Arc::make_mut(&mut self.lookup).insert(ext, p);
                 Arc::make_mut(&mut self.index).insert_point(p, &coords);
                 inserts += 1;
             }
@@ -918,7 +931,6 @@ impl ServingMuDbscan {
         let mut expire_at = Vec::new();
         for p in 0..self.stream.len() {
             if !self.stream.is_live(p as PointId) || exclude.get(p).copied().unwrap_or(false) {
-                self.lookup.remove(&self.ext[p]);
                 continue;
             }
             data.push(self.stream.point(p as PointId));
@@ -931,7 +943,7 @@ impl ServingMuDbscan {
         // Carry the pre-rebuild operation counts forward so `drain`
         // reports totals across the engine's whole life.
         self.stream.counters().absorb(&counters);
-        self.lookup = ext.iter().enumerate().map(|(p, &e)| (e, p as PointId)).collect();
+        self.lookup = Arc::new(ext.iter().enumerate().map(|(p, &e)| (e, p as PointId)).collect());
         self.ext = ext;
         self.expire_at = expire_at;
         self.index = Arc::new(RTree::bulk_load_points(
@@ -942,9 +954,12 @@ impl ServingMuDbscan {
     }
 
     /// Publish the epoch snapshot and return the publish latency in
-    /// microseconds (also recorded into the histograms).
+    /// microseconds (also recorded into the histograms). The snapshot
+    /// it replaces becomes `retired`; the one retired by the previous
+    /// publish is dropped first.
     fn publish(&mut self) -> u64 {
         let t = Instant::now();
+        self.retired = None;
         let n = self.stream.len();
         let dim = self.shared.dim;
         // Compact the live points (insertion order) for the snapshot;
@@ -960,19 +975,18 @@ impl ServingMuDbscan {
             *slot = data.push(self.stream.point(p as PointId));
             ext.push(self.ext[p]);
         }
-        let lookup = ext.iter().enumerate().map(|(i, &e)| (e, i as PointId)).collect();
         let snap = Arc::new(Snapshot {
             epoch: self.epoch,
             params: self.stream.params(),
             clustering: self.stream.canonical_snapshot(),
             ext,
-            lookup,
+            lookup: Arc::clone(&self.lookup),
             data,
             index: Arc::clone(&self.index),
             compact,
         });
-        match self.shared.current.lock() {
-            Ok(mut g) => *g = snap,
+        let replaced = match self.shared.current.lock() {
+            Ok(mut g) => std::mem::replace(&mut *g, snap),
             Err(e) => {
                 // A reader panicked while holding the snapshot lock.
                 // Publishing proceeds (the data is fine), but the fault
@@ -987,9 +1001,10 @@ impl ServingMuDbscan {
                         .recorder
                         .dump_to_dir(&self.shared.postmortem_dir, "poisoned_lock");
                 }
-                *e.into_inner() = snap;
+                std::mem::replace(&mut *e.into_inner(), snap)
             }
-        }
+        };
+        self.retired = Some(replaced);
         obs::record_count("serve/epochs", 1);
         let us = t.elapsed().as_micros() as u64;
         obs::record_hist("serve/publish_us", us);
@@ -1348,6 +1363,70 @@ mod tests {
         let js = obs::Json::parse(&std::fs::read_to_string(&files[0]).unwrap()).unwrap();
         assert_eq!(js.get("reason").and_then(obs::Json::as_str), Some("poisoned_lock"));
         obs::validate_postmortem(&js).expect("poison artifact is schema-valid");
+    }
+
+    #[test]
+    fn writer_frees_a_replaced_snapshot_one_publish_later() {
+        // Epoch e's snapshot stays in the writer's retired slot through
+        // the publish of e + 1 and is dropped by the publish of e + 2,
+        // so a reader's pin is then its last reference — through a
+        // poisoned lock too.
+        for poison in [false, true] {
+            let tmp = TempDir::new(if poison { "retire-poison" } else { "retire" });
+            let h = ServingMuDbscan::spawn_with(
+                1,
+                params(),
+                ServeOptions { postmortem_dir: Some(tmp.0.clone()), ..Default::default() },
+            );
+            h.ingest(vec![ServeOp::insert(vec![0.0])]).unwrap();
+            drop(h.drain().unwrap());
+            if poison {
+                let shared = Arc::clone(&h.shared);
+                let _ = std::thread::spawn(move || {
+                    let _guard = shared.current.lock().unwrap();
+                    panic!("induced panic while holding the snapshot lock");
+                })
+                .join();
+                assert!(h.shared.current.lock().is_err(), "lock must actually be poisoned");
+            }
+            let pinned = h.pin();
+            assert_eq!(pinned.epoch(), 1);
+            h.ingest(vec![ServeOp::insert(vec![0.5])]).unwrap();
+            drop(h.drain().unwrap());
+            assert_eq!(
+                Arc::strong_count(&pinned),
+                2,
+                "poison {poison}: the pin + the retired slot"
+            );
+            h.ingest(vec![]).unwrap();
+            drop(h.drain().unwrap());
+            assert_eq!(Arc::strong_count(&pinned), 1, "poison {poison}: the writer kept epoch 1");
+            assert_eq!(h.pin().epoch(), 3);
+        }
+    }
+
+    #[test]
+    fn membership_maps_through_tombstones() {
+        // The snapshot's ext-id map holds writer-internal ids; after a
+        // delete those differ from dataset positions, and membership
+        // must read the label at the position.
+        let h = ServingMuDbscan::spawn(1, params());
+        let rows = [[0.0], [0.5], [-0.5], [0.2], [10.0], [10.5], [9.5], [20.0]];
+        let ids = h.ingest(rows.iter().map(|r| ServeOp::insert(r.to_vec())).collect()).unwrap();
+        h.drain().unwrap();
+        h.ingest(vec![ServeOp::delete(ids[3]), ServeOp::delete(ids[2])]).unwrap();
+        let snap = h.drain().unwrap().snapshot;
+        assert_eq!(snap.clustering().n_clusters, 1);
+        for (i, &id) in snap.live_ids().iter().enumerate() {
+            let label = snap.clustering().labels[i];
+            let want = Membership {
+                cluster: (label != mudbscan::NOISE).then_some(label),
+                is_core: snap.clustering().is_core[i],
+            };
+            assert_eq!(snap.membership(id), Some(want), "id {id}");
+        }
+        assert_eq!(snap.membership(ids[4]).and_then(|m| m.cluster), Some(0));
+        assert_eq!(snap.membership(ids[3]), None);
     }
 
     #[test]
