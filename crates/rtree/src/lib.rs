@@ -20,12 +20,17 @@
 //! strict `DIST < ε` membership predicate, so query results need no
 //! re-verification.
 //!
-//! Nodes live in an arena (`Vec<Node>`), children are `u32` indices; no
-//! `Box`/`Rc` pointer chasing. Every leaf stores its points column-major
-//! in one shared block ([`geom::soa::PointBlock`]), so sphere queries
-//! evaluate a whole leaf with one batched, autovectorizing
-//! distance-kernel call; ε-range and k-NN queries share a best-first
-//! MINDIST-heap traversal ([`traversal`]).
+//! Nodes live in an arena (`Vec<Arc<Node>>`), children are `u32`
+//! indices. The `Arc` lets versions share nodes: cloning a tree copies
+//! only the arena's pointers, and an insert or removal on one version
+//! copies just its root-to-leaf path and any split siblings
+//! ([`std::sync::Arc::make_mut`]), so the serving layer publishes each
+//! epoch's index without copying the whole tree. A tree never cloned
+//! owns every node alone and is written in place. Every leaf stores its
+//! points column-major in one shared block ([`geom::soa::PointBlock`]),
+//! so sphere queries evaluate a whole leaf with one batched,
+//! autovectorizing distance-kernel call; ε-range and k-NN queries share
+//! a best-first MINDIST-heap traversal ([`traversal`]).
 //!
 //! ```
 //! use rtree::{RTree, RTreeConfig};

@@ -5,12 +5,17 @@
 //! [`StreamingMuDbscan`] and applies batched operations — inserts plus
 //! the deletion/TTL-expiry capability the bare streaming engine does
 //! not have — then publishes an immutable epoch [`Snapshot`] through an
-//! RCU-style pointer swap. Any number of concurrent readers answer
-//! ε-neighbourhood and cluster-membership lookups against the snapshot
-//! they pinned, never blocking on writer compute. The writer frees a
-//! replaced epoch one publish later, unless a reader still pins it (then
-//! plain [`Arc`] reclamation frees it when that reader lets go): a reader
-//! thus never pays for freeing a snapshot inside its timed query.
+//! RCU-style pointer swap. The snapshot shares the writer's R-tree and
+//! id tables by [`Arc`] and owns only its clustering and a live-position
+//! table; the tree's versions also share their nodes, so an epoch
+//! copies the nodes its operations change, not the live set, and
+//! [`Snapshot::dataset`]/[`Snapshot::live_ids`] are built on first call.
+//! Any number of concurrent readers answer ε-neighbourhood and
+//! cluster-membership lookups against the snapshot they pinned, never
+//! blocking on writer compute. The writer frees a replaced epoch one
+//! publish later, unless a reader still pins it (then plain [`Arc`]
+//! reclamation frees it when that reader lets go): a reader thus never
+//! pays for freeing a snapshot inside its timed query.
 //!
 //! **Exactness contract.** Every published epoch's clustering is
 //! *bit-identical* (`==` on [`Clustering`]) to a batch
@@ -79,7 +84,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -286,20 +291,27 @@ fn check_coords(dim: usize, coords: &[f64]) -> Result<(), ServeError> {
 pub struct Snapshot {
     epoch: u64,
     params: DbscanParams,
-    data: Dataset,
-    ext: Vec<ExtId>,
-    /// The writer's external id → *writer-internal* id map at this
-    /// epoch (mapped through `compact`), shared by `Arc` like `index`.
+    /// The writer's *writer-internal* id → external id table at this
+    /// epoch (tombstoned ids keep their slot), shared by `Arc` like
+    /// `index`.
+    ext: Arc<Vec<ExtId>>,
+    /// The writer's external id → *writer-internal* id map of the live
+    /// points at this epoch, shared by `Arc` like `index`.
     lookup: Arc<HashMap<ExtId, PointId>>,
     clustering: Clustering,
-    /// The writer's live-point R-tree, shared by reference: items are
-    /// *writer-internal* ids (mapped through `compact`), and the `Arc`
-    /// means epochs whose tree did not structurally change publish the
-    /// very same index instead of re-bulk-loading it.
+    /// The writer's live-point R-tree at this epoch; items are
+    /// *writer-internal* ids. Shared by `Arc`, and node by node with the
+    /// writer's later versions: an epoch copies only the nodes its
+    /// operations change.
     index: Arc<RTree>,
-    /// Writer-internal id → position in `data`/`ext` (`u32::MAX` for
-    /// tombstoned ids, which the index never returns).
+    /// Writer-internal id → the point's position among the live points in
+    /// insertion order, which indexes the clustering's labels (`u32::MAX`
+    /// for tombstoned ids, which the index never returns).
     compact: Vec<u32>,
+    /// [`Self::dataset`] and [`Self::live_ids`], built on first call from
+    /// `index` and `ext`: serving reads need neither.
+    data: OnceLock<Dataset>,
+    live: OnceLock<Vec<ExtId>>,
 }
 
 impl Snapshot {
@@ -307,12 +319,13 @@ impl Snapshot {
         Snapshot {
             epoch: 0,
             params,
-            data: Dataset::empty(dim),
-            ext: Vec::new(),
+            ext: Arc::default(),
             lookup: Arc::default(),
             clustering: Clustering::from_union_find(&mut unionfind::UnionFind::new(0), Vec::new()),
             index: Arc::new(RTree::new(dim)),
             compact: Vec::new(),
+            data: OnceLock::new(),
+            live: OnceLock::new(),
         }
     }
 
@@ -329,25 +342,37 @@ impl Snapshot {
 
     /// Number of live points.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.index.len()
     }
 
     /// True when no points are live.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.index.is_empty()
     }
 
     /// The live points, in insertion order. Running a batch `Runner` on
     /// this dataset reproduces [`Self::clustering`] bit-identically —
     /// that is the serving exactness contract, pinned by the
-    /// conformance suite.
+    /// conformance suite. Built from the index on the first call.
     pub fn dataset(&self) -> &Dataset {
-        &self.data
+        self.data.get_or_init(|| {
+            let dim = self.index.dim();
+            let mut coords = vec![0.0; self.len() * dim];
+            self.index.for_each_point(|p, c| {
+                let i = self.compact[p as usize] as usize;
+                coords[i * dim..(i + 1) * dim].copy_from_slice(c);
+            });
+            Dataset::from_flat(dim, coords)
+        })
     }
 
     /// External ids of the live points, parallel to [`Self::dataset`].
+    /// Built on the first call.
     pub fn live_ids(&self) -> &[ExtId] {
-        &self.ext
+        self.live.get_or_init(|| {
+            let live = self.compact.iter().zip(self.ext.iter()).filter(|(&c, _)| c != u32::MAX);
+            live.map(|(_, &id)| id).collect()
+        })
     }
 
     /// The canonical clustering of the live points (labels indexed by
@@ -359,11 +384,9 @@ impl Snapshot {
     /// External ids strictly within ε of `coords`, sorted ascending.
     /// Coordinates of the wrong dimension, or NaN/±∞ ones, are rejected.
     pub fn query(&self, coords: &[f64]) -> Result<Vec<ExtId>, ServeError> {
-        check_coords(self.data.dim(), coords)?;
-        let mut hits: Vec<PointId> = Vec::new();
-        self.index.search_sphere(coords, self.params.eps, |p| hits.push(p));
-        let mut ids: Vec<ExtId> =
-            hits.into_iter().map(|p| self.ext[self.compact[p as usize] as usize]).collect();
+        check_coords(self.index.dim(), coords)?;
+        let mut ids: Vec<ExtId> = Vec::new();
+        self.index.search_sphere(coords, self.params.eps, |p| ids.push(self.ext[p as usize]));
         // Sort the external ids themselves: two handles can reserve ids
         // in one order and send their batches in the other, so insertion
         // order does not follow external-id order.
@@ -638,8 +661,10 @@ pub struct ServingMuDbscan {
     stream: StreamingMuDbscan,
     opts: ServeOptions,
     /// Internal id → external id, parallel to the stream's dataset
-    /// (tombstoned ids keep their slot until a compacting rebuild).
-    ext: Vec<ExtId>,
+    /// (tombstoned ids keep their slot until a compacting rebuild);
+    /// shared with every published [`Snapshot`] by `Arc` and copied on
+    /// write, like `lookup`.
+    ext: Arc<Vec<ExtId>>,
     /// Internal id → first epoch the point is dead in (`u64::MAX` =
     /// lives forever).
     expire_at: Vec<u64>,
@@ -648,16 +673,18 @@ pub struct ServingMuDbscan {
     lookup: Arc<HashMap<ExtId, PointId>>,
     /// Persistent R-tree over the live points (writer-internal ids),
     /// maintained per-op — inserts insert, repaired removals remove —
-    /// and shared with every published [`Snapshot`] by `Arc`.
-    /// [`Arc::make_mut`] gives copy-on-write: the first mutation after
-    /// a publish clones once, epochs without structural change republish
-    /// the same tree, and nothing ever re-bulk-loads except a rebuild.
+    /// and shared with every published [`Snapshot`] by `Arc`. The first
+    /// mutation after a publish clones it through [`Arc::make_mut`], which
+    /// copies only the node pointers: the versions share their nodes, and
+    /// each insert or removal copies just the nodes it changes (see
+    /// `rtree`). Epochs without structural change republish the same
+    /// tree, and nothing ever re-bulk-loads except a rebuild.
     index: Arc<RTree>,
     /// The snapshot the last publish replaced. The writer drops it at
     /// the start of the next publish, outside the lock: by then readers
-    /// have usually let go of it, so freeing it (and the R-tree or map
-    /// version only it still holds) costs the writer, not a reader's
-    /// timed query.
+    /// have usually let go of it, so freeing it (and the R-tree nodes
+    /// and id tables only it still holds) costs the writer, not a
+    /// reader's timed query.
     retired: Option<Arc<Snapshot>>,
     epoch: u64,
     /// One-shot latch: the first poisoned-lock publish dumps a
@@ -714,7 +741,7 @@ impl ServingMuDbscan {
             rx,
             stream: StreamingMuDbscan::empty(dim, params),
             opts,
-            ext: Vec::new(),
+            ext: Arc::default(),
             expire_at: Vec::new(),
             lookup: Arc::default(),
             index: Arc::new(RTree::new(dim)),
@@ -852,7 +879,7 @@ impl ServingMuDbscan {
                     self.ext.len(),
                     "serving ext-id table desynced from engine internal ids"
                 );
-                self.ext.push(ext);
+                Arc::make_mut(&mut self.ext).push(ext);
                 // TTL is rounded up to >= 1 (an insert cannot expire in
                 // its own epoch) and saturates at "lives forever" — see
                 // `ServeOp::insert_ttl`.
@@ -944,7 +971,7 @@ impl ServingMuDbscan {
         // reports totals across the engine's whole life.
         self.stream.counters().absorb(&counters);
         self.lookup = Arc::new(ext.iter().enumerate().map(|(p, &e)| (e, p as PointId)).collect());
-        self.ext = ext;
+        self.ext = Arc::new(ext);
         self.expire_at = expire_at;
         self.index = Arc::new(RTree::bulk_load_points(
             dim,
@@ -955,35 +982,31 @@ impl ServingMuDbscan {
 
     /// Publish the epoch snapshot and return the publish latency in
     /// microseconds (also recorded into the histograms). The snapshot
-    /// it replaces becomes `retired`; the one retired by the previous
-    /// publish is dropped first.
+    /// shares the writer's index, id table and id map; it owns only its
+    /// clustering and `compact`. The snapshot it replaces becomes
+    /// `retired`; the one retired by the previous publish is dropped
+    /// first.
     fn publish(&mut self) -> u64 {
         let t = Instant::now();
         self.retired = None;
-        let n = self.stream.len();
-        let dim = self.shared.dim;
-        // Compact the live points (insertion order) for the snapshot;
-        // the shared index keeps writer-internal ids and maps through
-        // `compact` at query time.
-        let mut data = Dataset::empty(dim);
-        let mut ext = Vec::with_capacity(self.stream.live_len());
-        let mut compact = vec![u32::MAX; n];
+        let mut compact = vec![u32::MAX; self.stream.len()];
+        let mut live = 0;
         for (p, slot) in compact.iter_mut().enumerate() {
-            if !self.stream.is_live(p as PointId) {
-                continue;
+            if self.stream.is_live(p as PointId) {
+                *slot = live;
+                live += 1;
             }
-            *slot = data.push(self.stream.point(p as PointId));
-            ext.push(self.ext[p]);
         }
         let snap = Arc::new(Snapshot {
             epoch: self.epoch,
             params: self.stream.params(),
             clustering: self.stream.canonical_snapshot(),
-            ext,
+            ext: Arc::clone(&self.ext),
             lookup: Arc::clone(&self.lookup),
-            data,
             index: Arc::clone(&self.index),
             compact,
+            data: OnceLock::new(),
+            live: OnceLock::new(),
         });
         let replaced = match self.shared.current.lock() {
             Ok(mut g) => std::mem::replace(&mut *g, snap),
@@ -1122,17 +1145,71 @@ mod tests {
 
     #[test]
     fn pinned_snapshots_survive_later_epochs() {
-        let h = ServingMuDbscan::spawn(1, params());
-        h.ingest(vec![ServeOp::insert(vec![0.0])]).unwrap();
+        // The writer's later epochs share the pinned epoch's index nodes,
+        // id table and id map, and write to them only through copies: the
+        // pinned answers must not move through inserts, deletes, TTL
+        // expiries, a fallback rebuild and a tombstone compaction.
+        let p = params();
+        let h = ServingMuDbscan::spawn_with(
+            2,
+            p,
+            ServeOptions { repair_budget: Some(0), ..Default::default() },
+        );
+        // Epoch 1: two clusters of six cores each, noise, and a noise
+        // point that expires at epoch 3.
+        let blob =
+            |x: f64| (0..6).map(move |k| vec![x + 0.2 * (k % 3) as f64, 0.2 * (k / 3) as f64]);
+        let mut rows: Vec<Vec<f64>> = blob(0.0).chain(blob(5.0)).collect();
+        rows.extend([vec![10.0, 10.0], vec![-10.0, 10.0]]);
+        let mut ops: Vec<ServeOp> = rows.iter().cloned().map(ServeOp::insert).collect();
+        ops.push(ServeOp::insert_ttl(vec![20.0, 0.0], 2));
+        rows.push(vec![20.0, 0.0]);
+        let ids = h.ingest(ops).unwrap();
         h.drain().unwrap();
         let pinned = h.pin();
-        h.ingest(vec![ServeOp::insert(vec![0.5]), ServeOp::insert(vec![-0.5])]).unwrap();
+        let queries: Vec<Vec<ExtId>> = rows.iter().map(|c| pinned.query(c).unwrap()).collect();
+        let memberships: Vec<Option<Membership>> =
+            (0..200).map(|id| pinned.membership(id)).collect();
+        let live_ids = pinned.live_ids().to_vec();
+        let clustering = pinned.clustering().clone();
+        assert_eq!(live_ids, ids);
+
+        // Epoch 2: more cluster members, 80 isolated points, a noise
+        // delete (repaired in place even at budget 0).
+        let isolated: Vec<Vec<f64>> = (0..80).map(|k| vec![100.0 + 3.0 * k as f64, 0.0]).collect();
+        let mut ops = vec![ServeOp::insert(vec![0.1, 0.5]), ServeOp::delete(ids[12])];
+        ops.extend(isolated.iter().cloned().map(ServeOp::insert));
+        let later = h.ingest(ops).unwrap();
         h.drain().unwrap();
-        // The pinned epoch is unchanged even though the engine moved on.
+        // Epoch 3: the TTL point expires, and deleting a core of the
+        // second cluster exceeds budget 0: one fallback rebuild.
+        h.ingest(vec![ServeOp::delete(ids[7]), ServeOp::insert(vec![5.1, 0.1])]).unwrap();
+        h.drain().unwrap();
+        assert_eq!(h.stats().fallback_rebuilds(), 1);
+        // Epoch 4: the 80 isolated points leave as noise, and the
+        // tombstones now outnumber the live points: a compaction.
+        h.ingest(later[1..].iter().map(|&id| ServeOp::delete(id)).collect()).unwrap();
+        let d = h.drain().unwrap();
+        let stats = h.stats();
+        assert_eq!(stats.cumulative.count("serve/rebuilds"), 2, "no compaction ran");
+        assert_eq!(stats.cumulative.count("serve/expiries"), 1);
+        assert_eq!(*d.snapshot.clustering(), batch_oracle(d.snapshot.dataset(), p));
+        // Epoch 5: inserts on the compacted id space.
+        h.ingest(vec![ServeOp::insert(vec![0.3, 0.5]), ServeOp::insert(vec![-3.0, 0.0])]).unwrap();
+        assert_eq!(h.drain().unwrap().snapshot.epoch(), 5);
+
         assert_eq!(pinned.epoch(), 1);
-        assert_eq!(pinned.len(), 1);
-        assert_eq!(h.pin().epoch(), 2);
-        assert_eq!(h.pin().len(), 3);
+        assert_eq!(pinned.len(), rows.len());
+        for (c, want) in rows.iter().zip(&queries) {
+            assert_eq!(&pinned.query(c).unwrap(), want, "query at {c:?}");
+        }
+        let now: Vec<Option<Membership>> = (0..200).map(|id| pinned.membership(id)).collect();
+        assert_eq!(now, memberships);
+        assert_eq!(pinned.live_ids(), live_ids);
+        assert_eq!(*pinned.clustering(), clustering);
+        // First read of the lazily built dataset, after the later epochs.
+        assert_eq!(*pinned.dataset(), Dataset::from_rows(&rows));
+        assert_eq!(clustering, batch_oracle(pinned.dataset(), p));
     }
 
     #[test]
