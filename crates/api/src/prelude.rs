@@ -270,7 +270,10 @@ impl Runner {
         self
     }
 
-    /// Override micro-cluster construction options.
+    /// Override micro-cluster construction options of a
+    /// [`Family::MuDbscan`] run (the ablation knob `two_eps_deferral`);
+    /// setting this on any other family is an
+    /// [`MuDbscanError::InvalidConfig`].
     pub fn options(mut self, opts: BuildOptions) -> Self {
         self.opts = Some(opts);
         self
@@ -385,7 +388,7 @@ impl Runner {
         {
             return bad("a worker-thread count");
         }
-        if matches!(family, Family::Streaming | Family::Serving) && self.opts.is_some() {
+        if !matches!(family, Family::MuDbscan) && self.opts.is_some() {
             return bad("a build-options override");
         }
         if !matches!(family, Family::Serving) && self.serve_opts.is_some() {
@@ -438,12 +441,11 @@ impl Runner {
             Some(data) => Cow::Borrowed(data),
             None => Cow::Owned(gather_dense(src)),
         };
-        let opts = self.opts.unwrap_or_default();
-
         Ok(match family {
             Family::MuDbscan => {
-                let mut algo =
-                    MuDbscan::from_params(self.params).threads(self.threads).with_options(opts);
+                let mut algo = MuDbscan::from_params(self.params)
+                    .threads(self.threads)
+                    .with_options(self.opts.unwrap_or_default());
                 algo.disable_dynamic_promotion = self.disable_dynamic_promotion;
                 algo.disable_post_core_mc_skip = self.disable_post_core_mc_skip;
                 let out = algo.run(&dense());
@@ -460,7 +462,7 @@ impl Runner {
             }
             Family::Distributed => {
                 let cfg = DistConfig::new(self.ranks.unwrap_or(1)).with_local_threads(self.threads);
-                let mut algo = MuDbscanD::from_params(self.params, cfg).with_options(opts);
+                let mut algo = MuDbscanD::from_params(self.params, cfg);
                 if let Some(faults) = self.faults.clone() {
                     algo = algo.with_faults(faults);
                 }
@@ -485,7 +487,6 @@ impl Runner {
                     shards: self.shards,
                     memory_budget: self.memory_budget,
                     threads: self.threads,
-                    build: opts,
                 };
                 let out = ShardedMuDbscan::new(self.params, sharded_opts).run_source(src);
                 let mut phases = PhaseTimer::new();
@@ -511,8 +512,8 @@ impl Runner {
                 }
             }
             Family::Streaming => {
-                let mut s = StreamingMuDbscan::from_dataset(&dense(), self.params);
-                let clustering = s.snapshot();
+                let s = StreamingMuDbscan::from_dataset(&dense(), self.params);
+                let clustering = s.canonical_snapshot();
                 let counters = Counters::new();
                 counters.absorb(s.counters());
                 RunOutput {
@@ -524,7 +525,7 @@ impl Runner {
             }
             Family::Optics => {
                 let data = dense();
-                let out = Optics::from_params(self.params).with_options(opts).run(&data);
+                let out = Optics::from_params(self.params).run(&data);
                 RunOutput {
                     clustering: extract_dbscan(&out, &data, self.params.eps),
                     counters: out.counters,
@@ -656,6 +657,9 @@ mod tests {
             Runner::new(p).family(Family::Optics).threads(4), // threads on Optics
             Runner::new(p).family(Family::Streaming).threads(2), // threads on Streaming
             Runner::new(p).family(Family::Streaming).options(BuildOptions::default()),
+            Runner::new(p).ranks(2).options(BuildOptions::default()), // build opts on Distributed
+            Runner::new(p).shards(2).options(BuildOptions::default()), // build opts on Sharded
+            Runner::new(p).family(Family::Optics).options(BuildOptions::default()),
             Runner::new(p).threads(2).disable_dynamic_promotion(true), // knob on 2 threads
             Runner::new(p).ranks(2).disable_post_core_mc_skip(true),   // knob on Distributed
             Runner::new(p).family(Family::MuDbscan).shards(2),         // shards on forced MuDbscan

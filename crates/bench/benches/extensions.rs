@@ -26,7 +26,7 @@ fn bench_extensions(c: &mut Criterion) {
         b.iter(|| {
             let mut s = StreamingMuDbscan::empty(3, params);
             s.extend_from(&dataset);
-            black_box(s.snapshot().n_clusters)
+            black_box(s.canonical_snapshot().n_clusters)
         })
     });
     g.bench_function("optics_ordering", |b| {

@@ -33,12 +33,12 @@ fn stream_bulk_load_equals_incremental_ingestion() {
         let data = Dataset::from_rows(&spec.rows());
         let params = DbscanParams::new(0.6, 5);
 
-        let mut bulk = StreamingMuDbscan::from_dataset(&data, params);
+        let bulk = StreamingMuDbscan::from_dataset(&data, params);
         let mut incr = StreamingMuDbscan::empty(data.dim(), params);
         incr.extend_from(&data);
 
-        let a = bulk.snapshot();
-        let b = incr.snapshot();
+        let a = bulk.canonical_snapshot();
+        let b = incr.canonical_snapshot();
         let label = family.as_str();
         // Canonical quantities must match exactly; the label partition is
         // additionally pinned against the oracle (border ties may attach
@@ -65,7 +65,7 @@ fn stream_inserts_after_bulk_load_stay_exact() {
     for j in split..data.len() as u32 {
         s.insert(data.point(j));
     }
-    let got = s.snapshot();
+    let got = s.canonical_snapshot();
     let want = naive_dbscan(&data, &params);
     let rep = check_exact(&got, &want, &data, &params);
     assert!(rep.is_exact(), "incremental continuation after bulk load inexact: {rep:?}");

@@ -1,13 +1,11 @@
-//! Dataset file IO: CSV (human-friendly) and a raw little-endian f64
-//! binary format (`n × dim` doubles prefixed by a 16-byte header), the
-//! shape in which the paper's billion-point inputs would be stored.
+//! Dataset file IO in CSV, the human-friendly format. The binary
+//! format is the chunked store ([`crate::store`], `.muds`), which also
+//! serves out-of-core runs.
 
 use geom::Dataset;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
-
-const MAGIC: &[u8; 4] = b"MUDB";
 
 /// Write `data` as CSV (one point per line).
 pub fn write_csv(data: &Dataset, path: &Path) -> io::Result<()> {
@@ -57,44 +55,6 @@ pub fn read_csv(path: &Path) -> io::Result<Dataset> {
     Ok(Dataset::from_flat(dim, coords))
 }
 
-/// Write the raw binary format: `MUDB` magic, u32 dim, u64 n, then
-/// `n * dim` little-endian f64s.
-pub fn write_bin(data: &Dataset, path: &Path) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(MAGIC)?;
-    w.write_all(&(data.dim() as u32).to_le_bytes())?;
-    w.write_all(&(data.len() as u64).to_le_bytes())?;
-    for x in data.coords() {
-        w.write_all(&x.to_le_bytes())?;
-    }
-    w.flush()
-}
-
-/// Read the raw binary format.
-pub fn read_bin(path: &Path) -> io::Result<Dataset> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
-    }
-    let mut b4 = [0u8; 4];
-    r.read_exact(&mut b4)?;
-    let dim = u32::from_le_bytes(b4) as usize;
-    let mut b8 = [0u8; 8];
-    r.read_exact(&mut b8)?;
-    let n = u64::from_le_bytes(b8) as usize;
-    if dim == 0 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "zero dimension"));
-    }
-    let mut coords = Vec::with_capacity(n * dim);
-    for _ in 0..n * dim {
-        r.read_exact(&mut b8)?;
-        coords.push(f64::from_le_bytes(b8));
-    }
-    Ok(Dataset::from_flat(dim, coords))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,20 +77,8 @@ mod tests {
     }
 
     #[test]
-    fn bin_roundtrip_is_exact() {
-        let d = gaussian_mixture(64, 5, 2, 1.0, 0.1, 6);
-        let tmp = std::env::temp_dir().join("mudbscan_test_io.bin");
-        write_bin(&d, &tmp).unwrap();
-        let back = read_bin(&tmp).unwrap();
-        assert_eq!(back, d);
-        std::fs::remove_file(&tmp).ok();
-    }
-
-    #[test]
     fn bad_inputs_rejected() {
-        let tmp = std::env::temp_dir().join("mudbscan_test_bad.bin");
-        std::fs::write(&tmp, b"NOPE").unwrap();
-        assert!(read_bin(&tmp).is_err());
+        let tmp = std::env::temp_dir().join("mudbscan_test_bad.csv");
         std::fs::write(&tmp, b"1,2\n1\n").unwrap();
         assert!(read_csv(&tmp).is_err());
         std::fs::write(&tmp, b"").unwrap();

@@ -9,12 +9,13 @@ proptest! {
     #[test]
     fn bin_roundtrip_any_dataset(
         rows in prop::collection::vec(prop::collection::vec(-1e6..1e6f64, 4), 1..200),
+        chunk_cap in 1usize..64,
         tag in 0u32..1_000_000,
     ) {
         let d = Dataset::from_rows(&rows);
-        let tmp = std::env::temp_dir().join(format!("mudbscan_prop_{tag}_{}.bin", std::process::id()));
-        data::io::write_bin(&d, &tmp).unwrap();
-        let back = data::io::read_bin(&tmp).unwrap();
+        let tmp = std::env::temp_dir().join(format!("mudbscan_prop_{tag}_{}.muds", std::process::id()));
+        data::write_store(&d, &tmp, chunk_cap).unwrap();
+        let back = geom::gather_dense(&data::ChunkedStore::open(&tmp).unwrap());
         std::fs::remove_file(&tmp).ok();
         prop_assert_eq!(back, d);
     }

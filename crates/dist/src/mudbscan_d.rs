@@ -8,7 +8,6 @@ use crate::recovery::FaultConfig;
 use baselines::{GridDbscan, RDbscan};
 use cluster_sim::FaultPlan;
 use geom::{Dataset, DbscanParams};
-use mcs::BuildOptions;
 use metrics::mem::MemBudget;
 use metrics::Stopwatch;
 use mudbscan::MuDbscan;
@@ -70,7 +69,6 @@ fn run_on_kd_ranks(
 pub struct MuDbscanD {
     params: DbscanParams,
     cfg: DistConfig,
-    opts: BuildOptions,
     faults: Option<FaultConfig>,
 }
 
@@ -80,13 +78,7 @@ impl MuDbscanD {
     /// Low-level entry point; applications should prefer
     /// `mudbscan::prelude::Runner::new(params).ranks(p)`.
     pub fn from_params(params: DbscanParams, cfg: DistConfig) -> Self {
-        Self { params, cfg, opts: BuildOptions::default(), faults: None }
-    }
-
-    /// Override micro-cluster construction options.
-    pub fn with_options(mut self, opts: BuildOptions) -> Self {
-        self.opts = opts;
-        self
+        Self { params, cfg, faults: None }
     }
 
     /// Inject a fault schedule with retry/recovery options; the run stays
@@ -107,13 +99,9 @@ impl MuDbscanD {
     // going through the facade — depending on `mudbscan` (the api crate)
     // here would be a dependency cycle.
     pub fn run(&self, data: &Dataset) -> Result<DistOutput, DistError> {
-        let (params, opts, threads) = (self.params, self.opts, self.cfg.local_threads);
+        let (params, threads) = (self.params, self.cfg.local_threads);
         run_on_kd_ranks(data, &params, &self.cfg, self.faults.as_ref(), |combined| {
-            Ok(MuDbscan::from_params(params)
-                .threads(threads)
-                .with_options(opts)
-                .run(combined)
-                .into())
+            Ok(MuDbscan::from_params(params).threads(threads).run(combined).into())
         })
     }
 }

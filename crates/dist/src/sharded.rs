@@ -45,13 +45,11 @@ pub struct ShardedOptions {
     pub memory_budget: Option<usize>,
     /// Worker threads clustering shards concurrently.
     pub threads: usize,
-    /// Micro-cluster build options forwarded to each local μDBSCAN.
-    pub build: mcs::BuildOptions,
 }
 
 impl Default for ShardedOptions {
     fn default() -> Self {
-        Self { shards: None, memory_budget: None, threads: 1, build: mcs::BuildOptions::default() }
+        Self { shards: None, memory_budget: None, threads: 1 }
     }
 }
 
@@ -136,7 +134,6 @@ impl ShardedMuDbscan {
         let peak = AtomicUsize::new(0);
         let workers = threads.min(n_shards).max(1);
         let params = self.params;
-        let build = self.opts.build;
         let mut results: Vec<ShardResult> = Vec::with_capacity(n_shards);
         let mut busy: Vec<f64> = Vec::with_capacity(workers);
         std::thread::scope(|scope| {
@@ -154,7 +151,7 @@ impl ShardedMuDbscan {
                             if s >= n_shards {
                                 break;
                             }
-                            out.push(run_shard(src, plan, s, &params, &build, resident, peak));
+                            out.push(run_shard(src, plan, s, &params, resident, peak));
                         }
                         (out, timer.secs())
                     })
@@ -230,7 +227,6 @@ fn run_shard(
     plan: &ShardPlan,
     s: usize,
     params: &DbscanParams,
-    build: &mcs::BuildOptions,
     resident: &AtomicUsize,
     peak: &AtomicUsize,
 ) -> ShardResult {
@@ -243,7 +239,7 @@ fn run_shard(
     peak.fetch_max(now, Ordering::Relaxed);
 
     // Exact local clustering over the combined view, then the summary.
-    let out = MuDbscan::from_params(*params).with_options(*build).run(&view.combined);
+    let out = MuDbscan::from_params(*params).run(&view.combined);
     let summary = summarize(&view, &out.clustering, params.eps, &out.counters);
 
     resident.fetch_sub(bytes, Ordering::Relaxed);

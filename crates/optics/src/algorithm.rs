@@ -12,7 +12,6 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Clone)]
 pub struct Optics {
     params: DbscanParams,
-    opts: BuildOptions,
 }
 
 /// The cluster ordering.
@@ -73,13 +72,7 @@ impl Optics {
     /// Low-level entry point; applications should prefer
     /// `mudbscan::prelude::Runner::new(params).family(Family::Optics)`.
     pub fn from_params(params: DbscanParams) -> Self {
-        Self { params, opts: BuildOptions::default() }
-    }
-
-    /// Override μR-tree construction options.
-    pub fn with_options(mut self, opts: BuildOptions) -> Self {
-        self.opts = opts;
-        self
+        Self { params }
     }
 
     /// Compute the cluster ordering of `data`.
@@ -91,7 +84,13 @@ impl Optics {
 
         let build = phases.phase("tree_construction");
         let threads = std::thread::available_parallelism().map_or(4, |p| p.get());
-        let mut tree = build_micro_clusters_par(data, params.eps, &self.opts, threads, &counters);
+        let mut tree = build_micro_clusters_par(
+            data,
+            params.eps,
+            &BuildOptions::default(),
+            threads,
+            &counters,
+        );
         tree.compute_reachable(data, &counters);
         drop(build);
 

@@ -17,11 +17,11 @@ pub enum RemoveOutcome {
     /// component(s) was repaired locally.
     Removed {
         /// Number of surviving points the repair examined: the cores
-        /// walked by the no-split probe plus the re-anchored borders
-        /// and demoted cores when the fast path commits
-        /// ([`StreamingMuDbscan::try_remove`]), or the members of the
-        /// affected component(s) when the union replay runs. 0 when
-        /// the removed point was noise or an unanchoring border.
+        /// walked by the no-split probe plus the demoted cores when the
+        /// fast path commits ([`StreamingMuDbscan::try_remove`]), or
+        /// the cores of the affected set(s) when the union replay runs,
+        /// plus, in either tier, the non-cores it re-anchored. 0 when
+        /// the removed point was noise or a border no core depended on.
         touched: usize,
     },
     /// The affected region holds more than `budget` surviving points;
@@ -49,13 +49,16 @@ pub struct StreamingMuDbscan {
     /// `counts[p] = |N_ε(p)|` over the live points inserted so far (self
     /// included; 0 for tombstoned points).
     counts: Vec<u32>,
+    /// Core connectivity: only cores are ever unioned, so every live
+    /// non-core's element is its own root and its cluster is read
+    /// through its anchor.
     uf: UnionFind,
     /// Union–find element of every point. Insertions mint the element
     /// in lock-step with the id; excision ([`Self::uf_excise`]) swaps
     /// in a fresh singleton element and leaves the old one behind as
     /// an unreferenced *ghost* inside its set, which is how the
-    /// no-split fast path detaches a point from a set that cannot be
-    /// reset member-by-member.
+    /// no-split fast path detaches a demoted core from a set that
+    /// cannot be reset member-by-member.
     uf_slot: Vec<PointId>,
     is_core: Vec<bool>,
     /// Canonical anchor of every live non-core point: its minimum-id
@@ -63,9 +66,8 @@ pub struct StreamingMuDbscan {
     /// value is stale and unread while the point is core). Anchors only
     /// fall under insertion (`make_core`) and are re-resolved by
     /// [`Self::try_remove`] exactly where a core vanished, so
-    /// [`Self::canonical_snapshot`] needs no ε-query. A non-core is
-    /// *captured* (sits in the union–find set of a live core within ε)
-    /// iff it has an anchor.
+    /// [`Self::canonical_snapshot`] needs no ε-query. A non-core's
+    /// cluster is its anchor's union–find set.
     anchor: Vec<PointId>,
     /// `live[p]` is false once `p` has been removed. Tombstoned points
     /// keep their internal id (dataset slots are never compacted) but
@@ -108,7 +110,8 @@ impl StreamingMuDbscan {
     /// ε-neighbourhood is computed in parallel against it, and the
     /// disjoint-set union rules are replayed sequentially in id order.
     /// The resulting structure is a valid streaming state —
-    /// [`Self::snapshot`] is exactly the batch DBSCAN clustering, and
+    /// [`Self::canonical_snapshot`] is exactly the batch DBSCAN
+    /// clustering, and
     /// later [`Self::insert`] calls continue incrementally from it.
     ///
     /// This is the low-level entry point the facade builds on:
@@ -158,12 +161,10 @@ impl StreamingMuDbscan {
             });
         }
 
-        // Replay the same union rules `insert`/`make_core` apply, in id
-        // order: deterministic, and exact by the classical DBSCAN
-        // argument (border ties may attach differently than some other
-        // insertion order, which DBSCAN itself leaves unspecified). Cores
-        // run in ascending id, so the first core to capture a border is
-        // its minimum-id core neighbour: its anchor.
+        // Replay the same rules `insert`/`make_core` apply, in id order:
+        // union every core edge, and anchor each non-core at the first
+        // core to reach it — cores run in ascending id, so that is its
+        // minimum-id core neighbour.
         let min_pts = params.min_pts as u32;
         let counts: Vec<u32> = nbhd.iter().map(|nb| nb.len() as u32).collect();
         let is_core: Vec<bool> = counts.iter().map(|&c| c >= min_pts).collect();
@@ -182,8 +183,6 @@ impl StreamingMuDbscan {
                     uf.union(q, p as PointId);
                     counters.count_union();
                 } else if anchor[qi] == NO_ANCHOR {
-                    uf.union(p as PointId, q);
-                    counters.count_union();
                     anchor[qi] = p as PointId;
                 }
             }
@@ -306,8 +305,9 @@ impl StreamingMuDbscan {
         out
     }
 
-    /// Ingest one point; returns its id. On return, [`Self::snapshot`]
-    /// is exactly the DBSCAN clustering of all points inserted so far.
+    /// Ingest one point; returns its id. On return,
+    /// [`Self::canonical_snapshot`] is exactly the DBSCAN clustering of
+    /// all points inserted so far.
     pub fn insert(&mut self, coords: &[f64]) -> PointId {
         assert_eq!(coords.len(), self.data.dim(), "dimensionality mismatch");
         let min_pts = self.params.min_pts as u32;
@@ -355,14 +355,12 @@ impl StreamingMuDbscan {
             }
         }
 
-        // Process p itself: a non-core p is captured by its anchor, the
-        // minimum-id core neighbour (promotions below may lower it).
+        // Process p itself: a non-core p is anchored at its minimum-id
+        // core neighbour (promotions below may lower it).
         if self.counts[p as usize] >= min_pts {
             self.make_core(p, &nbhrs);
-        } else if let Some(a) = nbhrs.iter().copied().filter(|&q| self.is_core[q as usize]).min() {
-            self.anchor[p as usize] = a;
-            self.uf_union(a, p);
-            self.counters.count_union();
+        } else {
+            self.anchor[p as usize] = self.min_core(&nbhrs);
         }
 
         // Process promotions: each newly-core point wires up its edges
@@ -381,9 +379,9 @@ impl StreamingMuDbscan {
     }
 
     /// Mark `x` core and apply the disjoint-set union rules against its
-    /// neighbour list: join every core neighbour, capture every
-    /// uncaptured non-core one, and lower each non-core neighbour's
-    /// anchor to `x` where `x` is smaller.
+    /// neighbour list: join every core neighbour and lower each
+    /// non-core neighbour's anchor to `x` where `x` is smaller. `x`
+    /// was non-core, so its element is still a singleton.
     fn make_core(&mut self, x: PointId, nbhrs: &[PointId]) {
         self.is_core[x as usize] = true;
         for &q in nbhrs {
@@ -395,10 +393,6 @@ impl StreamingMuDbscan {
                 self.uf_union(q, x);
                 self.counters.count_union();
             } else {
-                if self.anchor[qi] == NO_ANCHOR {
-                    self.uf_union(x, q);
-                    self.counters.count_union();
-                }
                 self.anchor[qi] = self.anchor[qi].min(x);
             }
         }
@@ -428,30 +422,29 @@ impl StreamingMuDbscan {
     ///    probe tries to certify that deleting `p` and the demoted
     ///    cores from the core graph cannot split any component. When it
     ///    succeeds the union–find is already correct restricted to the
-    ///    surviving cores — only the capture and the anchors of the
-    ///    demoted cores and of the borders near them or `p` need
-    ///    re-resolving, a constant-size repair even when the component
-    ///    is the whole dataset. This is what keeps deletions cheap in
+    ///    surviving cores — only the demoted cores leave their sets, a
+    ///    constant-size repair even when the component is the whole
+    ///    dataset. This is what keeps deletions cheap in
     ///    one-giant-cluster regimes, where the replay below would cost
     ///    as much as a rebuild.
     /// 2. **Component replay**: because the union–find cannot unsplit,
-    ///    connectivity is otherwise recomputed over the affected
-    ///    components: `p`'s own component plus the component of every
-    ///    demoted core (a border `p` can sit between clusters, so these
-    ///    need not coincide). Those members are reset to singletons
-    ///    (sound because parent chains never leave a set), the core
-    ///    edges are replayed over them in id order (one ε-query per
-    ///    surviving core), and every non-core member re-attaches to its
-    ///    anchor, which may be a core of an untouched component.
+    ///    connectivity is otherwise recomputed over the affected sets:
+    ///    `p`'s own (its anchor's when `p` is not core) plus the set of
+    ///    every demoted core (a border `p` can sit between clusters, so
+    ///    these need not coincide). Only cores are ever unioned, so
+    ///    those sets' live members are cores: they are reset to
+    ///    singletons (sound because parent chains never leave a set)
+    ///    and the core edges are replayed over them in id order (one
+    ///    ε-query per surviving core).
     ///
     /// Either tier re-resolves anchors exactly where a core vanished:
     /// the demoted cores (from their neighbour lists, queried once here
     /// for both tiers) and the non-cores anchored by `p` or by a demoted
     /// core (one ε-query each). Every other anchor stays valid, because
     /// deletions never promote (counts only decrease). The same fact
-    /// closes the replay over the affected components: a core in the
-    /// region cannot union outside it (a cross-component core edge
-    /// would have merged the components before the removal).
+    /// closes the replay over the affected sets: a core in the region
+    /// cannot union outside it (a cross-set core edge would have merged
+    /// the sets before the removal).
     pub fn try_remove(&mut self, p: PointId, budget: usize) -> RemoveOutcome {
         let pi = p as usize;
         assert!(pi < self.data.len() && self.live[pi], "remove of a dead or unknown point");
@@ -487,17 +480,26 @@ impl StreamingMuDbscan {
             .filter(|&q| q != p && self.is_core[q as usize] && self.counts[q as usize] == min_pts)
             .collect();
         // Neighbour lists of the demoted cores while everything is
-        // still indexed: both tiers read them (seeds, at-risk borders,
-        // the demoted cores' own anchors). Nothing is mutated until a
-        // tier commits, so an `ExceedsBudget` leaves the state untouched.
+        // still indexed: both tiers read them (seeds, orphans, the
+        // demoted cores' own anchors). Nothing is mutated until a tier
+        // commits, so an `ExceedsBudget` leaves the state untouched.
         let demoted_nbhrs: Vec<Vec<PointId>> =
             demoted.iter().map(|&d| self.query(self.data.point(d))).collect();
+        // Non-cores anchored by p or by a demoted core. Each lies
+        // within ε of its anchor, so the neighbour lists in hand hold
+        // them all.
+        let orphans = self.orphans(p, &nbhrs, &demoted, &demoted_nbhrs);
 
-        if let Some(outcome) = self.no_split_repair(p, &nbhrs, &demoted, &demoted_nbhrs, budget) {
+        if let Some(outcome) =
+            self.no_split_repair(p, &nbhrs, &demoted, &demoted_nbhrs, &orphans, budget)
+        {
             return outcome;
         }
 
-        let mut roots: Vec<PointId> = vec![self.uf_root(p)];
+        // Every set that lost a core vertex: p's (its anchor's when p is
+        // a border; noise returned above) and each demoted core's.
+        let p_core = self.is_core[pi];
+        let mut roots: Vec<PointId> = vec![self.uf_root(if p_core { p } else { self.anchor[pi] })];
         for &d in &demoted {
             let r = self.uf_root(d);
             if !roots.contains(&r) {
@@ -505,17 +507,12 @@ impl StreamingMuDbscan {
             }
         }
         let comp: Vec<PointId> = (0..self.data.len() as PointId)
-            .filter(|&q| self.live[q as usize] && roots.contains(&self.uf_root(q)))
+            .filter(|&q| self.is_core[q as usize] && roots.contains(&self.uf_root(q)))
             .collect();
-        let touched = comp.len() - 1; // p itself is in `comp`
+        let touched = comp.len() - usize::from(p_core) + orphans.len();
         if touched > budget {
             return RemoveOutcome::ExceedsBudget { component: touched };
         }
-
-        // Non-cores anchored by p or by a demoted core. Each lies
-        // within ε of its anchor, so the neighbour lists in hand hold
-        // them all.
-        let orphans = self.orphans(p, &nbhrs, &demoted, &demoted_nbhrs);
 
         // Commit: drop p, decrement neighbour counts, apply demotions.
         self.detach(p);
@@ -529,20 +526,18 @@ impl StreamingMuDbscan {
         }
         self.reanchor(&demoted, &demoted_nbhrs, &orphans);
 
-        // Local union–find repair: reset every member of the affected
-        // sets (p included — parent chains are intra-set, so a whole-set
-        // reset cannot dangle; ghost elements left in these sets by
-        // earlier excisions are unreferenced either way), replay the
-        // core edges in id order over the surviving cores, then attach
-        // every captured non-core to its anchor. (An orphan outside
-        // the region keeps its set: the core that captured it is in
-        // that untouched set, hence still a core within ε.)
+        // Local union–find repair: reset every live member of the
+        // affected sets (all cores, p too when core — parent chains are
+        // intra-set, so a whole-set reset cannot dangle; ghost elements
+        // left in these sets by earlier excisions are unreferenced
+        // either way), then replay the core edges in id order over the
+        // surviving ones. The demoted cores stay singletons.
         for &q in &comp {
             self.uf.reset_to_singleton(self.uf_slot[q as usize]);
         }
         for &q in &comp {
-            if q == p || !self.is_core[q as usize] {
-                continue;
+            if !self.is_core[q as usize] {
+                continue; // p (detached) or a demoted core
             }
             let qn = self.query(self.data.point(q));
             debug_assert_eq!(qn.len() as u32, self.counts[q as usize]);
@@ -551,13 +546,6 @@ impl StreamingMuDbscan {
                     self.uf_union(c, q);
                     self.counters.count_union();
                 }
-            }
-        }
-        for &q in &comp {
-            let a = self.anchor[q as usize];
-            if q != p && !self.is_core[q as usize] && a != NO_ANCHOR {
-                self.uf_union(a, q);
-                self.counters.count_union();
             }
         }
         RemoveOutcome::Removed { touched }
@@ -649,22 +637,19 @@ impl StreamingMuDbscan {
     /// surviving cores is already exact ([`Self::canonical_snapshot`]
     /// reads only the core partition plus the anchors), so the commit
     /// is: tombstone `p`, decrement neighbour counts, drop the demoted
-    /// cores' core flags, and re-resolve capture and anchors exactly
-    /// where a core vertex vanished — each demoted core and each
-    /// captured border within ε of `p`-when-core or of a demoted core
-    /// is excised from its old set ([`Self::uf_excise`]), gets the
-    /// minimum-id surviving core within ε as its new anchor (one
-    /// ε-query per border; every border anchored by a vanished core is
-    /// among them) and, when it has one, re-attaches to it. The
-    /// excision is what keeps later *insertions* sound: a stale set
-    /// membership would let a future promotion or capture union two
-    /// unrelated components through the moved point.
+    /// cores' core flags, excise each demoted core from its old set
+    /// ([`Self::uf_excise`]), and re-resolve the anchors exactly where
+    /// a core vanished — each demoted core from its neighbour list and
+    /// each orphan (a non-core anchored by `p` or a demoted core) with
+    /// one ε-query. The excision is what keeps later *insertions*
+    /// sound: a demoted core's stale set membership would let its
+    /// future promotion union two unrelated components through it.
+    /// `p`'s own element stays behind as a ghost; nothing reads it.
     ///
     /// Returns `None` to fall through to the replay tier; the repair
-    /// region (`touched` = probed cores + re-anchored borders +
-    /// demoted cores) is a subset of the replay's affected components,
-    /// so a `touched` over budget falls through too and the replay
-    /// tier reports the exact blast radius in
+    /// region (`touched` = probed cores + demoted cores + orphans) is a
+    /// subset of the replay's, so a `touched` over budget falls through
+    /// too and the replay tier reports the exact blast radius in
     /// [`RemoveOutcome::ExceedsBudget`].
     fn no_split_repair(
         &mut self,
@@ -672,6 +657,7 @@ impl StreamingMuDbscan {
         nbhrs: &[PointId],
         demoted: &[PointId],
         demoted_nbhrs: &[Vec<PointId>],
+        orphans: &[PointId],
         budget: usize,
     ) -> Option<RemoveOutcome> {
         let p_core = self.is_core[p as usize];
@@ -801,28 +787,13 @@ impl StreamingMuDbscan {
             touched += visited.len().saturating_sub(seeds.len());
         }
 
-        // Borders at risk of losing their last anchor: the captured
-        // non-cores within ε of a vanished core vertex.
-        let mut recheck: Vec<PointId> = Vec::new();
-        let at_risk = |s: &Self, q: PointId| -> bool {
-            q != p && !s.is_core[q as usize] && s.anchor[q as usize] != NO_ANCHOR
-        };
-        if p_core {
-            recheck.extend(nbhrs.iter().copied().filter(|&q| at_risk(self, q)));
-        }
-        for list in demoted_nbhrs {
-            recheck.extend(list.iter().copied().filter(|&q| at_risk(self, q)));
-        }
-        recheck.sort_unstable();
-        recheck.dedup();
-        touched += recheck.len();
+        touched += orphans.len();
         if touched > budget {
             return None;
         }
 
         // Commit: drop p, decrement neighbour counts, apply demotions.
         self.detach(p);
-        self.uf_excise(p);
         for &q in nbhrs {
             if q != p {
                 self.counts[q as usize] -= 1;
@@ -830,22 +801,9 @@ impl StreamingMuDbscan {
         }
         for &d in demoted {
             self.is_core[d as usize] = false;
+            self.uf_excise(d);
         }
-        // Re-resolve anchors against the post-removal core flags (the
-        // at-risk borders hold every orphan). Every such point is
-        // excised from the raw union–find first — its old set may no
-        // longer hold any of its anchors, and a later promotion or
-        // capture through a stale membership would union two unrelated
-        // components — then points that keep an anchor re-attach to it.
-        self.reanchor(demoted, demoted_nbhrs, &recheck);
-        for &q in demoted.iter().chain(&recheck) {
-            self.uf_excise(q);
-            let a = self.anchor[q as usize];
-            if a != NO_ANCHOR {
-                self.uf_union(a, q);
-                self.counters.count_union();
-            }
-        }
+        self.reanchor(demoted, demoted_nbhrs, orphans);
         Some(RemoveOutcome::Removed { touched })
     }
 
@@ -865,52 +823,18 @@ impl StreamingMuDbscan {
         self.counts[p as usize] = 0;
     }
 
-    /// Extract the clustering of the points ingested so far, indexed by
-    /// internal id. Tombstoned points appear as noise singletons; the
-    /// live-compacted form is [`Self::canonical_snapshot`].
-    ///
-    /// On an insert-only stream this is exactly DBSCAN over the prefix.
-    /// After removals the no-split fast path of [`Self::try_remove`]
-    /// re-anchors a moved border to its *minimum-id* surviving core —
-    /// the same tie classical DBSCAN leaves unspecified and the replay
-    /// resolves by id order — so border attachment here can differ
-    /// from some particular insertion order while staying exact;
-    /// [`Self::canonical_snapshot`] is the order-independent view.
-    pub fn snapshot(&mut self) -> Clustering {
-        use std::collections::hash_map::Entry;
-        // Materialise the point-level partition through the slot
-        // indirection: the raw union–find may hold ghost elements from
-        // excisions, so its element space is not the id space.
-        let n = self.data.len();
-        let mut uf = UnionFind::new(n);
-        let mut rep: std::collections::HashMap<PointId, PointId> = std::collections::HashMap::new();
-        for p in 0..n as PointId {
-            match rep.entry(self.uf_root(p)) {
-                Entry::Occupied(e) => {
-                    uf.union(*e.get(), p);
-                }
-                Entry::Vacant(e) => {
-                    e.insert(p);
-                }
-            }
-        }
-        Clustering::from_union_find(&mut uf, self.is_core.clone())
-    }
-
     /// The clustering of the current **live** points (insertion order,
     /// compacted over tombstones) with border ties resolved canonically:
     /// every border point joins the cluster of its **minimum-id core
-    /// neighbour**, which is exactly the attachment
+    /// neighbour** (its anchor), which is exactly the attachment
     /// [`Self::from_dataset`] produces when it replays the union rules
-    /// in id order. [`Self::snapshot`]'s border attachment depends on
-    /// insertion order (classical DBSCAN leaves the tie unspecified),
-    /// so two orders of the same points can disagree on borders while
-    /// both being exact. This method resolves the ties through the
-    /// maintained anchors instead, making the result compare `==` against a batch run on the compacted live
-    /// set — the serving layer ([`crate::serve`]) publishes canonical
-    /// snapshots for precisely that bit-identical epoch contract.
-    /// (Compaction preserves insertion order, so the minimum internal
-    /// id and the minimum compacted id pick the same anchor.)
+    /// in id order. Classical DBSCAN leaves that tie unspecified; fixing
+    /// it makes the result independent of insertion and removal order
+    /// and compare `==` against a batch run on the compacted live set —
+    /// the serving layer ([`crate::serve`]) publishes these snapshots
+    /// for precisely that bit-identical epoch contract. (Compaction
+    /// preserves insertion order, so the minimum internal id and the
+    /// minimum compacted id pick the same anchor.)
     ///
     /// Runs no ε-query: one pass over the live points keys each core by
     /// its union–find root (core components are already
@@ -1000,7 +924,7 @@ mod tests {
         let params = DbscanParams::new(0.6, 5);
         let mut s = StreamingMuDbscan::empty(2, params);
         s.extend_from(&data);
-        let got = s.snapshot();
+        let got = s.canonical_snapshot();
         let want = naive_dbscan(&data, &params);
         let rep = check_exact(&got, &want, &data, &params);
         assert!(rep.is_exact(), "{rep:?}");
@@ -1020,7 +944,7 @@ mod tests {
             }
             let prefix_rows: Vec<Vec<f64>> = (0..=i).map(|j| data.point(j).to_vec()).collect();
             let prefix = Dataset::from_rows(&prefix_rows);
-            let got = s.snapshot();
+            let got = s.canonical_snapshot();
             let want = naive_dbscan(&prefix, &params);
             let rep = check_exact(&got, &want, &prefix, &params);
             assert!(rep.is_exact(), "prefix {}: {rep:?}", i + 1);
@@ -1034,11 +958,11 @@ mod tests {
         let mut s = StreamingMuDbscan::empty(1, params);
         s.insert(&[0.0]); // will become core once 2 more arrive
         s.insert(&[10.0]); // far away
-        assert_eq!(s.snapshot().n_clusters, 0);
+        assert_eq!(s.canonical_snapshot().n_clusters, 0);
         s.insert(&[0.5]);
-        assert_eq!(s.snapshot().n_clusters, 0); // counts: 2 < 3
+        assert_eq!(s.canonical_snapshot().n_clusters, 0); // counts: 2 < 3
         s.insert(&[-0.5]);
-        let c = s.snapshot();
+        let c = s.canonical_snapshot();
         assert_eq!(c.n_clusters, 1);
         assert!(c.is_core[0], "point 0 must be promoted to core");
         assert!(c.is_noise(1));
@@ -1053,7 +977,7 @@ mod tests {
         s.insert(&[-0.9]);
         // All three mutually... 0.9 and -0.9 are 1.8 apart (not
         // neighbours); point 1 sees all three -> core; 0 and 2 border.
-        let c = s.snapshot();
+        let c = s.canonical_snapshot();
         assert_eq!(c.n_clusters, 1);
         assert!(c.is_core[1]);
         assert!(c.is_border(0) && c.is_border(2));
@@ -1073,10 +997,10 @@ mod tests {
     fn bulk_load_matches_batch_dbscan() {
         let data = blobs(60, 33);
         let params = DbscanParams::new(0.6, 5);
-        let mut s = StreamingMuDbscan::from_dataset(&data, params);
+        let s = StreamingMuDbscan::from_dataset(&data, params);
         assert_eq!(s.len(), data.len());
         assert!(s.mc_count() > 0);
-        let got = s.snapshot();
+        let got = s.canonical_snapshot();
         let want = naive_dbscan(&data, &params);
         let rep = check_exact(&got, &want, &data, &params);
         assert!(rep.is_exact(), "{rep:?}");
@@ -1086,11 +1010,11 @@ mod tests {
     fn bulk_load_agrees_with_point_at_a_time_ingestion() {
         let data = blobs(40, 37);
         let params = DbscanParams::new(0.6, 4);
-        let mut bulk = StreamingMuDbscan::from_dataset(&data, params);
+        let bulk = StreamingMuDbscan::from_dataset(&data, params);
         let mut seq = StreamingMuDbscan::empty(2, params);
         seq.extend_from(&data);
-        let a = bulk.snapshot();
-        let b = seq.snapshot();
+        let a = bulk.canonical_snapshot();
+        let b = seq.canonical_snapshot();
         assert_eq!(a.n_clusters, b.n_clusters);
         assert_eq!(a.is_core, b.is_core);
         assert_eq!(a.noise_count(), b.noise_count());
@@ -1107,7 +1031,7 @@ mod tests {
         for j in split..data.len() {
             s.insert(data.point(j as u32));
         }
-        let got = s.snapshot();
+        let got = s.canonical_snapshot();
         let want = naive_dbscan(&data, &params);
         let rep = check_exact(&got, &want, &data, &params);
         assert!(rep.is_exact(), "{rep:?}");
@@ -1117,10 +1041,10 @@ mod tests {
     fn canonical_snapshot_is_bit_identical_to_bulk_load() {
         let data = blobs(40, 37);
         let params = DbscanParams::new(0.6, 4);
-        let mut bulk = StreamingMuDbscan::from_dataset(&data, params);
+        let bulk = StreamingMuDbscan::from_dataset(&data, params);
         let mut seq = StreamingMuDbscan::empty(2, params);
         seq.extend_from(&data);
-        let want = bulk.snapshot();
+        let want = bulk.canonical_snapshot();
         // Point-at-a-time ingestion may attach border ties differently;
         // the canonical snapshot re-resolves them to the bulk answer.
         assert_eq!(seq.canonical_snapshot(), want);
@@ -1137,7 +1061,7 @@ mod tests {
         let data = Dataset::empty(3);
         let mut s = StreamingMuDbscan::from_dataset(&data, DbscanParams::new(1.0, 4));
         assert!(s.is_empty());
-        assert_eq!(s.snapshot().n_clusters, 0);
+        assert_eq!(s.canonical_snapshot().n_clusters, 0);
         s.insert(&[0.0, 0.0, 0.0]);
         assert_eq!(s.len(), 1);
     }
@@ -1375,7 +1299,8 @@ mod tests {
 
     /// Every live non-core's stored anchor is its brute-force
     /// minimum-id live core strictly within ε ([`NO_ANCHOR`] exactly
-    /// for noise, and for every tombstone).
+    /// for noise, and for every tombstone), and its union–find element
+    /// is its own root: only cores are ever unioned.
     fn check_anchors(s: &StreamingMuDbscan) -> Result<(), String> {
         let eps_sq = s.params.eps * s.params.eps;
         if let Some(q) = (0..s.len()).find(|&q| !s.live[q] && s.anchor[q] != NO_ANCHOR) {
@@ -1383,6 +1308,10 @@ mod tests {
         }
         let live = || (0..s.len() as PointId).filter(|&q| s.is_live(q));
         for q in live().filter(|&q| !s.is_core[q as usize]) {
+            let slot = s.uf_slot[q as usize];
+            if s.uf.find_const(slot) != slot {
+                return Err(format!("non-core {q} shares a union–find set"));
+            }
             let want = live()
                 .filter(|&c| {
                     s.is_core[c as usize] && geom::dist_sq(s.point(c), s.point(q)) < eps_sq
@@ -1485,8 +1414,8 @@ mod tests {
         let rev_data = data.gather(&ids);
         let mut rev = StreamingMuDbscan::empty(2, params);
         rev.extend_from(&rev_data);
-        let a = fwd.snapshot();
-        let b = rev.snapshot();
+        let a = fwd.canonical_snapshot();
+        let b = rev.canonical_snapshot();
         assert_eq!(a.n_clusters, b.n_clusters);
         assert_eq!(a.noise_count(), b.noise_count());
         assert_eq!(a.core_count(), b.core_count());

@@ -53,9 +53,9 @@
 //! let mut s = StreamingMuDbscan::empty(1, DbscanParams::new(1.0, 3));
 //! s.insert(&[0.0]);
 //! s.insert(&[0.5]);
-//! assert_eq!(s.snapshot().n_clusters, 0); // two points, nobody core yet
+//! assert_eq!(s.canonical_snapshot().n_clusters, 0); // two points, nobody core yet
 //! s.insert(&[-0.5]);
-//! let c = s.snapshot();
+//! let c = s.canonical_snapshot();
 //! assert_eq!(c.n_clusters, 1); // the middle point crossed MinPts
 //! assert!(c.is_core[0]);
 //! ```

@@ -149,9 +149,10 @@ impl ServeOp {
 /// its answers: they exist so the postmortem path is testable.)
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Largest repair region (surviving points replayed) a single
-    /// removal may trigger before the writer falls back to a full
-    /// rebuild of the epoch.
+    /// Largest repair region a single removal may trigger before the
+    /// writer falls back to a full rebuild of the epoch. A region is
+    /// the surviving cores a repair re-unions or probes (the affected
+    /// sets' cores for a replay) plus the non-cores it re-anchors.
     ///
     /// * `None` — adaptive default: half the live set, floor 256.
     /// * `Some(0)` — no surviving point may be replayed: the first
@@ -1046,8 +1047,7 @@ mod tests {
     }
 
     fn batch_oracle(data: &Dataset, p: DbscanParams) -> Clustering {
-        let mut s = StreamingMuDbscan::from_dataset(data, p);
-        s.snapshot()
+        StreamingMuDbscan::from_dataset(data, p).canonical_snapshot()
     }
 
     #[test]

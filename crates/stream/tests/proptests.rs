@@ -37,7 +37,7 @@ fn exact_under_distribution_drift() {
             let prefix_rows: Vec<Vec<f64>> =
                 (0..n).map(|j| feed.point(j as u32).to_vec()).collect();
             let prefix = Dataset::from_rows(&prefix_rows);
-            let got = s.snapshot();
+            let got = s.canonical_snapshot();
             let want = naive_dbscan(&prefix, &params);
             let rep = check_exact(&got, &want, &prefix, &params);
             assert!(rep.is_exact(), "prefix {n}: {rep:?}");
@@ -54,7 +54,7 @@ proptest! {
         let params = DbscanParams::new(eps, min_pts);
         let mut s = StreamingMuDbscan::empty(2, params);
         s.extend_from(&data);
-        let got = s.snapshot();
+        let got = s.canonical_snapshot();
         let want = naive_dbscan(&data, &params);
         let rep = check_exact(&got, &want, &data, &params);
         prop_assert!(rep.is_exact(), "{rep:?}");
@@ -74,7 +74,7 @@ proptest! {
         }
         let prefix_rows: Vec<Vec<f64>> = (0..k).map(|j| data.point(j as u32).to_vec()).collect();
         let prefix = Dataset::from_rows(&prefix_rows);
-        let got = s.snapshot();
+        let got = s.canonical_snapshot();
         let want = naive_dbscan(&prefix, &params);
         let rep = check_exact(&got, &want, &prefix, &params);
         prop_assert!(rep.is_exact(), "prefix {k}: {rep:?}");

@@ -25,7 +25,7 @@ fn main() {
         s.insert(coords);
         let n = i as usize + 1;
         if n.is_multiple_of(2_000) {
-            let snap = s.snapshot();
+            let snap = s.canonical_snapshot();
             let rate = (n - last) as f64 / t.elapsed().as_secs_f64();
             println!(
                 "{n:>8} {:>10} {:>8} {:>7} {:>8}   ({rate:.0} pts/s)",
@@ -40,7 +40,7 @@ fn main() {
     }
 
     // The headline guarantee, live: the final state equals batch DBSCAN.
-    let final_snapshot = s.snapshot();
+    let final_snapshot = s.canonical_snapshot();
     let batch = Runner::new(params).run(&feed).expect("sequential run");
     assert_eq!(final_snapshot.n_clusters, batch.clustering.n_clusters);
     assert_eq!(final_snapshot.is_core, batch.clustering.is_core);

@@ -6,13 +6,14 @@
 //! mudbscan --generate galaxy --n 50000 --dim 3 --output points.csv
 //! ```
 //!
-//! Input formats: CSV (one point per row) or the `MUDB` binary format
-//! (`data::io`), selected by extension (`.bin` = binary). The output is
-//! a CSV with one cluster label per input row (`-1` = noise).
+//! Input formats: CSV (one point per row) or the chunked binary store
+//! (`data::store`), selected by extension (`.muds` = store). The output
+//! is a CSV with one cluster label per input row (`-1` = noise).
 
-use geom::{Dataset, DbscanParams};
+use geom::{gather_dense, DEFAULT_CHUNK_CAP};
 use mudbscan_repro::prelude::*;
-use std::path::PathBuf;
+use std::error::Error;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 struct Args {
@@ -33,12 +34,12 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mudbscan --input <file.csv|file.bin> --eps <f> --min-pts <k>
+        "usage: mudbscan --input <file.csv|file.muds> --eps <f> --min-pts <k>
          [--algorithm mu|mu-par|mu-dist|r|g|grid|naive]   (default: mu)
          [--output <labels.csv>] [--ranks <p>] [--threads <t>] [--stats]
          [--svg <plot.svg>]   (first two dimensions, 2-d+ data only)
        mudbscan --generate <galaxy|roads|household|kddbio|uniform>
-         --n <points> [--dim <d>] [--seed <s>] --output <file.csv|file.bin>"
+         --n <points> [--dim <d>] [--seed <s>] --output <file.csv|file.muds>"
     );
     std::process::exit(2);
 }
@@ -91,19 +92,23 @@ fn parse_args() -> Args {
     a
 }
 
-fn load(path: &std::path::Path) -> std::io::Result<Dataset> {
-    if path.extension().is_some_and(|e| e == "bin") {
-        data::io::read_bin(path)
+fn is_store(path: &Path) -> bool {
+    path.extension().is_some_and(|e| e == "muds")
+}
+
+fn load(path: &Path) -> Result<Dataset, Box<dyn Error>> {
+    if is_store(path) {
+        Ok(gather_dense(&ChunkedStore::open(path)?))
     } else {
-        data::io::read_csv(path)
+        Ok(data::io::read_csv(path)?)
     }
 }
 
-fn save(d: &Dataset, path: &std::path::Path) -> std::io::Result<()> {
-    if path.extension().is_some_and(|e| e == "bin") {
-        data::io::write_bin(d, path)
+fn save(d: &Dataset, path: &Path) -> Result<(), Box<dyn Error>> {
+    if is_store(path) {
+        Ok(write_store(d, path, DEFAULT_CHUNK_CAP)?)
     } else {
-        data::io::write_csv(d, path)
+        Ok(data::io::write_csv(d, path)?)
     }
 }
 

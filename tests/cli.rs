@@ -97,3 +97,50 @@ fn missing_flags_usage_error() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
+
+#[test]
+fn store_roundtrip_matches_csv() {
+    let labels_via = |ext: &str| -> Vec<String> {
+        let pts = tmp(&format!("pts3.{ext}"));
+        let labels = tmp(&format!("labels3_{ext}.csv"));
+        let out = bin()
+            .args(["--generate", "galaxy", "--n", "1500", "--dim", "3", "--seed", "11"])
+            .args(["--output", pts.to_str().unwrap()])
+            .output()
+            .expect("spawn");
+        assert!(out.status.success(), "{ext}: {}", String::from_utf8_lossy(&out.stderr));
+        let out = bin()
+            .args(["--input", pts.to_str().unwrap(), "--eps", "0.8", "--min-pts", "5"])
+            .args(["--output", labels.to_str().unwrap()])
+            .output()
+            .expect("spawn");
+        assert!(out.status.success(), "{ext}: {}", String::from_utf8_lossy(&out.stderr));
+        let v = std::fs::read_to_string(&labels).unwrap().lines().map(String::from).collect();
+        std::fs::remove_file(&pts).ok();
+        std::fs::remove_file(&labels).ok();
+        v
+    };
+    let store = labels_via("muds");
+    assert_eq!(store.len(), 1500);
+    assert_eq!(store, labels_via("csv"));
+
+    // A header that promises far more points than the file holds is a
+    // read error, not an allocation of the promised size.
+    let bad = tmp("bad.muds");
+    let mut header = Vec::new();
+    header.extend_from_slice(b"MUDS");
+    header.extend_from_slice(&1u32.to_le_bytes()); // version
+    header.extend_from_slice(&3u32.to_le_bytes()); // dim
+    header.extend_from_slice(&4096u32.to_le_bytes()); // chunk_cap
+    header.extend_from_slice(&u64::from(u32::MAX).to_le_bytes()); // n
+    header.extend_from_slice(&(u64::from(u32::MAX).div_ceil(4096)).to_le_bytes());
+    header.resize(64, 0);
+    std::fs::write(&bad, &header).unwrap();
+    let out = bin()
+        .args(["--input", bad.to_str().unwrap(), "--eps", "1", "--min-pts", "2"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("read failed"));
+    std::fs::remove_file(&bad).ok();
+}

@@ -23,7 +23,7 @@ fn five_ways_to_the_same_clustering() {
 
     let mut s = StreamingMuDbscan::empty(3, params);
     s.extend_from(&dataset);
-    let streamed = s.snapshot();
+    let streamed = s.canonical_snapshot();
     assert_eq!(canon(&streamed), canon(&batch), "streaming");
 
     let d = dist::MuDbscanD::from_params(params, dist::DistConfig::new(6))
@@ -85,7 +85,7 @@ fn streaming_matches_distributed_on_catalog_analogue() {
     let params = spec.params;
     let mut s = StreamingMuDbscan::empty(dataset.dim(), params);
     s.extend_from(&dataset);
-    let streamed = s.snapshot();
+    let streamed = s.canonical_snapshot();
     let d = dist::MuDbscanD::from_params(params, dist::DistConfig::new(4))
         .run(&dataset)
         .unwrap()

@@ -44,7 +44,7 @@ fn runner_output_is_bit_identical_to_direct_construction() {
         );
 
         // Streaming: .family(Family::Streaming) vs bulk-loaded snapshot.
-        let direct = StreamingMuDbscan::from_dataset(&dataset, params).snapshot();
+        let direct = StreamingMuDbscan::from_dataset(&dataset, params).canonical_snapshot();
         assert_eq!(
             via_runner(Runner::new(params).family(Family::Streaming), &dataset, tag),
             direct,
@@ -105,7 +105,7 @@ fn low_level_constructors_compile_and_run() {
     for p in 0..dataset.len() {
         stream.insert(dataset.point(p as geom::PointId));
     }
-    assert_eq!(stream.snapshot(), oracle);
+    assert_eq!(stream.canonical_snapshot(), oracle);
     let optics_out = Optics::from_params(params).run(&dataset);
     assert_eq!(extract_dbscan(&optics_out, &dataset, params.eps), oracle);
 }

@@ -76,9 +76,9 @@ fn micro_cluster_counts_are_far_below_n() {
 fn io_roundtrip_preserves_clustering() {
     let dataset = data::galaxy(2_000, 3, 21);
     let params = DbscanParams::new(0.8, 5);
-    let tmp = std::env::temp_dir().join("mudbscan_integration_io.bin");
-    data::io::write_bin(&dataset, &tmp).unwrap();
-    let back = data::io::read_bin(&tmp).unwrap();
+    let tmp = std::env::temp_dir().join("mudbscan_integration_io.muds");
+    data::write_store(&dataset, &tmp, geom::DEFAULT_CHUNK_CAP).unwrap();
+    let back = geom::gather_dense(&data::ChunkedStore::open(&tmp).unwrap());
     std::fs::remove_file(&tmp).ok();
     let a = MuDbscan::from_params(params).run(&dataset);
     let b = MuDbscan::from_params(params).run(&back);
