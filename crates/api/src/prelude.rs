@@ -30,8 +30,9 @@
 //! inherently sequential families, ablation knobs outside a one-thread
 //! `MuDbscan` run) is an [`MuDbscanError::InvalidConfig`] before the
 //! run starts, never silently ignored — and so are degenerate
-//! parameters: a NaN, infinite or non-positive ε, `min_pts = 0`, or a
-//! zero thread, rank, shard or byte count.
+//! parameters: a NaN, infinite or non-positive ε, an ε whose square
+//! underflows to 0, `min_pts = 0`, or a zero thread, rank, shard or
+//! byte count.
 //!
 //! Inputs need not be in memory: [`Runner::run_source`] clusters any
 //! [`DataSource`] — the in-memory [`Dataset`], or a memory-mapped
@@ -340,6 +341,9 @@ impl Runner {
         let DbscanParams { eps, min_pts } = self.params;
         let degenerate = [
             (!(eps.is_finite() && eps > 0.0), "eps must be positive and finite"),
+            // Neighbourhoods compare squared distances: with ε² = 0 no
+            // point lies strictly within ε even of itself.
+            (eps * eps == 0.0, "eps is so small that its square underflows to 0"),
             (min_pts == 0, "min_pts must be at least 1"),
             (self.threads == 0, "the thread count must be at least 1"),
             (self.ranks == Some(0), "the rank count must be at least 1"),
@@ -700,8 +704,9 @@ mod tests {
                 Runner::new(p).family(Family::Optics),
             ]
         };
-        let degenerate = [(f64::NAN, 3), (-1.0, 3), (0.0, 3), (f64::INFINITY, 3), (0.5, 0)]
-            .map(|(eps, min_pts)| DbscanParams { eps, min_pts });
+        let degenerate =
+            [(f64::NAN, 3), (-1.0, 3), (0.0, 3), (f64::INFINITY, 3), (1e-300, 3), (0.5, 0)]
+                .map(|(eps, min_pts)| DbscanParams { eps, min_pts });
         let mut bad_runners: Vec<Runner> = degenerate.iter().flat_map(|&p| families(p)).collect();
         bad_runners.extend([
             Runner::new(p).threads(0),

@@ -177,7 +177,8 @@ impl CenterGrid {
             + self.cells.slots.capacity() * std::mem::size_of::<Slot>()
     }
 
-    fn center(&self, id: u32) -> &[f64] {
+    /// Coordinates of center `id`.
+    pub fn center(&self, id: McId) -> &[f64] {
         let at = id as usize * self.dim;
         &self.coords[at..at + self.dim]
     }

@@ -9,7 +9,6 @@ use crate::node::Node;
 use crate::tree::{RTree, RTreeConfig};
 use geom::soa::PointBlock;
 use geom::Mbr;
-use std::sync::Arc;
 
 impl RTree {
     /// Bulk load point items from `(item, coords)` pairs using STR
@@ -55,7 +54,7 @@ impl RTree {
             let mut mbr = Mbr::point(point(run[0]));
             block.bound_into(&mut mbr);
             let id = tree.nodes.len() as u32;
-            tree.nodes.push(Arc::new(Node::Leaf { mbr, block }));
+            tree.nodes.push(Node::Leaf { mbr, block });
             level.push(id);
         }
         tree.pack_levels(level, items.len());
@@ -75,7 +74,7 @@ impl RTree {
                     m.merge(self.nodes[c as usize].mbr());
                 }
                 let id = self.nodes.len() as u32;
-                self.nodes.push(Arc::new(Node::Internal { mbr: m, children: chunk.to_vec() }));
+                self.nodes.push(Node::Internal { mbr: m, children: chunk.to_vec() });
                 next.push(id);
             }
             level = next;
@@ -190,7 +189,7 @@ mod tests {
         let cfg = RTreeConfig::default();
         let t = RTree::bulk_load_points(3, cfg, pts(1024));
         // STR fills every leaf: exactly ceil(n / max_entries) of them.
-        let leaves = t.nodes.iter().filter(|n| matches!(***n, Node::Leaf { .. })).count();
+        let leaves = t.nodes.iter().filter(|n| matches!(n, Node::Leaf { .. })).count();
         assert_eq!(leaves, 1024usize.div_ceil(cfg.max_entries));
     }
 }

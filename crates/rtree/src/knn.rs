@@ -36,7 +36,7 @@ impl RTree {
                             break;
                         }
                     }
-                    None => match &*self.nodes[c.node as usize] {
+                    None => match &self.nodes[c.node as usize] {
                         Node::Internal { children, .. } => {
                             for &ch in children {
                                 heap.push(Candidate::node(

@@ -5,32 +5,28 @@
 //! Every tree in the workspace indexes points. Its main roles:
 //!
 //! * the **single flat R-tree** used by the classical R-DBSCAN baseline,
-//! * the serving engine's published point index, OPTICS' core-point
-//!   tree and the distributed merge's halo tree.
+//! * OPTICS' core-point tree, RP-DBSCAN's cell tree, the distributed
+//!   merge's halo tree and the k-dist ε sampler.
 //!
 //! Neither level of the μR-tree is an R-tree: level 1 is
 //! `mcs::CenterGrid`, a hashed 2ε grid on the first three coordinates
 //! at every d, and each micro-cluster's members are one
 //! [`geom::PointBlock`], scanned by `mcs::scan_block`.
 //!
-//! Features: ChooseLeaf insertion with Guttman's quadratic split, point
-//! removal, Sort-Tile-Recursive (STR) bulk loading for static point sets,
+//! Features: ChooseLeaf insertion with Guttman's quadratic split,
+//! Sort-Tile-Recursive (STR) bulk loading for static point sets,
 //! open ε-ball range queries and k-NN. Internal nodes are pruned with the
 //! exact box/sphere distance test, and leaf points are tested with the
 //! strict `DIST < ε` membership predicate, so query results need no
 //! re-verification.
 //!
-//! Nodes live in an arena (`Vec<Arc<Node>>`), children are `u32`
-//! indices. The `Arc` lets versions share nodes: cloning a tree copies
-//! only the arena's pointers, and an insert or removal on one version
-//! copies just its root-to-leaf path and any split siblings
-//! ([`std::sync::Arc::make_mut`]), so the serving layer publishes each
-//! epoch's index without copying the whole tree. A tree never cloned
-//! owns every node alone and is written in place. Every leaf stores its
-//! points column-major in one shared block ([`geom::soa::PointBlock`]),
-//! so sphere queries evaluate a whole leaf with one batched,
-//! autovectorizing distance-kernel call; ε-range and k-NN queries share
-//! a best-first MINDIST-heap traversal ([`traversal`]).
+//! Nodes live in an arena (`Vec<Node>`), children are `u32` indices; no
+//! `Box`/`Rc` pointer chasing, and every write is in place. Every leaf
+//! stores its points column-major in one shared block
+//! ([`geom::soa::PointBlock`]), so sphere queries evaluate a whole leaf
+//! with one batched, autovectorizing distance-kernel call; ε-range and
+//! k-NN queries share a best-first MINDIST-heap traversal
+//! ([`traversal`]).
 //!
 //! ```
 //! use rtree::{RTree, RTreeConfig};

@@ -81,7 +81,7 @@ impl RTree {
                     }
                 }
             };
-            if let Node::Leaf { block, .. } = &*self.nodes[root as usize] {
+            if let Node::Leaf { block, .. } = &self.nodes[root as usize] {
                 cost.nodes_visited += 1;
                 scan_leaf(block, &mut cost);
                 return;
@@ -91,7 +91,7 @@ impl RTree {
                 heap.push(Candidate::node(0.0, root));
                 while let Some(c) = heap.pop() {
                     cost.nodes_visited += 1;
-                    match &*self.nodes[c.node as usize] {
+                    match &self.nodes[c.node as usize] {
                         Node::Internal { children, .. } => {
                             for &ch in children {
                                 cost.mbr_tests += 1;
@@ -140,7 +140,7 @@ impl RTree {
             }
             None
         };
-        if let Node::Leaf { block, .. } = &*self.nodes[root as usize] {
+        if let Node::Leaf { block, .. } = &self.nodes[root as usize] {
             cost.nodes_visited += 1;
             let hit = scan_leaf(block, &mut cost);
             return (hit, cost);
@@ -150,7 +150,7 @@ impl RTree {
             stack.push(root);
             while let Some(n) = stack.pop() {
                 cost.nodes_visited += 1;
-                match &*self.nodes[n as usize] {
+                match &self.nodes[n as usize] {
                     Node::Internal { children, .. } => {
                         for &c in children {
                             cost.mbr_tests += 1;

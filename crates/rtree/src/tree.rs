@@ -5,7 +5,6 @@ use crate::node::{Node, NodeId};
 use crate::traversal::with_scratch;
 use geom::{Mbr, PointBlock};
 use std::cell::Cell;
-use std::sync::Arc;
 
 /// Fan-out configuration. `min_entries <= max_entries / 2` must hold so a
 /// split can always produce two valid nodes.
@@ -36,17 +35,11 @@ impl RTreeConfig {
 }
 
 /// An R-tree over points, each identified by a `u32` item id.
-///
-/// Cloning is cheap: the clone shares every node with the original, and
-/// each later insert or removal copies only the nodes it changes.
 #[derive(Debug, Clone)]
 pub struct RTree {
     dim: usize,
     cfg: RTreeConfig,
-    /// The node arena. A node is shared by every clone that still holds
-    /// it; all writes go through [`Arc::make_mut`], which copies a node
-    /// first when another version holds it too.
-    pub(crate) nodes: Vec<Arc<Node>>,
+    pub(crate) nodes: Vec<Node>,
     pub(crate) root: Option<NodeId>,
     pub(crate) len: usize,
     pub(crate) height: usize, // number of levels; leaf-only tree has height 1
@@ -131,84 +124,10 @@ impl RTree {
         self.len += 1;
     }
 
-    /// Remove the point item `item` stored at `coords`. Returns `true`
-    /// when the item was found and removed.
-    ///
-    /// The descent only visits subtrees whose box contains `coords`; on
-    /// the unwind every ancestor's cached MBR is recomputed exactly (in
-    /// place) from its surviving children, so boxes *shrink* — queries
-    /// after a removal pay no dead-volume penalty. Nodes emptied by the
-    /// removal are unlinked from their parent (their arena slots are
-    /// reclaimed only when the tree empties entirely). No minimum-fan-out
-    /// reinsertion is performed: underfull nodes are legal in this tree,
-    /// deletion merely trades a little query balance for O(height) cost.
-    pub fn remove_point(&mut self, item: u32, coords: &[f64]) -> bool {
-        assert_eq!(coords.len(), self.dim, "point dimensionality mismatch");
-        let Some(root) = self.root else { return false };
-        match self.remove_rec(root, item, coords) {
-            Removal::NotFound => false,
-            Removal::Removed { empty } => {
-                self.len -= 1;
-                if empty {
-                    // Last item gone: reset to the pristine empty state
-                    // and reclaim the whole arena.
-                    self.nodes.clear();
-                    self.root = None;
-                    self.height = 0;
-                }
-                true
-            }
-        }
-    }
-
-    fn remove_rec(&mut self, node: NodeId, item: u32, coords: &[f64]) -> Removal {
-        if let Node::Leaf { block, .. } = &*self.nodes[node as usize] {
-            let holds = |i: usize| {
-                block.item(i) == item && (0..block.dim()).all(|k| block.coord(i, k) == coords[k])
-            };
-            let Some(i) = (0..block.len()).find(|&i| holds(i)) else {
-                return Removal::NotFound;
-            };
-            // Only a leaf that holds the item is written (and so copied).
-            let Node::Leaf { mbr, block } = self.node_mut(node) else { unreachable!() };
-            block.remove(i);
-            if block.is_empty() {
-                return Removal::Removed { empty: true };
-            }
-            block.bound_into(mbr);
-            return Removal::Removed { empty: false };
-        }
-
-        // Index-based: the child list is only modified right before
-        // returning.
-        for k in 0..self.nodes[node as usize].fanout() {
-            let c = self.child(node, k);
-            if !self.nodes[c as usize].mbr().contains_point(coords) {
-                continue;
-            }
-            let Removal::Removed { empty } = self.remove_rec(c, item, coords) else { continue };
-            let Node::Internal { children, .. } = self.node_mut(node) else { unreachable!() };
-            if empty {
-                children.remove(k);
-            }
-            if children.is_empty() {
-                return Removal::Removed { empty: true };
-            }
-            self.refit_internal(node);
-            return Removal::Removed { empty: false };
-        }
-        Removal::NotFound
-    }
-
     fn push_node(&mut self, node: Node) -> NodeId {
         let id = self.nodes.len() as NodeId;
-        self.nodes.push(Arc::new(node));
+        self.nodes.push(node);
         id
-    }
-
-    /// Node `id` for writing, copied first if another clone shares it.
-    fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        Arc::make_mut(&mut self.nodes[id as usize])
     }
 
     /// Recursive insert; returns the id of a new sibling when `node` split.
@@ -217,12 +136,14 @@ impl RTree {
         // lands, so grow it on the way down. ChooseLeaf scores only the
         // children's boxes, which are not grown until the descent reaches
         // them, so growing first picks the same subtree.
-        self.node_mut(node).mbr_mut().merge_point(coords);
-        let child = match &*self.nodes[node as usize] {
+        self.nodes[node as usize].mbr_mut().merge_point(coords);
+        let child = match &self.nodes[node as usize] {
             Node::Internal { children, .. } => self.choose_subtree(children, coords),
             Node::Leaf { .. } => {
                 let max = self.cfg.max_entries;
-                let Node::Leaf { block, .. } = self.node_mut(node) else { unreachable!() };
+                let Node::Leaf { block, .. } = &mut self.nodes[node as usize] else {
+                    unreachable!()
+                };
                 block.push(item, coords);
                 return (block.len() > max).then(|| self.split_leaf(node));
             }
@@ -258,7 +179,7 @@ impl RTree {
     /// in place.
     fn split_leaf(&mut self, node: NodeId) -> NodeId {
         let (dim, cap, min) = (self.dim, self.leaf_cap(), self.cfg.min_entries);
-        let Node::Leaf { mbr, block } = self.node_mut(node) else { unreachable!() };
+        let Node::Leaf { mbr, block } = &mut self.nodes[node as usize] else { unreachable!() };
         let sibling = with_scratch(&SPLIT, |s| {
             let n = block.len();
             s.rows.clear();
@@ -287,7 +208,9 @@ impl RTree {
     /// second.
     fn split_internal(&mut self, node: NodeId) -> NodeId {
         let min = self.cfg.min_entries;
-        let Node::Internal { children, .. } = self.node_mut(node) else { unreachable!() };
+        let Node::Internal { children, .. } = &mut self.nodes[node as usize] else {
+            unreachable!()
+        };
         let taken = std::mem::take(children);
         let nodes = &self.nodes;
         let (ca, cb) = with_scratch(&SPLIT, |s| {
@@ -307,7 +230,9 @@ impl RTree {
             (ca, cb)
         });
         let mbr_b = self.mbr_of_children(&cb);
-        let Node::Internal { children, .. } = self.node_mut(node) else { unreachable!() };
+        let Node::Internal { children, .. } = &mut self.nodes[node as usize] else {
+            unreachable!()
+        };
         *children = ca;
         self.refit_internal(node);
         self.push_node(Node::Internal { mbr: mbr_b, children: cb })
@@ -315,7 +240,7 @@ impl RTree {
 
     /// The `k`-th child of internal `node`.
     fn child(&self, node: NodeId, k: usize) -> NodeId {
-        let Node::Internal { children, .. } = &*self.nodes[node as usize] else { unreachable!() };
+        let Node::Internal { children, .. } = &self.nodes[node as usize] else { unreachable!() };
         children[k]
     }
 
@@ -349,7 +274,7 @@ impl RTree {
         let mut buf = vec![0.0; self.dim];
         let mut stack = vec![root];
         while let Some(n) = stack.pop() {
-            match &*self.nodes[n as usize] {
+            match &self.nodes[n as usize] {
                 Node::Internal { children, .. } => stack.extend_from_slice(children),
                 Node::Leaf { block, .. } => {
                     for i in 0..block.len() {
@@ -361,13 +286,10 @@ impl RTree {
         }
     }
 
-    /// Estimated heap footprint in bytes: the arena's slots, and for each
-    /// node its `Arc` allocation (the two reference counts and the node)
-    /// plus its vectors. A node shared with a clone is counted in each.
+    /// Estimated heap footprint in bytes (arena plus per-node vectors).
     pub fn heap_bytes(&self) -> usize {
-        let arc_node = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<Node>();
-        self.nodes.capacity() * std::mem::size_of::<Arc<Node>>()
-            + self.nodes.iter().map(|n| arc_node + n.heap_bytes()).sum::<usize>()
+        self.nodes.capacity() * std::mem::size_of::<Node>()
+            + self.nodes.iter().map(|n| n.heap_bytes()).sum::<usize>()
     }
 
     /// Internal consistency check (used by tests): every node's cached MBR
@@ -382,7 +304,7 @@ impl RTree {
         let mut leaf_depth = None;
         let mut buf = vec![0.0; self.dim];
         while let Some((n, depth)) = stack.pop() {
-            let node = &*self.nodes[n as usize];
+            let node = &self.nodes[n as usize];
             if n != root {
                 assert!(
                     node.fanout() <= self.cfg.max_entries,
@@ -423,25 +345,15 @@ impl RTree {
     }
 }
 
-/// Outcome of a recursive removal below one node.
-enum Removal {
-    NotFound,
-    Removed {
-        /// The child subtree is now empty and must be unlinked.
-        empty: bool,
-    },
-}
-
-/// `nodes[a]` mutably (copied first if shared) and `nodes[b]` shared, for
-/// `a != b`.
-fn two(nodes: &mut [Arc<Node>], a: usize, b: usize) -> (&mut Node, &Node) {
+/// `nodes[a]` mutably and `nodes[b]` shared, for `a != b`.
+fn two(nodes: &mut [Node], a: usize, b: usize) -> (&mut Node, &Node) {
     debug_assert_ne!(a, b);
     if a < b {
         let (l, r) = nodes.split_at_mut(b);
-        (Arc::make_mut(&mut l[a]), &r[0])
+        (&mut l[a], &r[0])
     } else {
         let (l, r) = nodes.split_at_mut(a);
-        (Arc::make_mut(&mut r[0]), &l[b])
+        (&mut r[0], &l[b])
     }
 }
 
@@ -571,7 +483,6 @@ fn quadratic_partition<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn grid_points(nx: usize, ny: usize) -> Vec<Vec<f64>> {
         let mut v = Vec::new();
@@ -660,264 +571,5 @@ mod tests {
     #[should_panic(expected = "min_entries")]
     fn config_validation() {
         RTreeConfig::new(8, 5);
-    }
-
-    #[test]
-    fn remove_point_shrinks_and_stays_valid() {
-        let mut t = RTree::with_config(2, RTreeConfig::new(4, 2));
-        let pts = grid_points(8, 8);
-        for (i, p) in pts.iter().enumerate() {
-            t.insert_point(i as u32, p);
-        }
-        t.check_invariants();
-        // Remove the whole x == 7 boundary column: the root MBR must
-        // shrink to x <= 6 (exact recompute, not a stale cover).
-        for (i, p) in pts.iter().enumerate() {
-            if p[0] == 7.0 {
-                assert!(t.remove_point(i as u32, p));
-            }
-        }
-        assert_eq!(t.len(), 56);
-        t.check_invariants();
-        let m = t.mbr().unwrap().clone();
-        assert_eq!(m.hi(), &[6.0, 7.0], "root MBR did not shrink: {m:?}");
-        // Removing again (or a never-inserted item) is a no-op.
-        assert!(!t.remove_point(63, &[7.0, 7.0]));
-        assert!(!t.remove_point(999, &[3.0, 3.0]));
-        assert_eq!(t.len(), 56);
-    }
-
-    #[test]
-    fn remove_to_empty_then_reinsert() {
-        let mut t = RTree::with_config(2, RTreeConfig::new(4, 2));
-        let pts = grid_points(5, 5);
-        for (i, p) in pts.iter().enumerate() {
-            t.insert_point(i as u32, p);
-        }
-        for (i, p) in pts.iter().enumerate() {
-            assert!(t.remove_point(i as u32, p));
-            t.check_invariants();
-        }
-        assert!(t.is_empty());
-        assert_eq!(t.height(), 0);
-        assert!(t.mbr().is_none());
-        assert_eq!(t.node_count(), 0, "empty tree must reclaim its arena");
-        for (i, p) in pts.iter().enumerate() {
-            t.insert_point(i as u32, p);
-        }
-        assert_eq!(t.len(), 25);
-        t.check_invariants();
-    }
-
-    #[test]
-    fn interleaved_insert_remove_queries_match_linear_scan() {
-        // Deterministic pseudo-random interleaving of inserts and removals;
-        // after every phase, sphere queries must match a linear scan over
-        // the live set.
-        let mut t = RTree::with_config(2, RTreeConfig::new(8, 4));
-        let coords = |i: u32| {
-            let h = |k: u32| {
-                let x = i.wrapping_mul(2654435761).wrapping_add(k.wrapping_mul(913));
-                (x % 997) as f64 / 31.0
-            };
-            vec![h(1), h(2)]
-        };
-        let mut live: Vec<u32> = Vec::new();
-        for i in 0..400u32 {
-            t.insert_point(i, &coords(i));
-            live.push(i);
-            // Every third insert, remove a pseudo-random live point.
-            if i % 3 == 2 {
-                let k = (i.wrapping_mul(48271) as usize) % live.len();
-                let victim = live.swap_remove(k);
-                assert!(t.remove_point(victim, &coords(victim)));
-            }
-            if i % 53 == 0 {
-                t.check_invariants();
-            }
-        }
-        t.check_invariants();
-        assert_eq!(t.len(), live.len());
-        for q in [&coords(7), &coords(123), &coords(399)] {
-            for r in [2.0, 9.0] {
-                let mut got = t.sphere_neighbors(q, r);
-                got.sort_unstable();
-                let r_sq = r * r;
-                let mut want: Vec<u32> = live
-                    .iter()
-                    .copied()
-                    .filter(|&p| {
-                        let c = coords(p);
-                        let d = (c[0] - q[0]).powi(2) + (c[1] - q[1]).powi(2);
-                        d < r_sq
-                    })
-                    .collect();
-                want.sort_unstable();
-                assert_eq!(got, want);
-            }
-        }
-    }
-
-    #[test]
-    fn remove_duplicate_coordinate_points_one_at_a_time() {
-        let mut t = RTree::new(2);
-        for i in 0..20u32 {
-            t.insert_point(i, &[1.0, 1.0]);
-        }
-        for i in (0..20u32).rev() {
-            assert!(t.remove_point(i, &[1.0, 1.0]));
-            assert!(!t.remove_point(i, &[1.0, 1.0]), "id {i} removed twice");
-            t.check_invariants();
-        }
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn heap_bytes_counts_slots_as_pointers_and_shared_nodes_in_each_version() {
-        let items = (0..10u32).map(|i| (i, [i as f64, 0.0]));
-        let t = RTree::bulk_load_points(2, RTreeConfig::new(4, 2), items);
-        // Three leaves (4, 4 and 2 points) under one root.
-        assert_eq!(t.node_count(), 4);
-        let slot = std::mem::size_of::<usize>();
-        let arc_node = 2 * slot + std::mem::size_of::<Node>();
-        let vectors: usize = t.nodes.iter().map(|n| n.heap_bytes()).sum();
-        assert_eq!(t.heap_bytes(), t.nodes.capacity() * slot + 4 * arc_node + vectors);
-        // A clone shares all four nodes, and each version counts them.
-        let c = t.clone();
-        assert!(c.nodes.iter().zip(&t.nodes).all(|(a, b)| Arc::ptr_eq(a, b)));
-        assert_eq!(c.heap_bytes(), c.nodes.capacity() * slot + 4 * arc_node + vectors);
-    }
-
-    /// Slots of `b` that do not hold `a`'s node: differing slots both
-    /// arenas have, plus the slots only `b` has.
-    fn unshared_slots(a: &RTree, b: &RTree) -> usize {
-        let common = a.nodes.len().min(b.nodes.len());
-        let differing = (0..common).filter(|&i| !Arc::ptr_eq(&a.nodes[i], &b.nodes[i])).count();
-        differing + (b.nodes.len() - common)
-    }
-
-    fn reachable_leaves(t: &RTree) -> usize {
-        let mut stack: Vec<NodeId> = t.root.into_iter().collect();
-        let mut leaves = 0;
-        while let Some(n) = stack.pop() {
-            match &*t.nodes[n as usize] {
-                Node::Internal { children, .. } => stack.extend_from_slice(children),
-                Node::Leaf { .. } => leaves += 1,
-            }
-        }
-        leaves
-    }
-
-    /// `(item, coords)` pairs.
-    type Items = Vec<(u32, Vec<f64>)>;
-
-    /// Every point of `t` in visiting order, and every sphere query
-    /// centred on a point of `live` (three radii) checked against a
-    /// linear scan of `live`.
-    fn observe(t: &RTree, live: &[(u32, Vec<f64>)]) -> (Items, Vec<Vec<u32>>) {
-        t.check_invariants();
-        let mut points = Vec::new();
-        t.for_each_point(|i, c| points.push((i, c.to_vec())));
-        let mut sorted = points.clone();
-        sorted.sort_by_key(|(i, _)| *i);
-        let mut want_points = live.to_vec();
-        want_points.sort_by_key(|(i, _)| *i);
-        assert_eq!(sorted, want_points, "stored points differ from the live set");
-        let mut answers = Vec::new();
-        for (_, q) in live {
-            for r in [0.5, 4.0, 30.0] {
-                let mut got = Vec::new();
-                t.search_sphere(q, r, |i| got.push(i));
-                got.sort_unstable();
-                let d = |c: &[f64]| (c[0] - q[0]).powi(2) + (c[1] - q[1]).powi(2);
-                let mut want: Vec<u32> =
-                    live.iter().filter(|(_, c)| d(c) < r * r).map(|(i, _)| *i).collect();
-                want.sort_unstable();
-                assert_eq!(got, want, "query at {q:?} radius {r}");
-                answers.push(got);
-            }
-        }
-        (points, answers)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// A clone stays as it was while the other copy takes inserts and
-        /// removals (leaf and internal splits, leaves emptied to zero),
-        /// and each op copies at most one root-to-leaf path of nodes
-        /// besides the nodes its splits create, so all ops together copy
-        /// at most ops × height.
-        #[test]
-        fn a_clone_is_untouched_by_edits_to_the_other_copy(
-            seed in any::<u64>(),
-        ) {
-            use rand::{rngs::StdRng, Rng, SeedableRng};
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut edited = RTree::with_config(2, RTreeConfig::new(4, 2));
-            let mut live: Items = Vec::new();
-            let mut next = 0u32;
-            let mut insert = |t: &mut RTree, rng: &mut StdRng, lo: f64, width: f64| {
-                let c = vec![lo + width * rng.gen::<f64>(), lo + width * rng.gen::<f64>()];
-                t.insert_point(next, &c);
-                next += 1;
-                (next - 1, c)
-            };
-            for _ in 0..rng.gen_range(10..200) {
-                let p = insert(&mut edited, &mut rng, 0.0, 50.0);
-                live.push(p);
-            }
-            let frozen = edited.clone();
-            let frozen_live = live.clone();
-            let before = observe(&frozen, &frozen_live);
-            let (height0, nodes0) = (frozen.height(), frozen.node_count());
-            prop_assert_eq!(unshared_slots(&frozen, &edited), 0, "the clone copied nodes");
-
-            // Nodes `edited` copied from `frozen` so far (not counting the
-            // nodes splits created). Checked after every op: one insert
-            // or removal copies at most one root-to-leaf path.
-            let copied = |t: &RTree| unshared_slots(&frozen, t) - (t.node_count() - nodes0);
-            let mut last = 0;
-            let mut step = |t: &RTree| {
-                let now = copied(t);
-                let fresh = now - last;
-                last = now;
-                (fresh <= t.height()).then_some(()).ok_or(fresh)
-            };
-            // A burst far from the rest fills leaves of its own: they split,
-            // and so does the internal node above them.
-            let mut burst = Vec::new();
-            for _ in 0..rng.gen_range(24..40) {
-                burst.push(insert(&mut edited, &mut rng, 100.0, 1.0));
-                prop_assert_eq!(step(&edited), Ok(()));
-            }
-            let new_internal = edited.nodes[nodes0..]
-                .iter()
-                .any(|n| matches!(**n, Node::Internal { .. }));
-            prop_assert!(new_internal, "no internal split");
-            // Churn: inserts anywhere, removals of random non-burst points
-            // (never the last, so the arena is never reclaimed).
-            for _ in 0..rng.gen_range(0..40) {
-                if rng.gen::<bool>() && live.len() > 1 {
-                    let (i, c) = live.swap_remove(rng.gen_range(0..live.len()));
-                    prop_assert!(edited.remove_point(i, &c));
-                } else {
-                    let p = insert(&mut edited, &mut rng, 0.0, 50.0);
-                    live.push(p);
-                }
-                prop_assert_eq!(step(&edited), Ok(()));
-            }
-            // Removing the burst empties its leaves to zero.
-            let leaves = reachable_leaves(&edited);
-            for (i, c) in &burst {
-                prop_assert!(edited.remove_point(*i, c));
-                prop_assert_eq!(step(&edited), Ok(()));
-            }
-            prop_assert!(reachable_leaves(&edited) < leaves, "no leaf was emptied");
-            observe(&edited, &live);
-
-            prop_assert_eq!(observe(&frozen, &frozen_live), before);
-            prop_assert_eq!((frozen.height(), frozen.node_count()), (height0, nodes0));
-        }
     }
 }

@@ -1,9 +1,11 @@
 //! The insertion-incremental algorithm.
 
-use geom::{Dataset, DbscanParams, PointBlock, PointId};
-use mcs::{build_micro_clusters_par, scan_block, BuildOptions, CenterGrid};
+use geom::{dist_sq, Dataset, DbscanParams, PointBlock, PointId};
+use mcs::{build_micro_clusters_par, scan_block, BuildOptions, CenterGrid, McId};
 use metrics::Counters;
 use mudbscan::{Clustering, NOISE};
+use std::cell::Cell;
+use std::sync::Arc;
 use unionfind::UnionFind;
 
 /// [`StreamingMuDbscan`]'s anchor of a point with no live core strictly
@@ -42,10 +44,16 @@ pub struct StreamingMuDbscan {
     params: DbscanParams,
     data: Dataset,
     /// Level-1 index over MC centers (id = MC index): the 2ε center grid.
-    level1: CenterGrid,
+    /// Shared by `Arc` with the serving layer's snapshots
+    /// ([`Self::shared_index`]) and written only through
+    /// [`Arc::make_mut`], so a new center copies the grid only while a
+    /// snapshot still holds it.
+    level1: Arc<CenterGrid>,
     /// Each online micro-cluster's live members, column-major (item =
-    /// point id); its center lives in the level-1 index.
-    mcs: Vec<PointBlock>,
+    /// point id); its center lives in the level-1 index. Shared and
+    /// written like `level1`, block by block: a push or removal copies
+    /// only its own block, and only while a snapshot still holds it.
+    mcs: Vec<Arc<PointBlock>>,
     /// `counts[p] = |N_ε(p)|` over the live points inserted so far (self
     /// included; 0 for tombstoned points).
     counts: Vec<u32>,
@@ -90,7 +98,7 @@ impl StreamingMuDbscan {
         Self {
             params,
             data: Dataset::empty(dim),
-            level1: CenterGrid::new(dim, params.eps),
+            level1: Arc::new(CenterGrid::new(dim, params.eps)),
             mcs: Vec::new(),
             counts: Vec::new(),
             uf: UnionFind::new(0),
@@ -195,12 +203,12 @@ impl StreamingMuDbscan {
         // within ε of its MC center, so the online 2ε center-search
         // invariant holds.
         let (level1, mcs, mc_of) = tree.into_parts();
-        let mcs = mcs.into_iter().map(|mc| mc.block).collect();
+        let mcs = mcs.into_iter().map(|mc| Arc::new(mc.block)).collect();
 
         Self {
             params,
             data: data.clone(),
-            level1,
+            level1: Arc::new(level1),
             mcs,
             counts,
             uf,
@@ -290,17 +298,21 @@ impl StreamingMuDbscan {
         self.uf_slot[p as usize] = self.uf.push();
     }
 
-    /// ε-neighbourhood of arbitrary coordinates over the current prefix
+    /// The micro-cluster index — the level-1 center grid and every MC's
+    /// member block — shared by `Arc`: the engine's next write to a
+    /// block or to the grid copies only that block or the grid. With
+    /// [`eps_query`] this is all a reader needs to answer ε-queries over
+    /// the live points as they are now.
+    pub(crate) fn shared_index(&self) -> (Arc<CenterGrid>, Vec<Arc<PointBlock>>) {
+        (Arc::clone(&self.level1), self.mcs.clone())
+    }
+
+    /// ε-neighbourhood of arbitrary coordinates over the live points
     /// (strict `< ε`), via the micro-cluster index.
     fn query(&self, coords: &[f64]) -> Vec<PointId> {
-        let eps = self.params.eps;
-        let mut mcs_hit: Vec<u32> = Vec::new();
-        self.level1.all_within(coords, 2.0 * eps, &mut mcs_hit);
         let mut out = Vec::new();
-        for mc in mcs_hit {
-            let cost = scan_block(&self.mcs[mc as usize], coords, eps * eps, |q| out.push(q));
-            self.counters.count_dists(cost.mbr_tests);
-        }
+        let dists = eps_query(&self.level1, &self.mcs, self.params.eps, coords, |q| out.push(q));
+        self.counters.count_dists(dists);
         self.counters.count_range_query();
         out
     }
@@ -332,15 +344,15 @@ impl StreamingMuDbscan {
         self.counters.count_dists(probe_cost.mbr_tests);
         match hit {
             Some(mc) => {
-                self.mcs[mc as usize].push(p, coords);
+                Arc::make_mut(&mut self.mcs[mc as usize]).push(p, coords);
                 self.mc_of.push(mc);
             }
             None => {
                 let id = self.mcs.len() as u32;
                 let mut block = PointBlock::with_capacity(self.data.dim(), 1);
                 block.push(p, coords);
-                self.mcs.push(block);
-                self.level1.insert(coords);
+                self.mcs.push(Arc::new(block));
+                Arc::make_mut(&mut self.level1).insert(coords);
                 self.mc_of.push(id);
             }
         }
@@ -815,7 +827,7 @@ impl StreamingMuDbscan {
     fn detach(&mut self, p: PointId) {
         let block = &mut self.mcs[self.mc_of[p as usize] as usize];
         let row = block.items().iter().position(|&q| q == p);
-        block.remove(row.expect("a live point is in its micro-cluster block"));
+        Arc::make_mut(block).remove(row.expect("a live point is in its micro-cluster block"));
         self.live[p as usize] = false;
         self.dead_count += 1;
         self.is_core[p as usize] = false;
@@ -894,6 +906,50 @@ impl StreamingMuDbscan {
     }
 }
 
+thread_local! {
+    /// The MCs a level-1 probe returns, reused by every ε-query on the
+    /// thread.
+    static HIT: Cell<Vec<McId>> = const { Cell::new(Vec::new()) };
+}
+
+/// Level-1 indexes of at most this many centers are probed by testing
+/// every center in id order: below it one pass over their coordinates
+/// costs less than the grid's cell lookups (about 14 hash probes for a
+/// 2ε ball at d ≥ 3), and it finds the same MCs.
+const LINEAR_PROBE_CENTERS: usize = 64;
+
+/// ε-neighbourhood (strict `< eps`) of `coords` over a micro-cluster
+/// index (paper Algorithm 5): every MC whose center lies strictly within
+/// 2ε on level 1, then a scan of each such MC's member block. A point
+/// within ε of `coords` lies within ε of its MC's center, so no other
+/// MC can hold one. Calls `visit` with each neighbour's id, MC by MC in
+/// ascending MC id, and returns the distance evaluations of the member
+/// scans. The engine charges them to its counters; a snapshot reader
+/// discards them.
+pub(crate) fn eps_query(
+    level1: &CenterGrid,
+    mcs: &[Arc<PointBlock>],
+    eps: f64,
+    coords: &[f64],
+    mut visit: impl FnMut(PointId),
+) -> u64 {
+    let mut hit = HIT.take();
+    hit.clear();
+    let r = 2.0 * eps;
+    if level1.len() <= LINEAR_PROBE_CENTERS {
+        let ids = 0..level1.len() as McId;
+        hit.extend(ids.filter(|&mc| dist_sq(level1.center(mc), coords) < r * r));
+    } else {
+        level1.all_within(coords, r, &mut hit);
+    }
+    let dists = hit
+        .iter()
+        .map(|&mc| scan_block(&mcs[mc as usize], coords, eps * eps, &mut visit).mbr_tests)
+        .sum();
+    HIT.set(hit);
+    dists
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -928,6 +984,36 @@ mod tests {
         let want = naive_dbscan(&data, &params);
         let rep = check_exact(&got, &want, &data, &params);
         assert!(rep.is_exact(), "{rep:?}");
+    }
+
+    #[test]
+    fn a_small_level1_is_probed_linearly_with_the_grids_answer() {
+        // Points enter one by one, so the index passes through every MC
+        // count around `LINEAR_PROBE_CENTERS`. At each step `eps_query`
+        // must report the neighbours and distance count of a grid probe
+        // followed by the same member scans.
+        let data = blobs(150, 3);
+        let params = DbscanParams::new(0.15, 4);
+        let eps = params.eps;
+        let mut s = StreamingMuDbscan::empty(2, params);
+        let queries: Vec<Vec<f64>> =
+            (0..40).map(|i| vec![f64::from(i) * 0.31 - 1.0, f64::from(i % 7) * 0.4]).collect();
+        for (_, coords) in data.iter() {
+            s.insert(coords);
+            let (grid, mcs) = s.shared_index();
+            for q in queries.iter().map(Vec::as_slice).chain([coords]) {
+                let mut got = Vec::new();
+                let got_dists = eps_query(&grid, &mcs, eps, q, |p| got.push(p));
+                let (mut hit, mut want, mut want_dists) = (Vec::new(), Vec::new(), 0);
+                grid.all_within(q, 2.0 * eps, &mut hit);
+                for mc in hit {
+                    want_dists +=
+                        scan_block(&mcs[mc as usize], q, eps * eps, |p| want.push(p)).mbr_tests;
+                }
+                assert_eq!((got, got_dists), (want, want_dists), "{} MCs, q {q:?}", grid.len());
+            }
+        }
+        assert!(s.level1.len() > LINEAR_PROBE_CENTERS, "{} MCs", s.level1.len());
     }
 
     #[test]
@@ -1231,13 +1317,16 @@ mod tests {
 
     #[test]
     fn orphaned_border_recapture_does_not_leak_old_component() {
-        // The stale-membership hazard behind the union–find excision:
-        // border b (x=0.8) is anchored only by the core at 0.4. Fast-
-        // removing that core orphans b; a later insert then promotes a
-        // NEW core (1.2) that captures b. Without excision b would
-        // still sit in its old set, and that capture would union the
-        // old cluster (which still has the core at -0.4) with the new
-        // one — one cluster instead of two.
+        // The stale-anchor hazard behind re-anchoring orphans: border b
+        // (x=0.8) is anchored only by the core at 0.4 (id 3). Fast-
+        // removing that core (which also demotes the core at 0.0)
+        // orphans b, and the repair must re-resolve b's anchor, here to
+        // noise. A later insert then promotes a NEW core (1.2, id 5)
+        // that captures b. Had b kept its stale anchor 3, that
+        // capture's `min` would keep it too, and b would read its
+        // cluster through the removed core's element, which stays in
+        // the old set with the core at -0.4: b in the old cluster
+        // instead of the new one.
         let params = DbscanParams::new(0.5, 3);
         let mut s = StreamingMuDbscan::empty(1, params);
         for x in [-0.8, -0.4, 0.0, 0.4, 0.8] {

@@ -5,12 +5,14 @@
 //! [`StreamingMuDbscan`] and applies batched operations — inserts plus
 //! the deletion/TTL-expiry capability the bare streaming engine does
 //! not have — then publishes an immutable epoch [`Snapshot`] through an
-//! RCU-style pointer swap. The snapshot shares the writer's R-tree and
-//! id tables by [`Arc`] and owns only its clustering and a live-position
-//! table; the tree's versions also share their nodes, so an epoch
-//! copies the nodes its operations change, not the live set, and
-//! [`Snapshot::dataset`]/[`Snapshot::live_ids`] are built on first call.
-//! Any number of concurrent readers answer ε-neighbourhood and
+//! RCU-style pointer swap. The snapshot shares the engine's own
+//! micro-cluster index — the level-1 center grid and one member block
+//! per MC — and the writer's id tables by [`Arc`], and owns only its
+//! clustering and a live-position table: the writer's first write to a
+//! shared block or to the grid copies only that block or the grid, so
+//! an epoch copies the blocks its operations change, not the live set,
+//! and [`Snapshot::dataset`]/[`Snapshot::live_ids`] are built on first
+//! call. Any number of concurrent readers answer ε-neighbourhood and
 //! cluster-membership lookups against the snapshot they pinned, never
 //! blocking on writer compute. The writer frees a replaced epoch one
 //! publish later, unless a reader still pins it (then plain [`Arc`]
@@ -75,11 +77,11 @@
 //! Entry points: `Runner::serve` on the facade (preferred; see
 //! `docs/SERVING.md`) or [`ServingMuDbscan::spawn`] directly.
 
-use crate::incremental::{RemoveOutcome, StreamingMuDbscan};
-use geom::{Dataset, DbscanParams, PointId};
+use crate::incremental::{eps_query, RemoveOutcome, StreamingMuDbscan};
+use geom::{Dataset, DbscanParams, PointBlock, PointId};
+use mcs::CenterGrid;
 use metrics::Counters;
 use mudbscan::Clustering;
-use rtree::{RTree, RTreeConfig};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -285,32 +287,36 @@ fn check_coords(dim: usize, coords: &[f64]) -> Result<(), ServeError> {
 }
 
 /// An immutable published epoch: the live points, their canonical
-/// clustering, and an R-tree for ε-queries. Cheap to pin (one `Arc`
-/// clone) and safe to read from any thread; it never changes after
-/// publication.
+/// clustering, and the engine's micro-cluster index for ε-queries. Cheap
+/// to pin (one `Arc` clone) and safe to read from any thread; it never
+/// changes after publication.
 #[derive(Debug)]
 pub struct Snapshot {
     epoch: u64,
+    dim: usize,
     params: DbscanParams,
     /// The writer's *writer-internal* id → external id table at this
     /// epoch (tombstoned ids keep their slot), shared by `Arc` like
-    /// `index`.
+    /// `mcs`.
     ext: Arc<Vec<ExtId>>,
     /// The writer's external id → *writer-internal* id map of the live
-    /// points at this epoch, shared by `Arc` like `index`.
+    /// points at this epoch, shared by `Arc` like `mcs`.
     lookup: Arc<HashMap<ExtId, PointId>>,
     clustering: Clustering,
-    /// The writer's live-point R-tree at this epoch; items are
-    /// *writer-internal* ids. Shared by `Arc`, and node by node with the
-    /// writer's later versions: an epoch copies only the nodes its
-    /// operations change.
-    index: Arc<RTree>,
+    /// The engine's level-1 center grid at this epoch, shared by `Arc`
+    /// until the writer adds a center.
+    level1: Arc<CenterGrid>,
+    /// The engine's MC member blocks at this epoch; items are
+    /// *writer-internal* ids of live points. Each block is shared by
+    /// `Arc` with the writer until the writer's next push into it or
+    /// removal from it.
+    mcs: Vec<Arc<PointBlock>>,
     /// Writer-internal id → the point's position among the live points in
     /// insertion order, which indexes the clustering's labels (`u32::MAX`
-    /// for tombstoned ids, which the index never returns).
+    /// for tombstoned ids, which no block holds).
     compact: Vec<u32>,
     /// [`Self::dataset`] and [`Self::live_ids`], built on first call from
-    /// `index` and `ext`: serving reads need neither.
+    /// `mcs` and `ext`: serving reads need neither.
     data: OnceLock<Dataset>,
     live: OnceLock<Vec<ExtId>>,
 }
@@ -319,11 +325,13 @@ impl Snapshot {
     fn empty(dim: usize, params: DbscanParams) -> Self {
         Snapshot {
             epoch: 0,
+            dim,
             params,
             ext: Arc::default(),
             lookup: Arc::default(),
             clustering: Clustering::from_union_find(&mut unionfind::UnionFind::new(0), Vec::new()),
-            index: Arc::new(RTree::new(dim)),
+            level1: Arc::new(CenterGrid::new(dim, params.eps)),
+            mcs: Vec::new(),
             compact: Vec::new(),
             data: OnceLock::new(),
             live: OnceLock::new(),
@@ -343,26 +351,28 @@ impl Snapshot {
 
     /// Number of live points.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.clustering.labels.len()
     }
 
     /// True when no points are live.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
     /// The live points, in insertion order. Running a batch `Runner` on
     /// this dataset reproduces [`Self::clustering`] bit-identically —
     /// that is the serving exactness contract, pinned by the
-    /// conformance suite. Built from the index on the first call.
+    /// conformance suite. Built from the member blocks on the first call.
     pub fn dataset(&self) -> &Dataset {
         self.data.get_or_init(|| {
-            let dim = self.index.dim();
+            let dim = self.dim;
             let mut coords = vec![0.0; self.len() * dim];
-            self.index.for_each_point(|p, c| {
-                let i = self.compact[p as usize] as usize;
-                coords[i * dim..(i + 1) * dim].copy_from_slice(c);
-            });
+            for block in &self.mcs {
+                for row in 0..block.len() {
+                    let at = self.compact[block.item(row) as usize] as usize * dim;
+                    block.write_point(row, &mut coords[at..at + dim]);
+                }
+            }
             Dataset::from_flat(dim, coords)
         })
     }
@@ -385,9 +395,13 @@ impl Snapshot {
     /// External ids strictly within ε of `coords`, sorted ascending.
     /// Coordinates of the wrong dimension, or NaN/±∞ ones, are rejected.
     pub fn query(&self, coords: &[f64]) -> Result<Vec<ExtId>, ServeError> {
-        check_coords(self.index.dim(), coords)?;
+        check_coords(self.dim, coords)?;
         let mut ids: Vec<ExtId> = Vec::new();
-        self.index.search_sphere(coords, self.params.eps, |p| ids.push(self.ext[p as usize]));
+        // The engine's own ε-query; its distance count is the writer's
+        // to keep, so a reader drops it.
+        let _ = eps_query(&self.level1, &self.mcs, self.params.eps, coords, |p| {
+            ids.push(self.ext[p as usize]);
+        });
         // Sort the external ids themselves: two handles can reserve ids
         // in one order and send their batches in the other, so insertion
         // order does not follow external-id order.
@@ -659,6 +673,9 @@ impl ServeHandle {
 pub struct ServingMuDbscan {
     shared: Arc<Shared>,
     rx: Receiver<Cmd>,
+    /// The engine. Its micro-cluster index (center grid plus member
+    /// blocks) is also the ε-index every published [`Snapshot`] answers
+    /// from, shared by `Arc` block by block.
     stream: StreamingMuDbscan,
     opts: ServeOptions,
     /// Internal id → external id, parallel to the stream's dataset
@@ -670,20 +687,11 @@ pub struct ServingMuDbscan {
     /// lives forever).
     expire_at: Vec<u64>,
     /// External id → internal id, live points only; shared with every
-    /// published [`Snapshot`] by `Arc` and copied on write, like `index`.
+    /// published [`Snapshot`] by `Arc` and copied on write, like `ext`.
     lookup: Arc<HashMap<ExtId, PointId>>,
-    /// Persistent R-tree over the live points (writer-internal ids),
-    /// maintained per-op — inserts insert, repaired removals remove —
-    /// and shared with every published [`Snapshot`] by `Arc`. The first
-    /// mutation after a publish clones it through [`Arc::make_mut`], which
-    /// copies only the node pointers: the versions share their nodes, and
-    /// each insert or removal copies just the nodes it changes (see
-    /// `rtree`). Epochs without structural change republish the same
-    /// tree, and nothing ever re-bulk-loads except a rebuild.
-    index: Arc<RTree>,
     /// The snapshot the last publish replaced. The writer drops it at
     /// the start of the next publish, outside the lock: by then readers
-    /// have usually let go of it, so freeing it (and the R-tree nodes
+    /// have usually let go of it, so freeing it (and the blocks, grid
     /// and id tables only it still holds) costs the writer, not a
     /// reader's timed query.
     retired: Option<Arc<Snapshot>>,
@@ -745,7 +753,6 @@ impl ServingMuDbscan {
             ext: Arc::default(),
             expire_at: Vec::new(),
             lookup: Arc::default(),
-            index: Arc::new(RTree::new(dim)),
             retired: None,
             epoch: 0,
             poison_dumped: false,
@@ -836,8 +843,6 @@ impl ServingMuDbscan {
                         repairs += 1;
                         touched_total += touched as u64;
                         Arc::make_mut(&mut self.lookup).remove(&self.ext[p as usize]);
-                        let coords = self.stream.point(p).to_vec();
-                        Arc::make_mut(&mut self.index).remove_point(p, &coords);
                     }
                     RemoveOutcome::ExceedsBudget { .. } => {
                         // One full rebuild absorbs this and every
@@ -886,7 +891,6 @@ impl ServingMuDbscan {
                 // `ServeOp::insert_ttl`.
                 self.expire_at.push(ttl.map_or(u64::MAX, |d| self.epoch.saturating_add(d.max(1))));
                 Arc::make_mut(&mut self.lookup).insert(ext, p);
-                Arc::make_mut(&mut self.index).insert_point(p, &coords);
                 inserts += 1;
             }
         }
@@ -950,8 +954,8 @@ impl ServingMuDbscan {
     /// Exact compacting rebuild: the surviving live points — minus any
     /// flagged in `exclude` (pending removals on the fallback path) —
     /// go back through the parallel bulk loader in insertion order,
-    /// which resets the internal id space (no tombstones) and
-    /// re-bulk-loads the writer index.
+    /// which resets the internal id space (no tombstones) and rebuilds
+    /// the micro-cluster index the snapshots read.
     fn rebuild(&mut self, exclude: &[bool]) {
         let dim = self.shared.dim;
         let mut data = Dataset::empty(dim);
@@ -974,17 +978,13 @@ impl ServingMuDbscan {
         self.lookup = Arc::new(ext.iter().enumerate().map(|(p, &e)| (e, p as PointId)).collect());
         self.ext = Arc::new(ext);
         self.expire_at = expire_at;
-        self.index = Arc::new(RTree::bulk_load_points(
-            dim,
-            RTreeConfig::default(),
-            data.iter().map(|(p, c)| (p, c.to_vec())),
-        ));
     }
 
     /// Publish the epoch snapshot and return the publish latency in
     /// microseconds (also recorded into the histograms). The snapshot
-    /// shares the writer's index, id table and id map; it owns only its
-    /// clustering and `compact`. The snapshot it replaces becomes
+    /// shares the engine's grid and member blocks and the writer's id
+    /// table and id map; it owns only its clustering, its block list
+    /// and `compact`. The snapshot it replaces becomes
     /// `retired`; the one retired by the previous publish is dropped
     /// first.
     fn publish(&mut self) -> u64 {
@@ -998,13 +998,16 @@ impl ServingMuDbscan {
                 live += 1;
             }
         }
+        let (level1, mcs) = self.stream.shared_index();
         let snap = Arc::new(Snapshot {
             epoch: self.epoch,
+            dim: self.shared.dim,
             params: self.stream.params(),
             clustering: self.stream.canonical_snapshot(),
             ext: Arc::clone(&self.ext),
             lookup: Arc::clone(&self.lookup),
-            index: Arc::clone(&self.index),
+            level1,
+            mcs,
             compact,
             data: OnceLock::new(),
             live: OnceLock::new(),
@@ -1210,6 +1213,98 @@ mod tests {
         // First read of the lazily built dataset, after the later epochs.
         assert_eq!(*pinned.dataset(), Dataset::from_rows(&rows));
         assert_eq!(clustering, batch_oracle(pinned.dataset(), p));
+    }
+
+    /// The MC index whose block holds writer-internal id `p`.
+    fn block_of(snap: &Snapshot, p: PointId) -> usize {
+        snap.mcs.iter().position(|b| b.items().contains(&p)).expect("a live point is in a block")
+    }
+
+    #[test]
+    fn epochs_share_every_block_they_do_not_write() {
+        // A seeded churn trace with no rebuild: inserts that join existing
+        // MCs and inserts that open new ones, deletes of members and of a
+        // center, and TTL expiries. Each epoch may copy only the blocks it
+        // writes and add only the blocks it opens; every other block stays
+        // the very allocation the previous snapshot holds, and that
+        // snapshot answers every query as before.
+        let p = params();
+        let h = ServingMuDbscan::spawn_with(
+            2,
+            p,
+            ServeOptions { repair_budget: Some(usize::MAX), ..Default::default() },
+        );
+        let (mut joined, mut opened) = (0, 0);
+        let mut prev = h.pin();
+        // Half the points fall in one dense square, half spread ten
+        // times wider, so most blocks see no write in a given epoch.
+        let mut pts = rows(120, 31);
+        for c in pts.iter_mut().step_by(2) {
+            c.iter_mut().for_each(|x| *x *= 10.0);
+        }
+        for (e, chunk) in pts.chunks(10).enumerate() {
+            // Every third insert expires two epochs later.
+            let mut ops: Vec<ServeOp> = chunk
+                .iter()
+                .enumerate()
+                .map(|(k, c)| match k % 3 {
+                    2 => ServeOp::insert_ttl(c.clone(), 2),
+                    _ => ServeOp::insert(c.clone()),
+                })
+                .collect();
+            if e == 2 {
+                // The first point inserted opened MC 0: it is its center.
+                ops.push(ServeOp::delete(0));
+            }
+            let live = prev.live_ids();
+            if !live.is_empty() {
+                ops.push(ServeOp::delete(live[(7 * e) % live.len()]));
+            }
+            let held: Vec<Vec<f64>> = prev.dataset().iter().map(|(_, c)| c.to_vec()).collect();
+            let answers: Vec<Vec<ExtId>> = held.iter().map(|c| prev.query(c).unwrap()).collect();
+
+            let ids = h.ingest(ops).unwrap();
+            let next = h.drain().unwrap().snapshot;
+            // The blocks this epoch wrote: those that lost a point (found
+            // in the previous snapshot) and the old ones that gained one.
+            let mut written: Vec<usize> = prev
+                .lookup
+                .values()
+                .filter(|&&q| next.compact[q as usize] == u32::MAX)
+                .map(|&q| block_of(&prev, q))
+                .collect();
+            for id in &ids {
+                let b = block_of(&next, next.lookup[id]);
+                if b < prev.mcs.len() {
+                    written.push(b);
+                    joined += 1;
+                }
+            }
+            written.sort_unstable();
+            written.dedup();
+            let created = next.mcs.len() - prev.mcs.len();
+            opened += created;
+            for (b, (old, new)) in prev.mcs.iter().zip(&next.mcs).enumerate() {
+                if written.binary_search(&b).is_err() {
+                    assert!(Arc::ptr_eq(old, new), "epoch {}: unwritten block {b} copied", e + 1);
+                }
+            }
+            let differ = (0..next.mcs.len())
+                .filter(|&b| prev.mcs.get(b).is_none_or(|old| !Arc::ptr_eq(old, &next.mcs[b])))
+                .count();
+            assert!(differ <= written.len() + created, "epoch {}: {differ} blocks differ", e + 1);
+            for (c, want) in held.iter().zip(&answers) {
+                assert_eq!(&prev.query(c).unwrap(), want, "epoch {}: query at {c:?}", e + 1);
+            }
+            assert_eq!(*next.clustering(), batch_oracle(next.dataset(), p));
+            prev = next;
+        }
+        let stats = h.stats();
+        assert_eq!(stats.cumulative.count("serve/rebuilds"), 0, "a rebuild replaced every block");
+        assert!(joined > 0 && opened > 0, "joined {joined}, opened {opened}");
+        assert!(stats.cumulative.count("serve/expiries") > 0);
+        assert!(stats.cumulative.count("serve/deletes") > 1);
+        assert_eq!(prev.membership(0), None, "the center of MC 0 is still live");
     }
 
     #[test]
