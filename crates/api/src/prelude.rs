@@ -339,6 +339,7 @@ impl Runner {
     /// family it clashes with.
     fn validate(&self, family: Family) -> Result<(), MuDbscanError> {
         let DbscanParams { eps, min_pts } = self.params;
+        let check_every = self.serve_opts.as_ref().and_then(|o| o.self_check_every);
         let degenerate = [
             (!(eps.is_finite() && eps > 0.0), "eps must be positive and finite"),
             // Neighbourhoods compare squared distances: with ε² = 0 no
@@ -349,6 +350,7 @@ impl Runner {
             (self.ranks == Some(0), "the rank count must be at least 1"),
             (self.shards == Some(0), "the shard count must be at least 1"),
             (self.memory_budget == Some(0), "the memory budget must be positive"),
+            (check_every == Some(0), "ServeOptions::self_check_every must be at least 1"),
         ];
         if let Some((_, msg)) = degenerate.iter().find(|(is_bad, _)| *is_bad) {
             return Err(MuDbscanError::InvalidConfig(msg.to_string()));

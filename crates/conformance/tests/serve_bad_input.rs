@@ -10,10 +10,13 @@
 //! under `serve/deletes_ignored`), and ingest/drain through a clone
 //! after another handle shut down. After every accepted batch the
 //! drained snapshot must hold exactly the model's live set and be
-//! exact against `naive_dbscan` on it.
+//! exact against `naive_dbscan` on it. A serving configuration whose
+//! self-check cadence is zero is rejected before the engine starts.
 
 use geom::{Dataset, DbscanParams};
-use mudbscan::prelude::{Runner, ServeError, ServeHandle, ServeOp, ServeOptions, Snapshot};
+use mudbscan::prelude::{
+    MuDbscanError, Runner, ServeError, ServeHandle, ServeOp, ServeOptions, Snapshot,
+};
 use mudbscan::{check_exact, naive_dbscan};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -206,4 +209,20 @@ proptest! {
     fn bad_input_is_an_error_or_a_counted_skip(seed in any::<u64>(), budget in 0usize..3) {
         run(seed, [None, Some(0), Some(4)][budget]);
     }
+}
+
+#[test]
+fn a_zero_self_check_cadence_is_a_config_error() {
+    // `Some(0)` would switch the exactness self-check off without a word.
+    let serve = |every| {
+        let opts = ServeOptions { self_check_every: every, ..ServeOptions::default() };
+        Runner::new(params()).serve_options(opts).serve(DIM)
+    };
+    match serve(Some(0)).err() {
+        Some(MuDbscanError::InvalidConfig(msg)) => {
+            assert!(msg.contains("self_check_every"), "the error names the option: {msg}")
+        }
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+    serve(Some(1)).expect("a self-check every epoch is valid").shutdown().expect("drains");
 }

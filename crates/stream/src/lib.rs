@@ -39,12 +39,14 @@
 //! ([`StreamingMuDbscan::try_remove`]) tombstones it, deletes it from
 //! its MC's block, decrements its live neighbours' counts and
 //! demotes cores that fall below `MinPts` — then, because a deletion
-//! can split clusters and the union–find cannot unsplit, replays the
-//! union rules only over the affected component(s). The serving layer
-//! applies removals through this repair per-op and falls back to an
-//! exact rebuild over the compacted live set when the blast radius
-//! exceeds its budget (see [`serve`]); either way every published
-//! epoch stays bit-identical to a batch run on the same points.
+//! can split clusters and the union–find cannot unsplit, walks the
+//! surviving core graph from the cores around the removed ones until
+//! it has found the pieces a split leaves, and moves each piece that
+//! split off to a fresh set. The serving layer applies removals
+//! through this repair per-op and falls back to an exact rebuild over
+//! the compacted live set when the blast radius exceeds its budget
+//! (see [`serve`]); either way every published epoch stays
+//! bit-identical to a batch run on the same points.
 //!
 //! ```
 //! use geom::DbscanParams;

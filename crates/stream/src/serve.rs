@@ -31,13 +31,14 @@
 //! * deletions and TTL expiries are applied per-op through the
 //!   engine's exact [`StreamingMuDbscan::try_remove`] — a
 //!   **micro-cluster-local repair** that tombstones the point, demotes
-//!   cores falling below MinPts, and replays the union rules only over
-//!   the affected component. When a removal's blast radius exceeds the
-//!   repair budget ([`ServeOptions::repair_budget`]), the writer falls
-//!   back to one **exact full rebuild** over the compacted live set
-//!   (the parallel bulk loader), so worst cases stay exact and cheap
-//!   cases stay local. A rebuild is also used to compact tombstones
-//!   once they outnumber the live points.
+//!   cores falling below MinPts, and walks the surviving core graph
+//!   from the cores around the removed ones only as far as it takes
+//!   to find the pieces a split leaves. When a removal's blast radius
+//!   exceeds the repair budget ([`ServeOptions::repair_budget`]), the
+//!   writer falls back to one **exact full rebuild** over the
+//!   compacted live set (the parallel bulk loader), so worst cases
+//!   stay exact and cheap cases stay local. A rebuild is also used to
+//!   compact tombstones once they outnumber the live points.
 //!
 //! **Epochs and TTL.** The epoch counter is a deterministic logical
 //! clock: it advances by one per applied batch, never by wall time. A
@@ -153,11 +154,12 @@ impl ServeOp {
 pub struct ServeOptions {
     /// Largest repair region a single removal may trigger before the
     /// writer falls back to a full rebuild of the epoch. A region is
-    /// the surviving cores a repair re-unions or probes (the affected
-    /// sets' cores for a replay) plus the non-cores it re-anchors.
+    /// the surviving points a repair examines: the demoted cores, the
+    /// cores its walk reaches and the non-cores it re-anchors
+    /// ([`crate::RemoveOutcome`]).
     ///
     /// * `None` — adaptive default: half the live set, floor 256.
-    /// * `Some(0)` — no surviving point may be replayed: the first
+    /// * `Some(0)` — no surviving point may be examined: the first
     ///   removal in a batch that needs any repair region falls back to
     ///   one full rebuild, which also absorbs the batch's remaining
     ///   removals. Removals that need none still commit locally and
@@ -175,11 +177,11 @@ pub struct ServeOptions {
     pub postmortem_dir: Option<PathBuf>,
     /// Run the engine's exactness self-check
     /// ([`StreamingMuDbscan::verify_against_batch`]) every `k` epochs
-    /// (`Some(k)`, `k ≥ 1`). A failed check counts
-    /// `serve/exactness_drift` in the live registry and dumps a
-    /// postmortem. The check costs a full batch re-cluster, so it is
-    /// off (`None`) by default — an auditing knob, not a production
-    /// default.
+    /// (`Some(k)`, `k ≥ 1`; `Runner::serve` rejects `Some(0)`). A
+    /// failed check counts `serve/exactness_drift` in the live registry
+    /// and dumps a postmortem. The check costs a full batch re-cluster,
+    /// so it is off (`None`) by default — an auditing knob, not a
+    /// production default.
     pub self_check_every: Option<u64>,
     /// Fault injection: treat this epoch's self-check as having
     /// detected drift even though the engine is exact, exercising the
@@ -207,7 +209,7 @@ impl Default for ServeOptions {
 
 impl ServeOptions {
     /// The effective repair budget at a given live population.
-    /// `Some(0)` allows no replayed survivor, so only removals with an
+    /// `Some(0)` allows no examined survivor, so only removals with an
     /// empty repair region (noise, or a border that demotes no core)
     /// commit without a rebuild.
     fn budget_at(&self, live: usize) -> usize {

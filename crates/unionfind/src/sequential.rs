@@ -78,21 +78,6 @@ impl UnionFind {
         hi
     }
 
-    /// Reset `x` to a fresh singleton: it becomes its own root with rank
-    /// 0 and belongs to no other set.
-    ///
-    /// **Safety contract (checked by the caller, not here):** this is
-    /// only sound when *every* element of `x`'s current set is reset in
-    /// the same pass. Resetting one member while others still point at
-    /// (or through) it would corrupt the forest — parent chains are
-    /// intra-set, so resetting a whole set at once cannot dangle. The
-    /// streaming engine uses this to rebuild one component locally after
-    /// a deletion instead of reconstructing the entire forest.
-    pub fn reset_to_singleton(&mut self, x: u32) {
-        self.parent[x as usize] = x;
-        self.rank[x as usize] = 0;
-    }
-
     /// True when `a` and `b` are in the same set.
     pub fn same(&mut self, a: u32, b: u32) -> bool {
         self.find(a) == self.find(b)
@@ -200,31 +185,6 @@ mod tests {
         assert_eq!(uf.count_sets_among([0u32, 1, 2].into_iter()), 2);
         assert_eq!(uf.count_sets_among([4u32, 5].into_iter()), 2);
         assert_eq!(uf.count_sets_among(std::iter::empty()), 0);
-    }
-
-    #[test]
-    fn reset_whole_set_rebuilds_cleanly() {
-        let mut uf = UnionFind::new(8);
-        uf.union(0, 1);
-        uf.union(1, 2);
-        uf.union(2, 3);
-        uf.union(5, 6);
-        // Reset the whole {0,1,2,3} set; {5,6} and singletons untouched.
-        for x in 0..4 {
-            uf.reset_to_singleton(x);
-        }
-        for x in 0..4u32 {
-            assert_eq!(uf.find(x), x);
-        }
-        assert!(uf.same(5, 6));
-        assert_eq!(uf.count_sets(), 7);
-        // Re-union a different shape over the reset elements.
-        uf.union(0, 3);
-        uf.union(1, 2);
-        assert!(uf.same(0, 3));
-        assert!(uf.same(1, 2));
-        assert!(!uf.same(0, 1));
-        assert_eq!(uf.count_sets(), 5);
     }
 
     #[test]
